@@ -29,7 +29,7 @@ from .score import (
     center_scores,
     coupled_delta,
     elbo_score,
-    sample_mask_set,
+    sample_mask_sets,
     uncentered_scores,
     var_delta,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "rspo_weights",
     "run_experiment",
     "sample_completion_group",
-    "sample_mask_set",
+    "sample_mask_sets",
     "save_params",
     "train_step",
     "uncentered_scores",

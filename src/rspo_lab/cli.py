@@ -22,14 +22,22 @@ from .sequences import Sequence
 ENV_PREFIX = "RSPO_"
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _env_overrides() -> dict:
     keys = harness.RunConfig.field_keys()
     out = {}
     for key in keys:
-        raw = os.environ.get(ENV_PREFIX + key.upper().replace("-", "_"))
+        name = ENV_PREFIX + key.upper().replace("-", "_")
+        raw = os.environ.get(name)
         if raw is None:
             continue
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}={raw!r}: {exc}") from None
     return out
 
 
@@ -38,7 +46,10 @@ def _coerce(key: str, raw: str):
     attr = "lam" if key == "lambda" else key
     current = getattr(defaults, attr)
     if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError("expected one of " + "/".join(_BOOL_WORDS))
+        return _BOOL_WORDS[word]
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):

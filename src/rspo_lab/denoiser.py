@@ -23,6 +23,15 @@ from .sequences import Sequence
 
 CHECKPOINT_MAGIC = b"MDMC"
 CHECKPOINT_VERSION = 1
+# magic, version, vocab_size, window, hidden, embed_dim, n_positions, seed, theta size
+CHECKPOINT_HEADER = struct.Struct("<4sIIIIIIQQ")
+
+
+def _section_sizes(vocab_size, window, hidden, embed_dim, n_positions) -> tuple[int, list[int]]:
+    """Feature dimension and the sizes of the embed, w1, b1, w2, b2 sections
+    of the flat parameter vector, in storage order."""
+    f = n_positions + 2 * window * embed_dim + 1
+    return f, [vocab_size * embed_dim, hidden * f, hidden, vocab_size * hidden, vocab_size]
 
 
 @dataclass
@@ -46,20 +55,22 @@ class DenoiserParams:
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta contains non-finite entries")
 
+    def _sizes(self) -> tuple[int, list[int]]:
+        return _section_sizes(self.vocab_size, self.window, self.hidden,
+                              self.embed_dim, self.n_positions)
+
     @property
     def feature_dim(self) -> int:
-        return self.n_positions + 2 * self.window * self.embed_dim + 1
+        return self._sizes()[0]
 
     @property
     def n_params(self) -> int:
-        v, h, e, f = self.vocab_size, self.hidden, self.embed_dim, self.feature_dim
-        return v * e + h * f + h + v * h + v
+        return sum(self._sizes()[1])
 
     def _slices(self):
-        v, h, e, f = self.vocab_size, self.hidden, self.embed_dim, self.feature_dim
-        sizes = [v * e, h * f, h, v * h, v]
+        f, sizes = self._sizes()
         offsets = np.cumsum([0] + sizes)
-        return offsets, (v, h, e, f)
+        return offsets, (self.vocab_size, self.hidden, self.embed_dim, f)
 
     @property
     def embed(self) -> np.ndarray:
@@ -115,8 +126,7 @@ def init_params(
     scale: float = 0.05,
 ) -> DenoiserParams:
     """Uniform init in [-scale, scale]; near-uniform initial policy."""
-    feature_dim = n_positions + 2 * window * embed_dim + 1
-    n = vocab_size * embed_dim + hidden * feature_dim + hidden + vocab_size * hidden + vocab_size
+    n = sum(_section_sizes(vocab_size, window, hidden, embed_dim, n_positions)[1])
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-scale, scale, size=n)
     return DenoiserParams(
@@ -241,32 +251,21 @@ def denoiser_logprob_grad(
 
 def save_params(path, params: DenoiserParams) -> None:
     """Binary checkpoint: fixed header then little-endian float64 parameters."""
-    header = struct.pack(
-        "<4sIIIIIIQQ",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        params.vocab_size,
-        params.window,
-        params.hidden,
-        params.embed_dim,
-        params.n_positions,
-        params.seed,
-        params.theta.size,
-    )
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(params.theta.astype("<f8").tobytes())
+        fh.write(params_to_bytes(params))
 
 
 def load_params(path) -> DenoiserParams:
     with open(path, "rb") as fh:
         data = fh.read()
-    return params_from_bytes(data)[0]
+    params, end = params_from_bytes(data)
+    if end != len(data):
+        raise ValueError(f"{len(data) - end} trailing bytes after the params section")
+    return params
 
 
 def params_to_bytes(params: DenoiserParams) -> bytes:
-    header = struct.pack(
-        "<4sIIIIIIQQ",
+    header = CHECKPOINT_HEADER.pack(
         CHECKPOINT_MAGIC,
         CHECKPOINT_VERSION,
         params.vocab_size,
@@ -280,21 +279,26 @@ def params_to_bytes(params: DenoiserParams) -> bytes:
     return header + params.theta.astype("<f8").tobytes()
 
 
+def read_section(data: bytes, offset: int, size: int, section: str) -> tuple[bytes, int]:
+    """The ``size`` bytes at ``offset`` and their end offset; raises naming
+    ``section`` when the data stops short."""
+    end = offset + size
+    if end > len(data):
+        raise ValueError(f"truncated {section}: need {size} bytes, {len(data) - offset} left")
+    return data[offset:end], end
+
+
 def params_from_bytes(data: bytes, offset: int = 0) -> tuple[DenoiserParams, int]:
     """Parse a checkpoint section, returning the params and the end offset."""
-    head_size = struct.calcsize("<4sIIIIIIQQ")
-    magic, version, vocab, window, hidden, embed, npos, seed, count = struct.unpack_from(
-        "<4sIIIIIIQQ", data, offset
-    )
+    head, start = read_section(data, offset, CHECKPOINT_HEADER.size, "params header")
+    magic, version, vocab, window, hidden, embed, npos, seed, count = CHECKPOINT_HEADER.unpack(head)
     if magic != CHECKPOINT_MAGIC:
         raise ValueError("not a denoiser checkpoint (bad magic)")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    start = offset + head_size
-    end = start + count * 8
-    theta = np.frombuffer(data[start:end], dtype="<f8").astype(np.float64)
+    raw, end = read_section(data, start, 8 * count, "params theta")
     params = DenoiserParams(
-        theta=theta,
+        theta=np.frombuffer(raw, dtype="<f8").astype(np.float64),
         vocab_size=vocab,
         window=window,
         hidden=hidden,

@@ -30,6 +30,7 @@ from .denoiser import (
     init_params,
     params_from_bytes,
     params_to_bytes,
+    read_section,
 )
 
 METRICS_FILE = "metrics.jsonl"
@@ -82,6 +83,11 @@ class RunConfig:
             raise ValueError("k_masks must be >= 1")
         if self.task not in tasks.GENERATORS:
             raise ValueError(f"unknown task {self.task!r}")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        self.decode_config()  # gen_len/block_size, unmask_per_step, temperature
 
     def to_dict(self) -> dict:
         out = {}
@@ -236,10 +242,10 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     advantages: list[float] = []
     deltas: list[float] = []
     grads: list[np.ndarray] = []
-    lengths: list[int] = []
     zero_std = 0
 
     adv_cfg = objectives.AdvantageConfig(normalize=cfg.normalize_adv)
+    ref_params = state.ref_params if cfg.reference else None
     for _ in range(cfg.groups_per_batch):
         inst = _gen_instance(cfg, prompt_rng)
         prompt = tasks.encode_text(inst.prompt_text, vocab)
@@ -258,26 +264,16 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         for comp in completions:
             clean = comp.copy()  # decoded completions are fully unmasked
             masks = score.sample_mask_sets(clean.completion_len, cfg.k_masks, mask_rng)
-            cur = score.elbo_score(state.params, clean, masks).value
-            if cfg.reference:
-                ref = score.elbo_score(state.ref_params, clean, masks).value
-                delta = (cur - ref) / clean.completion_len
-            else:
-                delta = cur / clean.completion_len
-            deltas.append(delta)
+            deltas.append(score.coupled_delta(state.params, ref_params, clean, masks))
             grads.append(score.delta_grad(state.params, clean, masks))
-            lengths.append(clean.completion_len)
 
     if cfg.centering:
-        batch = score.center_scores(deltas, lengths)
+        batch = score.center_scores(deltas)
     else:
-        batch = score.uncentered_scores(deltas, lengths)
+        batch = score.uncentered_scores(deltas)
 
     adv = np.asarray(advantages)
-    if cfg.lam > 0:
-        loss_out = objectives.rspo_loss(batch, adv, cfg.lam)
-    else:
-        loss_out = objectives.aw_loss(batch, adv)
+    loss_out = objectives.rspo_loss(batch, adv, cfg.lam)
     grad = objectives.rspo_gradient(batch, adv, cfg.lam, grads)
 
     if cfg.debug_checks:
@@ -331,20 +327,33 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
+    """Parse a checkpoint, rejecting truncated sections, moment vectors whose
+    length differs from theta's, and trailing bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    params, off = params_from_bytes(data, 0)
-    ref, off = params_from_bytes(data, off)
-    (step,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    off = 0
+    models = []
+    for section in ("current params", "reference params"):
+        try:
+            model, off = params_from_bytes(data, off)
+        except ValueError as exc:
+            raise ValueError(f"{section}: {exc}") from exc
+        models.append(model)
+    params, ref = models
+    raw, off = read_section(data, off, 8, "step counter")
+    (step,) = struct.unpack("<Q", raw)
     vecs = []
-    for _ in range(2):
-        (n,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        vecs.append(np.frombuffer(data[off:off + 8 * n], dtype="<f8").astype(np.float64))
-        off += 8 * n
-    stored_hash = data[off:off + 32].hex()
-    if cfg is not None and stored_hash != cfg.config_hash():
+    for section in ("m", "v"):
+        raw, off = read_section(data, off, 8, f"{section} length")
+        (n,) = struct.unpack("<Q", raw)
+        if n != params.theta.size:
+            raise ValueError(f"{section} has {n} entries, theta has {params.theta.size}")
+        raw, off = read_section(data, off, 8 * n, section)
+        vecs.append(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    raw, off = read_section(data, off, hashlib.sha256().digest_size, "config hash")
+    if off != len(data):
+        raise ValueError(f"{len(data) - off} trailing bytes after the config hash")
+    if cfg is not None and raw.hex() != cfg.config_hash():
         raise ValueError("checkpoint was written under a different config")
     return TrainState(params=params, ref_params=ref, m=vecs[0], v=vecs[1], step=step)
 

@@ -2,7 +2,7 @@
 weights and loss, the advantage-weighted ablation, the matched quadratic
 comparison objective, and analytic gradient assembly.
 
-Convention: weights and residuals are detached quantities.  Differentiation
+Convention: feedback weights are detached quantities.  Differentiation
 passes only through the per-sample score factor, which is why the analytic
 gradient is assembled from externally supplied score gradients.
 """
@@ -30,8 +30,6 @@ class AdvantageConfig:
 class LossOutput:
     loss: float
     weights: np.ndarray
-    residuals: np.ndarray
-    gradient: np.ndarray | None = None
     decomposition: dict = field(default_factory=dict)
 
 
@@ -71,7 +69,7 @@ def rspo_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
         raise ValueError("advantages must align with the score batch")
     w = rspo_weights(advantages, batch.centered, lam)
     loss = -float(np.mean(w * batch.centered))
-    return LossOutput(loss=loss, weights=w, residuals=w.copy())
+    return LossOutput(loss=loss, weights=w)
 
 
 def aw_loss(batch: RelativeScoreBatch, advantages) -> LossOutput:
@@ -94,7 +92,7 @@ def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
     penalty = 0.5 * lam * float(np.mean(batch.centered**2))
     value = linear + penalty
     w = rspo_weights(advantages, batch.centered, lam)
-    out = LossOutput(loss=value, weights=w, residuals=w.copy())
+    out = LossOutput(loss=value, weights=w)
     if lam > 0:
         square = 0.5 * lam * float(np.mean((batch.centered - advantages / lam) ** 2))
         const = -float(np.mean(advantages**2)) / (2.0 * lam)

@@ -19,7 +19,6 @@ import numpy as np
 from .sequences import Sequence
 
 MAX_ENUM_LC = 3
-MAX_ENUM_VOCAB = 4
 MAX_ENUM_STEPS = 4
 
 

@@ -8,7 +8,7 @@ gradients of raw scores by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class MaskSample:
 class ElboEstimate:
     value: float
     k: int
-    masks: list[MaskSample]
-    terms: np.ndarray = field(default=None)  # type: ignore[assignment]
+    terms: np.ndarray
 
 
 @dataclass
@@ -43,23 +42,16 @@ class RelativeScoreBatch:
     deltas: np.ndarray
     center: float
     centered: np.ndarray
-    lengths: np.ndarray | None = None
-
-
-def sample_mask_set(l_c: int, rng: np.random.Generator) -> MaskSample:
-    """Draw t ~ U(0,1] and an independent Bernoulli(t) mask over completion
-    positions, resampling both until the set is nonempty."""
-    if l_c < 1:
-        raise ValueError("completion length must be >= 1")
-    while True:
-        t = 1.0 - rng.random()  # U(0, 1]
-        hit = np.flatnonzero(rng.random(l_c) < t)
-        if hit.size:
-            return MaskSample(t=t, positions=tuple(int(i) for i in hit))
 
 
 def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> list[MaskSample]:
-    """Vectorized batch of ``sample_mask_set`` draws (same law, faster)."""
+    """Draw ``k`` masks: each takes t ~ U(0,1] and an independent Bernoulli(t)
+    mask over completion positions, resampling both until the set is
+    nonempty."""
+    if l_c < 1:
+        raise ValueError("completion length must be >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1 mask samples")
     out: list[MaskSample] = []
     while len(out) < k:
         n = k - len(out)
@@ -91,7 +83,7 @@ def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -
             cache[m.positions] = lp
         idx = np.asarray(m.positions, dtype=np.int64)
         terms[j] = (l_c / idx.size) * lp[idx, seq.completion[idx]].sum()
-    return ElboEstimate(value=float(terms.mean()), k=len(masks), masks=list(masks), terms=terms)
+    return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
 
 
 def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
@@ -109,27 +101,21 @@ def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) ->
 
 def coupled_delta(
     params_cur: DenoiserParams,
-    params_ref: DenoiserParams,
+    params_ref: DenoiserParams | None,
     seq: Sequence,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    return_masks: bool = False,
-):
+    masks: list[MaskSample],
+) -> float:
     """Per-token current-reference score difference under shared masks.
 
     The same mask draws evaluate both models, so identical parameters give
-    exactly zero.
+    exactly zero.  Without a reference (``params_ref`` None) the result is
+    the per-token current score.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 mask samples")
-    masks = sample_mask_sets(seq.completion_len, k, rng)
     cur = elbo_score(params_cur, seq, masks).value
+    if params_ref is None:
+        return cur / seq.completion_len
     ref = elbo_score(params_ref, seq, masks).value
-    delta = (cur - ref) / seq.completion_len
-    if return_masks:
-        return delta, masks
-    return delta
+    return (cur - ref) / seq.completion_len
 
 
 def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
@@ -138,7 +124,7 @@ def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample
     return elbo_grad(params_cur, seq, masks) / seq.completion_len
 
 
-def center_scores(deltas, lengths=None) -> RelativeScoreBatch:
+def center_scores(deltas) -> RelativeScoreBatch:
     """Subtract the detached micro-batch mean.  The center is a constant in
     any gradient computation; centered values sum to zero in the forward
     pass."""
@@ -146,23 +132,13 @@ def center_scores(deltas, lengths=None) -> RelativeScoreBatch:
     if deltas.size < 2:
         raise ValueError("centering needs a batch of at least 2 scores")
     center = float(deltas.mean())
-    return RelativeScoreBatch(
-        deltas=deltas,
-        center=center,
-        centered=deltas - center,
-        lengths=None if lengths is None else np.asarray(lengths, dtype=np.int64),
-    )
+    return RelativeScoreBatch(deltas=deltas, center=center, centered=deltas - center)
 
 
-def uncentered_scores(deltas, lengths=None) -> RelativeScoreBatch:
+def uncentered_scores(deltas) -> RelativeScoreBatch:
     """Ablation constructor: raw deltas pass through (center fixed at zero)."""
     deltas = np.asarray(deltas, dtype=np.float64)
-    return RelativeScoreBatch(
-        deltas=deltas,
-        center=0.0,
-        centered=deltas.copy(),
-        lengths=None if lengths is None else np.asarray(lengths, dtype=np.int64),
-    )
+    return RelativeScoreBatch(deltas=deltas, center=0.0, centered=deltas.copy())
 
 
 def var_delta(batch: RelativeScoreBatch) -> float:

@@ -163,8 +163,7 @@ def _eval_countdown_expr(text: str) -> tuple[int, list[int]] | None:
     return value, leaves
 
 
-def reward_countdown(instance: TaskInstance, completion_text: str,
-                     spec: RewardSpec = RewardSpec()) -> float:
+def reward_countdown(instance: TaskInstance, completion_text: str) -> float:
     """1 iff the completion is a valid expression over the provided numbers
     (each used at most as often as given) that evaluates to the target."""
     result = _eval_countdown_expr(completion_text)
@@ -367,7 +366,7 @@ GENERATORS = {
 def reward(instance: TaskInstance, completion_text: str,
            spec: RewardSpec = RewardSpec()) -> float:
     if instance.kind == "countdown":
-        return reward_countdown(instance, completion_text, spec)
+        return reward_countdown(instance, completion_text)
     if instance.kind == "sudoku4":
         return reward_sudoku4(instance, completion_text, spec)
     if instance.kind == "arith":

@@ -138,9 +138,8 @@ def test_criterion_03_reference_point_equality(rng):
     seqs = [tiny_sequence(rng) for _ in range(4)]
     deltas, grads = [], []
     for s in seqs:
-        d, masks = score.coupled_delta(params, params.copy(), s, k=2, rng=rng,
-                                       return_masks=True)
-        deltas.append(d)
+        masks = score.sample_mask_sets(s.completion_len, 2, rng)
+        deltas.append(score.coupled_delta(params, params.copy(), s, masks))
         grads.append(score.delta_grad(params, s, masks))
     assert all(d == 0.0 for d in deltas)
     batch = score.center_scores(deltas)
@@ -226,7 +225,8 @@ def test_criterion_06_estimator_exactness(rng):
         se = float(est.terms.std(ddof=1)) / math.sqrt(est.k)
         assert abs(est.value - exact) <= 3 * se, f"instance {trial}"
         # identical models cancel exactly under shared masks
-        assert score.coupled_delta(params, params.copy(), seq, k=2, rng=rng) == 0.0
+        masks = score.sample_mask_sets(seq.completion_len, 2, rng)
+        assert score.coupled_delta(params, params.copy(), seq, masks) == 0.0
     print("PASS criterion-06 estimator-exactness (20 instances within 3 SE)")
 
 

@@ -75,6 +75,24 @@ class TestTrain:
         assert summary["centering"] is False
         assert summary["lambda"] == 0.125
 
+    def test_bad_env_value_names_variable(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        monkeypatch.setenv("RSPO_STEPS", "abc")
+        with pytest.raises(ValueError, match="RSPO_STEPS"):
+            main(["train", "--config", str(cfg_path)])
+        monkeypatch.delenv("RSPO_STEPS")
+        monkeypatch.setenv("RSPO_CENTERING", "flase")
+        with pytest.raises(ValueError, match="RSPO_CENTERING"):
+            main(["train", "--config", str(cfg_path)])
+
+    def test_env_bool_words_case_insensitive(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        for word, want in (("OFF", False), ("No", False), ("0", False),
+                           ("Yes", True), ("TRUE", True), ("on", True)):
+            monkeypatch.setenv("RSPO_CENTERING", word)
+            main(["train", "--config", str(cfg_path), "--steps", "0"])
+            assert json.loads(capsys.readouterr().out)["centering"] is want
+
     def test_ablation_toggles(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         main(["train", "--config", str(cfg_path), "--no-centering",

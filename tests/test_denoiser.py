@@ -133,6 +133,20 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="magic"):
             load_params(path)
 
+    def test_truncated_and_trailing_bytes_rejected(self, tmp_path):
+        params = tiny_params(seed=0)
+        path = tmp_path / "model.bin"
+        save_params(path, params)
+        blob = path.read_bytes()
+        for cut, msg in ((10, "truncated params header"),
+                         (len(blob) - 1, "truncated params theta")):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=msg):
+                load_params(path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_params(path)
+
     def test_theta_metadata_consistency_enforced(self):
         params = tiny_params(seed=0)
         with pytest.raises(ValueError, match="entries"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rspo_lab import harness
+from rspo_lab.denoiser import CHECKPOINT_HEADER
 from rspo_lab.harness import (
     RunAborted,
     RunConfig,
@@ -67,6 +68,12 @@ class TestRunConfig:
             RunConfig(group_size=1)
         with pytest.raises(ValueError):
             RunConfig(task="chess")
+        bad = [dict(lr=-1), dict(lr=0.0), dict(block_size=5), dict(steps=-3),
+               dict(temperature=-1.0), dict(unmask_per_step=0)]
+        for kw in bad:
+            with pytest.raises(ValueError):
+                RunConfig(**kw)
+        assert RunConfig(steps=0).steps == 0
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
@@ -181,6 +188,40 @@ class TestCheckpoints:
             load_checkpoint(path, other)
         # no config given skips the check
         assert load_checkpoint(path).step == 0
+
+    def test_corrupt_bytes_rejected_naming_section(self, tmp_path):
+        cfg = smoke_config(tmp_path)
+        state = init_state(cfg)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, state, cfg)
+        blob = path.read_bytes()
+        n = state.params.theta.size
+        head = CHECKPOINT_HEADER.size
+        model = head + 8 * n
+        mv = 2 * model + 8  # start of the m section
+        cuts = {
+            head - 4: "current params: truncated params header",
+            head + 8: "current params: truncated params theta",
+            model + head - 4: "reference params: truncated params header",
+            model + head + 8: "reference params: truncated params theta",
+            2 * model + 4: "truncated step counter",
+            mv + 4: "truncated m length",
+            mv + 8 + 8: "truncated m:",
+            mv + 8 + 8 * n + 4: "truncated v length",
+            mv + 16 + 8 * n + 8: "truncated v:",
+            len(blob) - 1: "truncated config hash",
+        }
+        for cut, msg in cuts.items():
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=msg):
+                load_checkpoint(path, cfg)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_checkpoint(path, cfg)
+        short_m = blob[:mv] + (n - 1).to_bytes(8, "little") + blob[mv + 8:]
+        path.write_bytes(short_m)
+        with pytest.raises(ValueError, match=f"m has {n - 1} entries"):
+            load_checkpoint(path, cfg)
 
 
 class TestRunExperiment:

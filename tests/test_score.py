@@ -13,7 +13,6 @@ from rspo_lab.score import (
     delta_grad,
     elbo_grad,
     elbo_score,
-    sample_mask_set,
     sample_mask_sets,
     uncentered_scores,
     var_delta,
@@ -22,8 +21,7 @@ from rspo_lab.score import (
 
 class TestMaskLaw:
     def test_sample_validity(self, rng):
-        for _ in range(200):
-            m = sample_mask_set(4, rng)
+        for m in sample_mask_sets(4, 200, rng):
             assert 0.0 < m.t <= 1.0
             assert len(m.positions) >= 1
             assert all(0 <= p < 4 for p in m.positions)
@@ -36,10 +34,11 @@ class TestMaskLaw:
         with pytest.raises(ValueError):
             MaskSample(t=0.0, positions=(0,))
 
-    def test_set_frequencies_match_closed_form(self):
-        # empirical frequency of every nonempty subset of {0,1,2} against
-        # the exact law, 4-sigma multinomial tolerance
-        l_c, n = 3, 200_000
+    @pytest.mark.parametrize("l_c", [2, 3])
+    def test_set_frequencies_match_closed_form(self, l_c):
+        # empirical frequency of every nonempty subset of {0,..,l_c-1}
+        # against the exact law, 4-sigma multinomial tolerance
+        n = 200_000
         rng = np.random.default_rng(77)
         counts: dict[tuple[int, ...], int] = {}
         for m in sample_mask_sets(l_c, n, rng):
@@ -59,18 +58,6 @@ class TestMaskLaw:
                 for pos in itertools.combinations(range(l_c), size)
             )
             assert abs(total - 1.0) < 1e-12
-
-    def test_batch_sampler_matches_scalar_law(self):
-        # same marginal set frequencies from both samplers, coarse check
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(6)
-        n = 50_000
-        singles = [sample_mask_set(2, rng_a).positions for _ in range(n)]
-        batch = [m.positions for m in sample_mask_sets(2, n, rng_b)]
-        for positions in ((0,), (1,), (0, 1)):
-            fa = singles.count(positions) / n
-            fb = batch.count(positions) / n
-            assert abs(fa - fb) < 0.01
 
 
 class TestElboScore:
@@ -148,26 +135,39 @@ class TestCoupledDelta:
     def test_identical_models_give_exact_zero(self, rng):
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
-        delta = coupled_delta(params, params.copy(), seq, k=3, rng=rng)
+        masks = sample_mask_sets(seq.completion_len, 3, rng)
+        delta = coupled_delta(params, params.copy(), seq, masks)
         assert delta == 0.0
 
     def test_sign_tracks_likelihood(self, rng):
         # nudging the current model along the score gradient raises delta
         ref = tiny_params(seed=5)
         seq = tiny_sequence(rng)
-        delta0, masks = coupled_delta(ref, ref, seq, k=2,
-                                      rng=np.random.default_rng(8), return_masks=True)
+        masks = sample_mask_sets(seq.completion_len, 2, np.random.default_rng(8))
+        delta0 = coupled_delta(ref, ref, seq, masks)
         step = 0.05 * elbo_grad(ref, seq, masks)
         cur = ref.replace_theta(ref.theta + step)
-        d_cur = (elbo_score(cur, seq, masks).value
-                 - elbo_score(ref, seq, masks).value) / seq.completion_len
+        d_cur = coupled_delta(cur, ref, seq, masks)
         assert delta0 == 0.0
         assert d_cur > 0.0
 
-    def test_k_zero_rejected(self, rng):
+    def test_no_reference_is_per_token_score(self, rng):
         params = tiny_params(seed=4)
+        seq = tiny_sequence(rng)
+        masks = sample_mask_sets(seq.completion_len, 3, rng)
+        want = elbo_score(params, seq, masks).value / seq.completion_len
+        assert coupled_delta(params, None, seq, masks) == want
+
+    def test_k_zero_rejected(self, rng):
+        # masks come from the sampler, which rejects k < 1 and l_c < 1;
+        # an empty mask list is rejected by the score itself
+        params = tiny_params(seed=4)
+        with pytest.raises(ValueError, match="k >= 1"):
+            sample_mask_sets(3, 0, rng)
+        with pytest.raises(ValueError, match="completion length"):
+            sample_mask_sets(0, 2, rng)
         with pytest.raises(ValueError):
-            coupled_delta(params, params, tiny_sequence(rng), k=0, rng=rng)
+            coupled_delta(params, params, tiny_sequence(rng), [])
 
 
 class TestCentering:
