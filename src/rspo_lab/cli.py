@@ -1,7 +1,8 @@
 """Command-line entry points: train, audit, ablate.
 
 Configuration precedence: config file < RSPO_* environment variables <
-command-line flags.
+command-line flags.  A bad config file, variable or field value is reported
+as a one-line usage error (exit status 2) before any run starts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .sequences import Sequence
 ENV_PREFIX = "RSPO_"
 
 
+class ConfigError(ValueError):
+    """A bad config file, RSPO_* value or config field."""
+
+
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -37,7 +42,7 @@ def _env_overrides() -> dict:
         try:
             out[key] = _coerce(key, raw)
         except ValueError as exc:
-            raise ValueError(f"{name}={raw!r}: {exc}") from None
+            raise ConfigError(f"{name}={raw!r}: {exc}") from None
     return out
 
 
@@ -57,10 +62,27 @@ def _coerce(key: str, raw: str):
     return raw
 
 
+def _read_json_object(path) -> dict:
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return obj
+
+
+def _run_config(obj: dict) -> harness.RunConfig:
+    try:
+        return harness.RunConfig.from_dict(obj)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _build_config(args) -> harness.RunConfig:
     obj: dict = {}
     if args.config:
-        obj.update(json.loads(Path(args.config).read_text()))
+        obj.update(_read_json_object(args.config))
     obj.update(_env_overrides())
     flag_map = {
         "lambda": args.lam,
@@ -80,7 +102,7 @@ def _build_config(args) -> harness.RunConfig:
         obj["reference"] = False
     if args.normalize_adv:
         obj["normalize_adv"] = True
-    return harness.RunConfig.from_dict(obj)
+    return _run_config(obj)
 
 
 def cmd_train(args) -> int:
@@ -164,12 +186,17 @@ def cmd_ablate(args) -> int:
     keys to value lists; every combination becomes one run in its own
     subdirectory.
     """
-    spec_obj = json.loads(Path(args.matrix).read_text())
+    spec_obj = _read_json_object(args.matrix)
     grid = spec_obj.pop("grid", {})
-    base_out = Path(spec_obj.pop("out_dir", "runs/ablation"))
+    if not (isinstance(grid, dict) and all(isinstance(v, list) and v for v in grid.values())):
+        raise ConfigError(f"{args.matrix}: grid must map config keys to nonempty value lists")
+    base_out = spec_obj.pop("out_dir", "runs/ablation")
+    if not isinstance(base_out, str):
+        raise ConfigError(f"{args.matrix}: out_dir must be str, got {base_out!r}")
+    base_out = Path(base_out)
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys))) or [()]
-    summaries = []
+    runs = []
     for combo in combos:
         obj = dict(spec_obj)
         tag_parts = []
@@ -178,7 +205,9 @@ def cmd_ablate(args) -> int:
             tag_parts.append(f"{key}={value}")
         tag = "_".join(tag_parts) or "base"
         obj["out_dir"] = str(base_out / tag)
-        cfg = harness.RunConfig.from_dict(obj)
+        runs.append((tag, _run_config(obj)))
+    summaries = []
+    for tag, cfg in runs:
         _, summary = harness.run_experiment(cfg)
         summary["run"] = tag
         summaries.append(summary)
@@ -218,8 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ checked coordinate-wise against finite differences.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,16 +28,18 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_HEADER = struct.Struct("<4sIIIIIIQQ")
 
 
-def _section_sizes(vocab_size, window, hidden, embed_dim, n_positions) -> tuple[int, list[int]]:
-    """Feature dimension and the sizes of the embed, w1, b1, w2, b2 sections
-    of the flat parameter vector, in storage order."""
+def _section_shapes(vocab_size, window, hidden, embed_dim, n_positions) -> list[tuple[int, ...]]:
+    """Shapes of the embed, w1, b1, w2, b2 sections of the flat parameter
+    vector, in storage order; w1 is (hidden, feature dimension)."""
     f = n_positions + 2 * window * embed_dim + 1
-    return f, [vocab_size * embed_dim, hidden * f, hidden, vocab_size * hidden, vocab_size]
+    return [(vocab_size, embed_dim), (hidden, f), (hidden,), (vocab_size, hidden), (vocab_size,)]
 
 
 @dataclass
 class DenoiserParams:
-    """Flat parameter vector plus the architecture metadata that shapes it."""
+    """Flat parameter vector plus the architecture metadata that shapes it.
+    ``embed``, ``w1``, ``b1``, ``w2``, ``b2`` are views into ``theta``, built
+    once; ``replace_theta`` is the way to change the parameters."""
 
     theta: np.ndarray
     vocab_size: int
@@ -47,6 +50,11 @@ class DenoiserParams:
     seed: int = 0
 
     def __post_init__(self):
+        shapes = _section_shapes(self.vocab_size, self.window, self.hidden,
+                                 self.embed_dim, self.n_positions)
+        sizes = [math.prod(s) for s in shapes]
+        self.feature_dim = shapes[1][1]
+        self.n_params = sum(sizes)
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.shape != (self.n_params,):
             raise ValueError(
@@ -54,59 +62,13 @@ class DenoiserParams:
             )
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta contains non-finite entries")
-
-    def _sizes(self) -> tuple[int, list[int]]:
-        return _section_sizes(self.vocab_size, self.window, self.hidden,
-                              self.embed_dim, self.n_positions)
-
-    @property
-    def feature_dim(self) -> int:
-        return self._sizes()[0]
-
-    @property
-    def n_params(self) -> int:
-        return sum(self._sizes()[1])
-
-    def _slices(self):
-        f, sizes = self._sizes()
-        offsets = np.cumsum([0] + sizes)
-        return offsets, (self.vocab_size, self.hidden, self.embed_dim, f)
-
-    @property
-    def embed(self) -> np.ndarray:
-        o, (v, h, e, f) = self._slices()
-        return self.theta[o[0]:o[1]].reshape(v, e)
-
-    @property
-    def w1(self) -> np.ndarray:
-        o, (v, h, e, f) = self._slices()
-        return self.theta[o[1]:o[2]].reshape(h, f)
-
-    @property
-    def b1(self) -> np.ndarray:
-        o, _ = self._slices()
-        return self.theta[o[2]:o[3]]
-
-    @property
-    def w2(self) -> np.ndarray:
-        o, (v, h, e, f) = self._slices()
-        return self.theta[o[3]:o[4]].reshape(v, h)
-
-    @property
-    def b2(self) -> np.ndarray:
-        o, _ = self._slices()
-        return self.theta[o[4]:o[5]]
+        parts = np.split(self.theta, np.cumsum(sizes)[:-1])
+        self.embed, self.w1, self.b1, self.w2, self.b2 = (
+            part.reshape(shape) for part, shape in zip(parts, shapes)
+        )
 
     def replace_theta(self, theta: np.ndarray) -> "DenoiserParams":
-        return DenoiserParams(
-            theta=np.asarray(theta, dtype=np.float64),
-            vocab_size=self.vocab_size,
-            window=self.window,
-            hidden=self.hidden,
-            embed_dim=self.embed_dim,
-            n_positions=self.n_positions,
-            seed=self.seed,
-        )
+        return replace(self, theta=theta)
 
     def copy(self) -> "DenoiserParams":
         return self.replace_theta(self.theta.copy())
@@ -126,64 +88,54 @@ def init_params(
     scale: float = 0.05,
 ) -> DenoiserParams:
     """Uniform init in [-scale, scale]; near-uniform initial policy."""
-    n = sum(_section_sizes(vocab_size, window, hidden, embed_dim, n_positions)[1])
+    shapes = _section_shapes(vocab_size, window, hidden, embed_dim, n_positions)
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-scale, scale, size=n)
-    return DenoiserParams(
-        theta=theta,
-        vocab_size=vocab_size,
-        window=window,
-        hidden=hidden,
-        embed_dim=embed_dim,
-        n_positions=n_positions,
-        seed=seed,
-    )
+    theta = rng.uniform(-scale, scale, size=sum(math.prod(s) for s in shapes))
+    return DenoiserParams(theta, vocab_size, window=window, hidden=hidden,
+                          embed_dim=embed_dim, n_positions=n_positions, seed=seed)
 
 
-def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
-    """Feature matrix (L_c, F) and, per position, the (token, slot) pairs
-    whose embedding entered the feature vector (needed for the backward pass).
+def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix (L_c, F) and the context index array ``ctx`` (L_c, 2*window).
+
+    ``ctx[i, slot]`` is the token whose embedding fills feature slot ``slot``
+    of position ``i`` (neighbour offsets -window..-1, 1..window), or -1 when
+    that neighbour is outside the sequence or masked.  The backward pass
+    routes embedding gradients through the same array.
     """
     if seq.total_len > params.n_positions:
         raise ValueError(
             f"sequence length {seq.total_len} exceeds position table {params.n_positions}"
         )
-    lc = seq.completion_len
-    pl = seq.prompt_len
+    lc, pl = seq.completion_len, seq.prompt_len
     w, e = params.window, params.embed_dim
-    emb = params.embed
-    full = np.concatenate([seq.prompt, seq.completion])
-    visible = np.concatenate([np.ones(pl, dtype=bool), ~seq.masked])
-    mask_frac = float(seq.masked.sum()) / lc
+    # every token the window can reach, with -1 for masked and off-sequence
+    padded = np.full(seq.total_len + 2 * w, -1, dtype=np.int64)
+    padded[w:w + pl] = seq.prompt
+    padded[w + pl:w + seq.total_len] = np.where(seq.masked, -1, seq.completion)
+    offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+    pos = pl + np.arange(lc)
+    ctx = padded[w + pos[:, None] + offsets]
 
-    offsets = [o for o in range(-w, w + 1) if o != 0]
+    slots = np.zeros((lc, 2 * w, e), dtype=np.float64)
+    seen = ctx >= 0
+    slots[seen] = params.embed[ctx[seen]]
     x = np.zeros((lc, params.feature_dim), dtype=np.float64)
-    used: list[list[tuple[int, int]]] = []
-    for i in range(lc):
-        pos = pl + i
-        x[i, pos] = 1.0
-        pairs: list[tuple[int, int]] = []
-        for slot, off in enumerate(offsets):
-            j = pos + off
-            if 0 <= j < seq.total_len and visible[j]:
-                tok = int(full[j])
-                lo = params.n_positions + slot * e
-                x[i, lo:lo + e] = emb[tok]
-                pairs.append((tok, slot))
-        x[i, -1] = mask_frac
-        used.append(pairs)
-    return x, used
+    x[np.arange(lc), pos] = 1.0
+    x[:, params.n_positions:-1] = slots.reshape(lc, 2 * w * e)
+    x[:, -1] = float(seq.masked.sum()) / lc
+    return x, ctx
 
 
 def _forward(params: DenoiserParams, seq: Sequence):
-    x, used = _features(params, seq)
+    x, ctx = _features(params, seq)
     a = x @ params.w1.T + params.b1
     h = np.tanh(a)
     logits = h @ params.w2.T + params.b2
     m = logits.max(axis=1, keepdims=True)
     logz = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     logprobs = logits - logz
-    return logprobs, (x, used, h)
+    return logprobs, (x, ctx, h)
 
 
 def denoiser_logprobs(params: DenoiserParams, seq: Sequence) -> np.ndarray:
@@ -207,33 +159,23 @@ def logprob_sum_grad(
     tokens = np.asarray(tokens, dtype=np.int64)
     if positions.shape != tokens.shape:
         raise ValueError("positions and tokens must align")
-    logprobs, (x, used, h) = _forward(params, seq)
-    probs = np.exp(logprobs)
+    logprobs, (x, ctx, h) = _forward(params, seq)
+    x, ctx, h = x[positions], ctx[positions], h[positions]
 
-    v, hd = params.vocab_size, params.hidden
+    dlogits = -np.exp(logprobs[positions])
+    dlogits[np.arange(positions.size), tokens] += 1.0
+    d_w2 = dlogits.T @ h
+    da = (dlogits @ params.w2) * (1.0 - h ** 2)
+    d_w1 = da.T @ x
+    dx = da @ params.w1
+    d_slots = dx[:, params.n_positions:-1].reshape(positions.size, 2 * params.window,
+                                                   params.embed_dim)
     d_embed = np.zeros_like(params.embed)
-    d_w1 = np.zeros_like(params.w1)
-    d_b1 = np.zeros_like(params.b1)
-    d_w2 = np.zeros_like(params.w2)
-    d_b2 = np.zeros_like(params.b2)
-
-    e = params.embed_dim
-    for p, tok in zip(positions, tokens):
-        dlogits = -probs[p]
-        dlogits[tok] += 1.0
-        d_b2 += dlogits
-        d_w2 += np.outer(dlogits, h[p])
-        dh = params.w2.T @ dlogits
-        da = dh * (1.0 - h[p] ** 2)
-        d_b1 += da
-        d_w1 += np.outer(da, x[p])
-        dx = params.w1.T @ da
-        for tok_w, slot in used[p]:
-            lo = params.n_positions + slot * e
-            d_embed[tok_w] += dx[lo:lo + e]
+    seen = ctx >= 0
+    np.add.at(d_embed, ctx[seen], d_slots[seen])
 
     return np.concatenate(
-        [d_embed.ravel(), d_w1.ravel(), d_b1.ravel(), d_w2.ravel(), d_b2.ravel()]
+        [d_embed.ravel(), d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
     )
 
 
@@ -297,13 +239,5 @@ def params_from_bytes(data: bytes, offset: int = 0) -> tuple[DenoiserParams, int
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     raw, end = read_section(data, start, 8 * count, "params theta")
-    params = DenoiserParams(
-        theta=np.frombuffer(raw, dtype="<f8").astype(np.float64),
-        vocab_size=vocab,
-        window=window,
-        hidden=hidden,
-        embed_dim=embed,
-        n_positions=npos,
-        seed=seed,
-    )
-    return params, end
+    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return DenoiserParams(theta, vocab, window, hidden, embed, npos, seed), end

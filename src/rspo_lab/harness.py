@@ -75,6 +75,14 @@ class RunConfig:
     _JSON_KEYS = {"lam": "lambda"}
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            allowed = (int, float) if kind is float else kind
+            # bool is a subclass of int, so only bool fields may hold one
+            if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+                key = self._JSON_KEYS.get(f.name, f.name)
+                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.group_size < 2:

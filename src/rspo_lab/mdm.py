@@ -82,9 +82,7 @@ def reverse_step(
     for i in np.flatnonzero(z_t.masked):
         if rng.random() < stay:
             continue
-        tok = int(np.searchsorted(np.cumsum(np.exp(logprobs[i])), rng.random(),
-                                  side="right").clip(0, logprobs.shape[1] - 1))
-        z_s.completion[i] = tok
+        z_s.completion[i] = _sample_from_logprobs(logprobs[i], 1.0, rng.random())
         z_s.masked[i] = False
     return z_s
 

@@ -1,9 +1,10 @@
 """Brute-force and closed-form oracles.
 
-Everything here is a separate code path from the estimators it checks:
-exhaustive mask enumeration for the sequence score, dynamic programming for
-the exact reverse-chain likelihood, softmax optima for KL-regularized
-improvement, exact KL computations, and the scalar surrogate-error bound.
+Everything here is a separate code path from the estimators it checks: a
+per-position loop for the denoiser features, exhaustive mask enumeration for
+the sequence score, dynamic programming for the exact reverse-chain
+likelihood, softmax optima for KL-regularized improvement, exact KL
+computations, and the scalar surrogate-error bound.
 Oracles run inside the test suite and the audit command only.
 """
 
@@ -39,6 +40,28 @@ def mask_set_weight(positions: tuple[int, ...], l_c: int) -> float:
     m = len(positions)
     beta = math.factorial(m) * math.factorial(l_c - m) / math.factorial(l_c + 1)
     return beta * (l_c + 1) / l_c
+
+
+def loop_features(params, seq: Sequence) -> np.ndarray:
+    """The denoiser's feature matrix (L_c, F), built position by position and
+    neighbour by neighbour: position one-hot, the embedding of each visible
+    token at offsets -window..-1, 1..window, then the masked fraction."""
+    pl, lc, total = seq.prompt_len, seq.completion_len, seq.total_len
+    w, e = params.window, params.embed_dim
+    full = np.concatenate([seq.prompt, seq.completion])
+    visible = np.concatenate([np.ones(pl, dtype=bool), ~seq.masked])
+    offsets = [o for o in range(-w, w + 1) if o != 0]
+    x = np.zeros((lc, params.feature_dim), dtype=np.float64)
+    for i in range(lc):
+        pos = pl + i
+        x[i, pos] = 1.0
+        for slot, off in enumerate(offsets):
+            j = pos + off
+            if 0 <= j < total and visible[j]:
+                lo = params.n_positions + slot * e
+                x[i, lo:lo + e] = params.embed[int(full[j])]
+        x[i, -1] = float(seq.masked.sum()) / lc
+    return x
 
 
 def exact_elbo_expectation(params, seq: Sequence) -> float:

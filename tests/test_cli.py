@@ -30,6 +30,17 @@ def write_config(tmp_path, **kw):
     return path
 
 
+def assert_usage_error(capsys, needle, argv):
+    """``main(argv)`` exits 2 with one error line naming ``needle``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("rspo-lab: error: ")]
+    assert len(errors) == 1 and needle in errors[0]
+    assert "Traceback" not in err
+
+
 class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -75,15 +86,24 @@ class TestTrain:
         assert summary["centering"] is False
         assert summary["lambda"] == 0.125
 
-    def test_bad_env_value_names_variable(self, tmp_path, monkeypatch):
+    def test_bad_env_value_names_variable(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path)
         monkeypatch.setenv("RSPO_STEPS", "abc")
-        with pytest.raises(ValueError, match="RSPO_STEPS"):
-            main(["train", "--config", str(cfg_path)])
+        assert_usage_error(capsys, "RSPO_STEPS", ["train", "--config", str(cfg_path)])
         monkeypatch.delenv("RSPO_STEPS")
         monkeypatch.setenv("RSPO_CENTERING", "flase")
-        with pytest.raises(ValueError, match="RSPO_CENTERING"):
-            main(["train", "--config", str(cfg_path)])
+        assert_usage_error(capsys, "RSPO_CENTERING", ["train", "--config", str(cfg_path)])
+
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, centering="false")
+        assert_usage_error(capsys, "centering", ["train", "--config", str(cfg_path)])
+        cfg_path.write_text(json.dumps(smoke_config_obj(tmp_path, stpes=2)))
+        assert_usage_error(capsys, "stpes", ["train", "--config", str(cfg_path)])
+        cfg_path.write_text("{not json")
+        assert_usage_error(capsys, "cannot load", ["train", "--config", str(cfg_path)])
+        missing = tmp_path / "missing.json"
+        assert_usage_error(capsys, "No such file", ["train", "--config", str(missing)])
+        assert not (tmp_path / "run").exists()
 
     def test_env_bool_words_case_insensitive(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path)
@@ -130,3 +150,14 @@ class TestAblate:
         summaries = json.loads((base / "ablation_summaries.json").read_text())
         assert len(summaries) == 4
         assert {s["run"] for s in summaries} == set(tags)
+
+    def test_bad_matrix_fails_before_any_run(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        for needle, change in (("group_size", {"grid": {"group_size": [3, 2.5]}}),
+                               ("nonempty", {"grid": {"lambda": []}}),
+                               ("out_dir", {"out_dir": 5})):
+            matrix = smoke_config_obj(tmp_path / "grid", steps=1)
+            matrix.update(change)
+            path.write_text(json.dumps(matrix))
+            assert_usage_error(capsys, needle, ["ablate", "--matrix", str(path)])
+        assert not (tmp_path / "grid").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import central_diff, tiny_params, tiny_sequence
 from rspo_lab.denoiser import (
+    _features,
     denoiser_logprob_grad,
     denoiser_logprobs,
     init_params,
@@ -12,6 +13,8 @@ from rspo_lab.denoiser import (
     logprob_sum_grad,
     save_params,
 )
+from rspo_lab.oracle import loop_features
+from rspo_lab.sequences import Sequence
 
 
 class TestLogprobs:
@@ -61,6 +64,43 @@ class TestLogprobs:
         assert after > before
 
 
+class TestFeatures:
+    def test_matches_loop_reference(self, rng):
+        # the gathered feature matrix equals a per-position, per-neighbour loop
+        cases = 0
+        for trial in range(200):
+            vocab = int(rng.integers(2, 7))
+            window = int(rng.integers(1, 6))
+            prompt_len = int(rng.integers(0, 5)) if trial % 3 else 0
+            completion_len = int(rng.integers(1, 7))
+            total = prompt_len + completion_len
+            params = init_params(vocab, window=window, hidden=3,
+                                 embed_dim=int(rng.integers(1, 5)),
+                                 n_positions=total + int(rng.integers(0, 2)),
+                                 seed=trial, scale=1.0)
+            seq = tiny_sequence(rng, vocab, prompt_len, completion_len)
+            kind = trial % 4
+            if kind == 0:
+                masked = []
+            elif kind == 1:
+                masked = range(completion_len)
+            else:
+                masked = np.flatnonzero(rng.random(completion_len) < 0.5)
+            z = seq.with_masked(masked)
+            x, ctx = _features(params, z)
+            assert np.array_equal(x, loop_features(params, z))
+            assert ctx.shape == (completion_len, 2 * window)
+            cases += window >= total and total == params.n_positions
+        assert cases > 0  # windows past both ends of a full position table
+
+    def test_context_marks_masked_and_outside(self):
+        params = init_params(5, window=2, hidden=3, embed_dim=2, n_positions=4)
+        z = Sequence(prompt=[3], completion=[1, 2, 4]).with_masked([1])
+        _, ctx = _features(params, z)
+        # slots hold offsets -2, -1, +1, +2
+        np.testing.assert_array_equal(ctx, [[-1, 3, -1, 4], [3, 1, 4, -1], [1, -1, -1, -1]])
+
+
 class TestGradients:
     def test_matches_finite_differences(self, rng):
         # 100 random (params, state, position, token) draws, rel. 1e-4
@@ -82,6 +122,20 @@ class TestGradients:
             denom = np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(grad)))
             worst = max(worst, float(np.max(np.abs(fd - grad) / denom)))
         assert worst < 1e-4
+
+    def test_sum_over_positions_accumulates(self, rng):
+        # a 2-token vocab repeats tokens across slots and positions, so the
+        # embedding gradient must add every repeated index, not keep one
+        for trial in range(20):
+            params = tiny_params(seed=trial, vocab_size=2)
+            z = tiny_sequence(rng, 2, 2, 4).with_masked(
+                rng.choice(4, size=int(rng.integers(2, 5)), replace=False))
+            positions = np.flatnonzero(z.masked)
+            tokens = rng.integers(0, 2, size=positions.size)
+            total = logprob_sum_grad(params, z, positions, tokens)
+            singles = sum(denoiser_logprob_grad(params, z, int(p), int(t))
+                          for p, t in zip(positions, tokens))
+            np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
 
     def test_softmax_score_identity(self, rng):
         # sum_v pi(v) * grad log pi(v) = 0 for any model

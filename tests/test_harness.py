@@ -69,11 +69,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(task="chess")
         bad = [dict(lr=-1), dict(lr=0.0), dict(block_size=5), dict(steps=-3),
-               dict(temperature=-1.0), dict(unmask_per_step=0)]
+               dict(temperature=-1.0), dict(unmask_per_step=0),
+               dict(centering="false"), dict(group_size=2.5), dict(seed="1"),
+               dict(steps="5"), dict(steps=True), dict(lam=True), dict(lr="0.1"),
+               dict(reference=1), dict(task=3)]
         for kw in bad:
             with pytest.raises(ValueError):
                 RunConfig(**kw)
         assert RunConfig(steps=0).steps == 0
+        assert RunConfig(lam=0, lr=1).lam == 0  # an int is a float value
+        with pytest.raises(ValueError, match="centering"):
+            RunConfig.from_dict({"centering": "false"})
+        with pytest.raises(ValueError, match="lambda"):
+            RunConfig.from_dict({"lambda": "0.1"})
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
