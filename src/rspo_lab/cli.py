@@ -18,13 +18,10 @@ import numpy as np
 
 from . import harness, oracle, score, tasks
 from .denoiser import init_params
+from .harness import ConfigError
 from .sequences import Sequence
 
 ENV_PREFIX = "RSPO_"
-
-
-class ConfigError(ValueError):
-    """A bad config file, RSPO_* value or config field."""
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -62,16 +59,6 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def _read_json_object(path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return obj
-
-
 def _run_config(obj: dict) -> harness.RunConfig:
     try:
         return harness.RunConfig.from_dict(obj)
@@ -82,7 +69,7 @@ def _run_config(obj: dict) -> harness.RunConfig:
 def _build_config(args) -> harness.RunConfig:
     obj: dict = {}
     if args.config:
-        obj.update(_read_json_object(args.config))
+        obj.update(harness.read_json_object(args.config))
     obj.update(_env_overrides())
     flag_map = {
         "lambda": args.lam,
@@ -186,7 +173,7 @@ def cmd_ablate(args) -> int:
     keys to value lists; every combination becomes one run in its own
     subdirectory.
     """
-    spec_obj = _read_json_object(args.matrix)
+    spec_obj = harness.read_json_object(args.matrix)
     grid = spec_obj.pop("grid", {})
     if not (isinstance(grid, dict) and all(isinstance(v, list) and v for v in grid.values())):
         raise ConfigError(f"{args.matrix}: grid must map config keys to nonempty value lists")

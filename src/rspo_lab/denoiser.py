@@ -15,8 +15,10 @@ checked coordinate-wise against finite differences.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -96,12 +98,14 @@ def init_params(
 
 
 def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (L_c, F) and the context index array ``ctx`` (L_c, 2*window).
+    """Feature array (..., L_c, F) and the context index array ``ctx``
+    (..., L_c, 2*window) of one completion or of a stack of them (the leading
+    axes of ``seq.completion``).
 
-    ``ctx[i, slot]`` is the token whose embedding fills feature slot ``slot``
-    of position ``i`` (neighbour offsets -window..-1, 1..window), or -1 when
-    that neighbour is outside the sequence or masked.  The backward pass
-    routes embedding gradients through the same array.
+    ``ctx[..., i, slot]`` is the token whose embedding fills feature slot
+    ``slot`` of position ``i`` (neighbour offsets -window..-1, 1..window), or
+    -1 when that neighbour is outside the sequence or masked.  The backward
+    pass routes embedding gradients through the same array.
     """
     if seq.total_len > params.n_positions:
         raise ValueError(
@@ -109,43 +113,74 @@ def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, np.nda
         )
     lc, pl = seq.completion_len, seq.prompt_len
     w, e = params.window, params.embed_dim
+    lead = seq.completion.shape[:-1]
     # every token the window can reach, with -1 for masked and off-sequence
-    padded = np.full(seq.total_len + 2 * w, -1, dtype=np.int64)
-    padded[w:w + pl] = seq.prompt
-    padded[w + pl:w + seq.total_len] = np.where(seq.masked, -1, seq.completion)
+    padded = np.full(lead + (seq.total_len + 2 * w,), -1, dtype=np.int64)
+    padded[..., w:w + pl] = seq.prompt
+    padded[..., w + pl:w + seq.total_len] = np.where(seq.masked, -1, seq.completion)
     offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
     pos = pl + np.arange(lc)
-    ctx = padded[w + pos[:, None] + offsets]
+    ctx = padded[..., w + pos[:, None] + offsets]
 
-    slots = np.zeros((lc, 2 * w, e), dtype=np.float64)
-    seen = ctx >= 0
-    slots[seen] = params.embed[ctx[seen]]
-    x = np.zeros((lc, params.feature_dim), dtype=np.float64)
-    x[np.arange(lc), pos] = 1.0
-    x[:, params.n_positions:-1] = slots.reshape(lc, 2 * w * e)
-    x[:, -1] = float(seq.masked.sum()) / lc
+    # ctx -1 picks the zero row appended to the embedding table
+    table = np.vstack([params.embed, np.zeros((1, e))])
+    x = np.zeros(lead + (lc, params.feature_dim), dtype=np.float64)
+    x[..., np.arange(lc), pos] = 1.0
+    x[..., params.n_positions:-1] = table[ctx].reshape(lead + (lc, 2 * w * e))
+    x[..., -1] = seq.masked.sum(axis=-1, keepdims=True) / lc
     return x, ctx
 
 
-def _forward(params: DenoiserParams, seq: Sequence):
+def forward(params: DenoiserParams, seq: Sequence):
+    """Log-probability tables (..., L_c, size) of one completion or a stack,
+    and the activations ``backward`` reuses.
+
+    A stack runs both matmuls as one gemm per stacked completion, so each
+    table is bit-identical to the completion's own forward.
+    """
     x, ctx = _features(params, seq)
-    a = x @ params.w1.T + params.b1
-    h = np.tanh(a)
+    h = np.tanh(x @ params.w1.T + params.b1)
     logits = h @ params.w2.T + params.b2
-    m = logits.max(axis=1, keepdims=True)
-    logz = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    logprobs = logits - logz
-    return logprobs, (x, ctx, h)
+    m = logits.max(axis=-1, keepdims=True)
+    logz = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return logits - logz, (x, ctx, h)
+
+
+def backward(params: DenoiserParams, fwd, rows, tokens, weights) -> np.ndarray:
+    """Gradient w.r.t. theta of sum_r weights[r] * log p(tokens[r]) at the
+    ``forward`` rows ``rows``, numbered over the leading axes and positions
+    in C order (row ``b * L_c + i`` is position ``i`` of completion ``b``)."""
+    logprobs, (x, ctx, h) = fwd
+    x = x.reshape(-1, x.shape[-1])[rows]
+    ctx = ctx.reshape(-1, ctx.shape[-1])[rows]
+    h = h.reshape(-1, h.shape[-1])[rows]
+
+    dlogits = -np.exp(logprobs.reshape(-1, params.vocab_size)[rows])
+    dlogits[np.arange(len(rows)), tokens] += 1.0
+    dlogits *= weights[:, None]
+    d_w2 = dlogits.T @ h
+    da = (dlogits @ params.w2) * (1.0 - h ** 2)
+    d_w1 = da.T @ x
+    dx = da @ params.w1
+    d_slots = dx[:, params.n_positions:-1].reshape(len(rows), 2 * params.window,
+                                                   params.embed_dim)
+    # the row for ctx -1 (masked or outside) collects what no embedding gets
+    d_table = np.zeros((params.vocab_size + 1, params.embed_dim))
+    np.add.at(d_table, ctx, d_slots)
+
+    return np.concatenate(
+        [d_table[:-1].ravel(), d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
+    )
 
 
 def denoiser_logprobs(params: DenoiserParams, seq: Sequence) -> np.ndarray:
-    """Per-position log-probability table over the vocab, shape (L_c, size).
+    """Per-position log-probability table over the vocab, shape (L_c, size)
+    for one completion and (..., L_c, size) for a stack.
 
     Rows exponentiate-and-sum to one; the computation is deterministic in its
     inputs.
     """
-    logprobs, _ = _forward(params, seq)
-    return logprobs
+    return forward(params, seq)[0]
 
 
 def logprob_sum_grad(
@@ -154,29 +189,14 @@ def logprob_sum_grad(
     positions,
     tokens,
 ) -> np.ndarray:
-    """Gradient w.r.t. theta of sum_j log p(tokens[j] | seq) at positions[j]."""
+    """Gradient w.r.t. theta of sum_j log p(tokens[j] | seq) at positions[j]
+    of one completion."""
     positions = np.asarray(positions, dtype=np.int64)
     tokens = np.asarray(tokens, dtype=np.int64)
     if positions.shape != tokens.shape:
         raise ValueError("positions and tokens must align")
-    logprobs, (x, ctx, h) = _forward(params, seq)
-    x, ctx, h = x[positions], ctx[positions], h[positions]
-
-    dlogits = -np.exp(logprobs[positions])
-    dlogits[np.arange(positions.size), tokens] += 1.0
-    d_w2 = dlogits.T @ h
-    da = (dlogits @ params.w2) * (1.0 - h ** 2)
-    d_w1 = da.T @ x
-    dx = da @ params.w1
-    d_slots = dx[:, params.n_positions:-1].reshape(positions.size, 2 * params.window,
-                                                   params.embed_dim)
-    d_embed = np.zeros_like(params.embed)
-    seen = ctx >= 0
-    np.add.at(d_embed, ctx[seen], d_slots[seen])
-
-    return np.concatenate(
-        [d_embed.ravel(), d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
-    )
+    return backward(params, forward(params, seq), positions, tokens,
+                    np.ones(positions.size))
 
 
 def denoiser_logprob_grad(
@@ -191,10 +211,23 @@ def denoiser_logprob_grad(
     return logprob_sum_grad(params, seq, [position], [token])
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``: a write that fails midway leaves the previous file untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_params(path, params: DenoiserParams) -> None:
     """Binary checkpoint: fixed header then little-endian float64 parameters."""
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
+    write_atomic(path, params_to_bytes(params))
 
 
 def load_params(path) -> DenoiserParams:

@@ -31,6 +31,7 @@ from .denoiser import (
     params_from_bytes,
     params_to_bytes,
     read_section,
+    write_atomic,
 )
 
 METRICS_FILE = "metrics.jsonl"
@@ -135,18 +136,32 @@ class RunConfig:
         )
 
 
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+class ConfigError(ValueError):
+    """A bad config file, RSPO_* value or config field."""
+
+
+def read_json_object(path) -> dict:
+    """The JSON object held by a file; a ``ConfigError`` names the file when
+    it cannot be read, is not JSON or holds another kind of value."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError("config must be a flat JSON object")
-    return RunConfig.from_dict(obj)
+        raise ConfigError(f"{path} must hold a JSON object")
+    return obj
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig.from_dict(read_json_object(path))
+
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, _json_bytes(cfg.to_dict()))
 
 
 @dataclass
@@ -270,10 +285,10 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         rewards_all.extend(rewards)
 
         for comp in completions:
-            clean = comp.copy()  # decoded completions are fully unmasked
-            masks = score.sample_mask_sets(clean.completion_len, cfg.k_masks, mask_rng)
-            deltas.append(score.coupled_delta(state.params, ref_params, clean, masks))
-            grads.append(score.delta_grad(state.params, clean, masks))
+            masks = score.sample_mask_sets(comp.completion_len, cfg.k_masks, mask_rng)
+            delta, grad = score.coupled_delta_and_grad(state.params, ref_params, comp, masks)
+            deltas.append(delta)
+            grads.append(grad)
 
     if cfg.centering:
         batch = score.center_scores(deltas)
@@ -330,8 +345,7 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
     for vec in (state.m, state.v):
         blob += struct.pack("<Q", vec.size) + vec.astype("<f8").tobytes()
     blob += bytes.fromhex(cfg.config_hash())
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
@@ -432,9 +446,7 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
         "mean_abs_batch_offset": offset_tail,
         "config_hash": cfg.config_hash(),
     }
-    with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(out / SUMMARY_FILE, _json_bytes(summary))
     save_checkpoint(out / "checkpoint_final.bin", state, cfg)
     return state, summary
 

@@ -50,15 +50,17 @@ def forward_mask(y: Sequence, t: float, rng: np.random.Generator) -> Sequence:
     return z
 
 
-def _sample_from_logprobs(logprobs: np.ndarray, temperature: float, u: float) -> int:
-    """Inverse-CDF draw from a temperature-adjusted categorical."""
+def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from temperature-adjusted categoricals over the last
+    axis of ``logprobs``, one per entry of ``u``; temperature 0 is argmax."""
     if temperature == 0.0:
-        return int(np.argmax(logprobs))
+        return logprobs.argmax(axis=-1)
     scaled = logprobs / temperature
-    scaled = scaled - scaled.max()
-    p = np.exp(scaled)
-    p /= p.sum()
-    return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
+    p = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    # the count of cumulative masses <= u is searchsorted(cdf, u, side="right")
+    draws = (np.cumsum(p, axis=-1) <= u[..., None]).sum(axis=-1)
+    return np.minimum(draws, p.shape[-1] - 1)
 
 
 def reverse_step(
@@ -78,13 +80,52 @@ def reverse_step(
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     stay = (1.0 - alpha_linear(s)) / (1.0 - alpha_linear(t))
     logprobs = params.logprobs(z_t)
-    z_s = z_t.copy()
+    # per masked position in order: the stay draw, then the token draw if it moves
+    fill, us = [], []
     for i in np.flatnonzero(z_t.masked):
-        if rng.random() < stay:
-            continue
-        z_s.completion[i] = _sample_from_logprobs(logprobs[i], 1.0, rng.random())
-        z_s.masked[i] = False
+        if rng.random() >= stay:
+            fill.append(i)
+            us.append(rng.random())
+    fill = np.asarray(fill, dtype=np.int64)
+    z_s = z_t.copy()
+    z_s.completion[fill] = _sample_categorical(logprobs[fill], 1.0, np.asarray(us))
+    z_s.masked[fill] = False
     return z_s
+
+
+def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfig,
+            rngs) -> Sequence:
+    """Confidence-decode fully masked completions of ``shape``: (gen_len,)
+    for one, (len(rngs), gen_len) for a stack decoded in lockstep;
+    completion ``b`` draws from ``rngs[b]``.
+
+    Every step commits ``min(unmask_per_step, still masked)`` positions of
+    the active block in every completion, so all completions keep the same
+    number of masked positions and share one stacked forward per step.
+    """
+    seq = Sequence(prompt, np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
+    # (completions, gen_len) views: one row per completion
+    completion = seq.completion.reshape(len(rngs), cfg.gen_len)
+    masked = seq.masked.reshape(len(rngs), cfg.gen_len)
+    rows = np.arange(len(rngs))[:, None]
+    for start in range(0, cfg.gen_len, cfg.block_size):
+        left = cfg.block_size
+        while left:
+            logprobs = params.logprobs(seq).reshape(len(rngs), cfg.gen_len, -1)
+            # the still-masked positions of the block, ascending, per completion
+            block = masked[:, start:start + cfg.block_size]
+            active = start + np.nonzero(block)[1].reshape(len(rngs), left)
+            u = np.array([rng.random(left) for rng in rngs])
+            cand = logprobs[rows, active]
+            tok = _sample_categorical(cand, cfg.temperature, u)
+            conf = np.exp(cand[rows, np.arange(left), tok])
+            # highest confidence first; ties broken by lowest index
+            best = np.lexsort((active, -conf))[:, :cfg.unmask_per_step]
+            commit = active[rows, best]
+            completion[rows, commit] = tok[rows, best]
+            masked[rows, commit] = False
+            left -= best.shape[1]
+    return seq
 
 
 def decode_semi_ar(
@@ -103,28 +144,7 @@ def decode_semi_ar(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    seq = Sequence(
-        prompt=np.asarray(prompt, dtype=np.int64),
-        completion=np.full(cfg.gen_len, MASKED_TOKEN, dtype=np.int64),
-        masked=np.ones(cfg.gen_len, dtype=bool),
-    )
-    for start in range(0, cfg.gen_len, cfg.block_size):
-        block = np.arange(start, start + cfg.block_size)
-        while seq.masked[block].any():
-            logprobs = params.logprobs(seq)
-            active = block[seq.masked[block]]
-            cands = []
-            for i in active:
-                u = rng.random()
-                tok = _sample_from_logprobs(logprobs[i], cfg.temperature, u)
-                conf = float(np.exp(logprobs[i, tok]))
-                cands.append((i, tok, conf))
-            # highest confidence first; ties broken by lowest index
-            cands.sort(key=lambda c: (-c[2], c[0]))
-            for i, tok, _ in cands[: cfg.unmask_per_step]:
-                seq.completion[i] = tok
-                seq.masked[i] = False
-    return seq
+    return _unmask(params, prompt, (cfg.gen_len,), cfg, [rng])
 
 
 def sample_completion_group(
@@ -134,8 +154,9 @@ def sample_completion_group(
     cfg: DecodeConfig,
     rng: np.random.Generator,
 ) -> list[Sequence]:
-    """Decode ``group_size`` completions on independent child RNG streams."""
+    """Decode ``group_size`` completions in lockstep, each on its own child
+    RNG stream; each equals ``decode_semi_ar`` on that stream."""
     if group_size < 2:
         raise ValueError("group size must be >= 2 for a relative signal")
-    children = rng.spawn(group_size)
-    return [decode_semi_ar(params, prompt, cfg, child) for child in children]
+    stack = _unmask(params, prompt, (group_size, cfg.gen_len), cfg, rng.spawn(group_size))
+    return [Sequence(stack.prompt, completion) for completion in stack.completion]

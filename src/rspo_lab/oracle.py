@@ -1,10 +1,11 @@
 """Brute-force and closed-form oracles.
 
 Everything here is a separate code path from the estimators it checks: a
-per-position loop for the denoiser features, exhaustive mask enumeration for
-the sequence score, dynamic programming for the exact reverse-chain
-likelihood, softmax optima for KL-regularized improvement, exact KL
-computations, and the scalar surrogate-error bound.
+per-position loop for the denoiser features and a one-sequence forward on
+top of it, exhaustive mask enumeration for the sequence score, dynamic
+programming for the exact reverse-chain likelihood, softmax optima for
+KL-regularized improvement, exact KL computations, and the scalar
+surrogate-error bound.
 Oracles run inside the test suite and the audit command only.
 """
 
@@ -62,6 +63,15 @@ def loop_features(params, seq: Sequence) -> np.ndarray:
                 x[i, lo:lo + e] = params.embed[int(full[j])]
         x[i, -1] = float(seq.masked.sum()) / lc
     return x
+
+
+def loop_logprobs(params, seq: Sequence) -> np.ndarray:
+    """The denoiser's log-probability table (L_c, size) of one completion:
+    ``loop_features`` through the hidden layer and a row-wise log-softmax."""
+    h = np.tanh(loop_features(params, seq) @ params.w1.T + params.b1)
+    logits = h @ params.w2.T + params.b2
+    m = logits.max(axis=1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
 
 
 def exact_elbo_expectation(params, seq: Sequence) -> float:

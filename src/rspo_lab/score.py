@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserParams, denoiser_logprobs, logprob_sum_grad
-from .sequences import Sequence
+# logprob_sum_grad stays importable from score, where the benchmark's tracer wraps it
+from .denoiser import (DenoiserParams, backward, denoiser_logprobs, forward,  # noqa: F401
+                       logprob_sum_grad)
+from .sequences import MASKED_TOKEN, Sequence
 
 
 @dataclass(frozen=True)
@@ -64,39 +66,64 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> list[MaskSam
     return out
 
 
+class _MaskStack:
+    """A clean sequence corrupted at each distinct position set of ``masks``,
+    stacked so that one denoiser forward scores every set once."""
+
+    def __init__(self, seq: Sequence, masks: list[MaskSample]):
+        if not masks:
+            raise ValueError("need at least one mask sample")
+        if not seq.is_clean():
+            raise ValueError("scoring expects a clean sequence")
+        sets = list(dict.fromkeys(m.positions for m in masks))
+        index = {s: j for j, s in enumerate(sets)}
+        self.which = np.array([index[m.positions] for m in masks])
+        self.sets = [np.asarray(s, dtype=np.int64) for s in sets]
+        masked = np.zeros((len(sets), seq.completion_len), dtype=bool)
+        for j, idx in enumerate(self.sets):
+            masked[j, idx] = True
+        self.stack = Sequence(seq.prompt, np.where(masked, MASKED_TOKEN, seq.completion), masked)
+        self.clean = seq.completion
+
+    def terms(self, logprobs: np.ndarray) -> np.ndarray:
+        """Per-mask terms from the stack's log-probability tables: the
+        mask-size reweighted log-probability sum of the clean tokens."""
+        l_c = self.clean.size
+        by_set = np.array([(l_c / idx.size) * logprobs[j, idx, self.clean[idx]].sum()
+                           for j, idx in enumerate(self.sets)])
+        return by_set[self.which]
+
+    def grad(self, params: DenoiserParams, fwd, scale: float) -> np.ndarray:
+        """Gradient of ``scale`` times the mean term, by one backward through
+        the stack's forward ``fwd``."""
+        l_c, k = self.clean.size, self.which.size
+        counts = np.bincount(self.which, minlength=len(self.sets))
+        rows = np.concatenate([j * l_c + idx for j, idx in enumerate(self.sets)])
+        positions = np.concatenate(self.sets)
+        weights = np.concatenate([np.full(idx.size, scale * c * (l_c / idx.size) / k)
+                                  for c, idx in zip(counts, self.sets)])
+        return backward(params, fwd, rows, self.clean[positions], weights)
+
+
 def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> ElboEstimate:
     """Monte Carlo sequence score: average over masks of the mask-size
     reweighted sum of denoising log-probabilities at masked positions."""
-    if not masks:
-        raise ValueError("need at least one mask sample")
-    if not seq.is_clean():
-        raise ValueError("elbo_score expects a clean sequence")
-    l_c = seq.completion_len
-
-    # one denoiser evaluation per distinct position set
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    terms = np.empty(len(masks), dtype=np.float64)
-    for j, m in enumerate(masks):
-        lp = cache.get(m.positions)
-        if lp is None:
-            lp = denoiser_logprobs(params, seq.with_masked(m.positions))
-            cache[m.positions] = lp
-        idx = np.asarray(m.positions, dtype=np.int64)
-        terms[j] = (l_c / idx.size) * lp[idx, seq.completion[idx]].sum()
+    stack = _MaskStack(seq, masks)
+    terms = stack.terms(denoiser_logprobs(params, stack.stack))
     return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
 
 
 def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
     """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
-    if not masks:
-        raise ValueError("need at least one mask sample")
-    l_c = seq.completion_len
-    grad = np.zeros_like(params.theta)
-    for m in masks:
-        idx = np.asarray(m.positions, dtype=np.int64)
-        g = logprob_sum_grad(params, seq.with_masked(m.positions), idx, seq.completion[idx])
-        grad += (l_c / idx.size) * g
-    return grad / len(masks)
+    stack = _MaskStack(seq, masks)
+    return stack.grad(params, forward(params, stack.stack), 1.0)
+
+
+def _per_token_delta(cur: float, params_ref: DenoiserParams | None, seq: Sequence,
+                     masks: list[MaskSample]) -> float:
+    if params_ref is None:
+        return cur / seq.completion_len
+    return (cur - elbo_score(params_ref, seq, masks).value) / seq.completion_len
 
 
 def coupled_delta(
@@ -111,17 +138,29 @@ def coupled_delta(
     exactly zero.  Without a reference (``params_ref`` None) the result is
     the per-token current score.
     """
-    cur = elbo_score(params_cur, seq, masks).value
-    if params_ref is None:
-        return cur / seq.completion_len
-    ref = elbo_score(params_ref, seq, masks).value
-    return (cur - ref) / seq.completion_len
+    return _per_token_delta(elbo_score(params_cur, seq, masks).value, params_ref, seq, masks)
 
 
 def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
     """Gradient of the coupled score difference; only the current model side
     depends on theta."""
     return elbo_grad(params_cur, seq, masks) / seq.completion_len
+
+
+def coupled_delta_and_grad(
+    params_cur: DenoiserParams,
+    params_ref: DenoiserParams | None,
+    seq: Sequence,
+    masks: list[MaskSample],
+) -> tuple[float, np.ndarray]:
+    """``coupled_delta`` and ``delta_grad`` together: the current model's
+    stacked forward gives both its score and, through one backward, the
+    gradient."""
+    stack = _MaskStack(seq, masks)
+    fwd = forward(params_cur, stack.stack)
+    cur = float(stack.terms(fwd[0]).mean())
+    return (_per_token_delta(cur, params_ref, seq, masks),
+            stack.grad(params_cur, fwd, 1.0 / seq.completion_len))
 
 
 def center_scores(deltas) -> RelativeScoreBatch:

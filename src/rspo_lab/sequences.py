@@ -2,7 +2,10 @@
 
 A Sequence always carries the prompt (never corrupted) and the completion
 together with per-position masked flags.  Masked positions keep a sentinel
-token value; the flags are the authoritative record of corruption.
+token value; the flags are the authoritative record of corruption.  A
+completion array with leading axes holds a stack of completions of one
+length that share the prompt: ``completion[b]`` and ``masked[b]`` are
+completion ``b``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class Vocab:
 
 @dataclass
 class Sequence:
-    """A prompt plus a (possibly corrupted) completion."""
+    """A prompt plus a (possibly corrupted) completion, or a stack of them."""
 
     prompt: np.ndarray
     completion: np.ndarray
@@ -51,12 +54,12 @@ class Sequence:
         self.prompt = np.asarray(self.prompt, dtype=np.int64)
         self.completion = np.asarray(self.completion, dtype=np.int64)
         if self.masked is None:
-            self.masked = np.zeros(len(self.completion), dtype=bool)
+            self.masked = np.zeros(self.completion.shape, dtype=bool)
         else:
             self.masked = np.asarray(self.masked, dtype=bool)
-        if len(self.masked) != len(self.completion):
+        if self.masked.shape != self.completion.shape:
             raise ValueError("masked flags must match completion length")
-        if len(self.completion) < 1:
+        if self.completion.ndim < 1 or self.completion.shape[-1] < 1:
             raise ValueError("completion must have at least one token")
 
     @property
@@ -65,11 +68,11 @@ class Sequence:
 
     @property
     def completion_len(self) -> int:
-        return len(self.completion)
+        return self.completion.shape[-1]
 
     @property
     def total_len(self) -> int:
-        return len(self.prompt) + len(self.completion)
+        return len(self.prompt) + self.completion_len
 
     def is_clean(self) -> bool:
         return not self.masked.any()

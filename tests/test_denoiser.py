@@ -6,14 +6,16 @@ import pytest
 from conftest import central_diff, tiny_params, tiny_sequence
 from rspo_lab.denoiser import (
     _features,
+    backward,
     denoiser_logprob_grad,
     denoiser_logprobs,
+    forward,
     init_params,
     load_params,
     logprob_sum_grad,
     save_params,
 )
-from rspo_lab.oracle import loop_features
+from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
 
 
@@ -99,6 +101,65 @@ class TestFeatures:
         _, ctx = _features(params, z)
         # slots hold offsets -2, -1, +1, +2
         np.testing.assert_array_equal(ctx, [[-1, 3, -1, 4], [3, 1, 4, -1], [1, -1, -1, -1]])
+
+
+def random_stack(rng, trial: int, b: int):
+    """A random model and a stack of ``b`` corrupted completions sharing a
+    prompt; rows cycle through none-masked, all-masked and random masks."""
+    vocab = int(rng.integers(2, 7))
+    window = int(rng.integers(1, 6))
+    prompt_len = int(rng.integers(0, 5)) if trial % 3 else 0
+    completion_len = int(rng.integers(1, 7))
+    total = prompt_len + completion_len
+    params = init_params(vocab, window=window, hidden=int(rng.integers(1, 9)),
+                         embed_dim=int(rng.integers(1, 5)),
+                         n_positions=total + int(rng.integers(0, 2)),
+                         seed=trial, scale=1.0)
+    completion = rng.integers(0, vocab, size=(b, completion_len))
+    masked = rng.random((b, completion_len)) < 0.5
+    masked[0::3] = False
+    masked[1::3] = True
+    return params, Sequence(prompt=rng.integers(0, vocab, size=prompt_len),
+                            completion=np.where(masked, -1, completion), masked=masked)
+
+
+class TestStack:
+    @pytest.mark.parametrize("b", [1, 6, 48])
+    def test_matches_loop_reference(self, rng, b):
+        # each stacked table equals the one-sequence loop reference
+        worst, cases = 0.0, 0
+        for trial in range(30):
+            params, stack = random_stack(rng, trial, b)
+            lp = denoiser_logprobs(params, stack)
+            assert lp.shape == (b, stack.completion_len, params.vocab_size)
+            for i in range(b):
+                one = Sequence(stack.prompt, stack.completion[i], stack.masked[i])
+                worst = max(worst, float(np.max(np.abs(lp[i] - loop_logprobs(params, one)))))
+            cases += params.window >= stack.total_len == params.n_positions
+        assert worst <= 1e-12
+        assert cases > 0  # windows past both ends of a full position table
+
+    def test_weighted_backward_sums_single_gradients(self, rng):
+        # a stack of mask sets, one of them repeated, scored at every masked
+        # position with random weights, against the weighted sum of
+        # single-position gradients
+        for trial in range(20):
+            params, stack = random_stack(rng, trial, 5)
+            stack.masked[0] = True
+            stack.masked[1:] |= rng.random(stack.masked[1:].shape) < 0.5
+            stack.masked[1] = stack.masked[2]
+            stack.completion[stack.masked] = -1
+            items, positions = np.nonzero(stack.masked)
+            tokens = rng.integers(0, params.vocab_size, size=items.size)
+            weights = rng.uniform(-2.0, 2.0, size=items.size)
+            total = backward(params, forward(params, stack),
+                             items * stack.completion_len + positions, tokens, weights)
+            singles = sum(
+                w * denoiser_logprob_grad(
+                    params, Sequence(stack.prompt, stack.completion[i], stack.masked[i]),
+                    int(p), int(t))
+                for i, p, t, w in zip(items, positions, tokens, weights))
+            np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
 
 
 class TestGradients:

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from rspo_lab import harness
-from rspo_lab.denoiser import CHECKPOINT_HEADER
+from rspo_lab import denoiser, harness
+from rspo_lab.denoiser import CHECKPOINT_HEADER, save_params
 from rspo_lab.harness import (
     RunAborted,
     RunConfig,
@@ -89,6 +90,14 @@ class TestRunConfig:
         save_config(path, cfg)
         assert load_config(path) == cfg
         assert json.loads(path.read_text())["lambda"] == 0.25
+
+    def test_unreadable_file_is_named(self, tmp_path):
+        for name, text in (("missing.json", None), ("bad.json", "{"), ("list.json", "[1]")):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            with pytest.raises(harness.ConfigError, match=name):
+                load_config(path)
 
 
 class TestMetricsSerialization:
@@ -280,3 +289,62 @@ class TestRunExperiment:
         state, metrics = train_step(state, cfg)
         assert metrics.step == 1
         assert state.step == 2
+
+
+class TestAtomicWrites:
+    def torn_open(self, monkeypatch):
+        """Make the writer's file handle write half its data, then fail."""
+        real_open = open
+
+        class Torn:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(denoiser, "open",
+                            lambda *a, **kw: Torn(real_open(*a, **kw)), raising=False)
+
+    def test_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = smoke_config(tmp_path)
+        state = init_state(cfg)
+        writers = {
+            "checkpoint.bin": lambda path: save_checkpoint(path, state, cfg),
+            "model.bin": lambda path: save_params(path, state.params),
+            "config.json": lambda path: save_config(path, cfg),
+        }
+        for name, write in writers.items():
+            path = tmp_path / name
+            path.write_bytes(b"previous " + name.encode())
+            with monkeypatch.context() as patch:
+                self.torn_open(patch)
+                with pytest.raises(OSError, match="No space"):
+                    write(path)
+            assert path.read_bytes() == b"previous " + name.encode()
+        assert sorted(os.listdir(tmp_path)) == sorted(writers)
+
+    def test_failed_summary_write_keeps_previous_summary(self, tmp_path, monkeypatch):
+        run_experiment(smoke_config(tmp_path, steps=1))
+        summary = tmp_path / "run" / harness.SUMMARY_FILE
+        before = summary.read_bytes()
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == harness.SUMMARY_FILE:
+                raise OSError(5, "Input/output error")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="Input/output"):
+            run_experiment(smoke_config(tmp_path, steps=2))
+        assert summary.read_bytes() == before
+        assert not [n for n in os.listdir(summary.parent) if n.endswith(".tmp")]

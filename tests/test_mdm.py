@@ -221,3 +221,37 @@ class TestCompletionGroups:
                                     np.random.default_rng(3))
         assert np.array_equal(a[0].completion, b[0].completion)
         assert np.array_equal(a[1].completion, b[1].completion)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    @pytest.mark.parametrize("block_size,unmask", [(4, 2), (4, 3), (8, 3), (2, 5)])
+    def test_lockstep_equals_decoding_each_child_alone(self, temperature, block_size, unmask):
+        params = wide_params()
+        cfg = DecodeConfig(gen_len=8, block_size=block_size, unmask_per_step=unmask,
+                           temperature=temperature)
+        for seed in range(5):
+            group = sample_completion_group(params, np.array([1, 3]), 5, cfg,
+                                            np.random.default_rng(seed))
+            children = np.random.default_rng(seed).spawn(5)
+            for comp, child in zip(group, children):
+                alone = decode_semi_ar(params, np.array([1, 3]), cfg, child)
+                assert np.array_equal(comp.completion, alone.completion)
+                assert not comp.masked.any()
+
+
+class TestTies:
+    def test_equal_confidences_commit_lowest_positions_first(self, rng):
+        # a uniform model gives every candidate the same confidence
+        snapshots = []
+
+        class Uniform:
+            def logprobs(self, seq):
+                snapshots.append(seq.masked.copy())
+                return np.full(seq.completion.shape + (4,), -math.log(4))
+
+        cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
+        sample_completion_group(Uniform(), np.array([1]), 3, cfg, rng)
+        before = [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1],
+                  [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
+        assert len(snapshots) == len(before)
+        for masked, want in zip(snapshots, before):
+            assert np.array_equal(masked, np.tile(np.array(want, dtype=bool), (3, 1)))
