@@ -20,6 +20,7 @@ from .mdm import (
     forward_mask,
     reverse_step,
     sample_completion_group,
+    sample_completion_groups,
 )
 from .score import (
     ElboEstimate,
@@ -83,6 +84,7 @@ __all__ = [
     "rspo_weights",
     "run_experiment",
     "sample_completion_group",
+    "sample_completion_groups",
     "sample_mask_sets",
     "save_params",
     "train_step",

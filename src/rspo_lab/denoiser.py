@@ -106,26 +106,32 @@ def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, np.nda
     ``slot`` of position ``i`` (neighbour offsets -window..-1, 1..window), or
     -1 when that neighbour is outside the sequence or masked.  The backward
     pass routes embedding gradients through the same array.
+
+    A row's absolute positions start after its own prompt tokens, the
+    entries >= 0; its -1 left padding reads as outside the sequence, so every
+    row gets the features of its unpadded sequence.
     """
-    if seq.total_len > params.n_positions:
-        raise ValueError(
-            f"sequence length {seq.total_len} exceeds position table {params.n_positions}"
-        )
     lc, pl = seq.completion_len, seq.prompt_len
     w, e = params.window, params.embed_dim
     lead = seq.completion.shape[:-1]
+    pos = (seq.prompt >= 0).sum(axis=-1, keepdims=True) + np.arange(lc)
+    if pos.max() >= params.n_positions:
+        raise ValueError(
+            f"sequence length {pos.max() + 1} exceeds position table {params.n_positions}"
+        )
     # every token the window can reach, with -1 for masked and off-sequence
     padded = np.full(lead + (seq.total_len + 2 * w,), -1, dtype=np.int64)
     padded[..., w:w + pl] = seq.prompt
     padded[..., w + pl:w + seq.total_len] = np.where(seq.masked, -1, seq.completion)
     offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
-    pos = pl + np.arange(lc)
-    ctx = padded[..., w + pos[:, None] + offsets]
+    ctx = padded[..., w + pl + np.arange(lc)[:, None] + offsets]
 
     # ctx -1 picks the zero row appended to the embedding table
     table = np.vstack([params.embed, np.zeros((1, e))])
     x = np.zeros(lead + (lc, params.feature_dim), dtype=np.float64)
-    x[..., np.arange(lc), pos] = 1.0
+    # the position one-hot, written through flat offsets (row start + position)
+    row_starts = np.arange(0, x.size, params.feature_dim).reshape(lead + (lc,))
+    x.reshape(-1)[(row_starts + pos).ravel()] = 1.0
     x[..., params.n_positions:-1] = table[ctx].reshape(lead + (lc, 2 * w * e))
     x[..., -1] = seq.masked.sum(axis=-1, keepdims=True) / lc
     return x, ctx

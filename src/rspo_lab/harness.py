@@ -17,6 +17,7 @@ import dataclasses
 import difflib
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -78,24 +79,39 @@ class RunConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            key = self._JSON_KEYS.get(f.name, f.name)
             kind = type(f.default)
             allowed = (int, float) if kind is float else kind
             # bool is a subclass of int, so only bool fields may hold one
             if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
-                key = self._JSON_KEYS.get(f.name, f.name)
                 raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if self.k_masks < 1:
-            raise ValueError("k_masks must be >= 1")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        rules = [
+            ("lam", self.lam >= 0, ">= 0"),
+            ("group_size", self.group_size >= 2, ">= 2"),
+            ("k_masks", self.k_masks >= 1, ">= 1"),
+            ("groups_per_batch", self.groups_per_batch >= 1, ">= 1"),
+            ("steps", self.steps >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("gen_len", self.gen_len >= 1, ">= 1"),
+            ("block_size", self.block_size >= 1, ">= 1"),
+            ("modulus", 2 <= self.modulus <= 100, "in 2..100"),  # what gen_arith accepts
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
+            ("window", self.window >= 0, ">= 0"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+        ]
+        for name, holds, rule in rules:
+            if not holds:
+                key = self._JSON_KEYS.get(name, name)
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, name)!r}")
         if self.task not in tasks.GENERATORS:
             raise ValueError(f"unknown task {self.task!r}")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
         self.decode_config()  # gen_len/block_size, unmask_per_step, temperature
 
     def to_dict(self) -> dict:
@@ -164,6 +180,12 @@ def save_config(path, cfg: RunConfig) -> None:
     write_atomic(path, _json_bytes(cfg.to_dict()))
 
 
+#: The consecutive parts of a training step whose wall times ``timings.jsonl``
+#: records: rollouts, grading with advantages, mask draws with the scores and
+#: their gradients, the objective, and the optimizer update.
+PHASES = ("decode", "grade", "score_grad", "objective", "adam")
+
+
 @dataclass
 class StepMetrics:
     step: int
@@ -174,11 +196,13 @@ class StepMetrics:
     batch_mean_offset: float
     zero_std_group_ratio: float
     wall_time: float
+    phase_times: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def to_json_line(self) -> str:
-        # wall_time is serialized separately to keep the stream reproducible
+        # wall times are serialized separately to keep the stream reproducible
         obj = dataclasses.asdict(self)
         obj.pop("wall_time")
+        obj.pop("phase_times")
         return json.dumps(obj, sort_keys=True)
 
 
@@ -255,40 +279,44 @@ def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstanc
 
 
 def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetrics]:
-    """One optimizer step over a micro-batch of complete prompt groups."""
+    """One optimizer step over a micro-batch of complete prompt groups: all
+    groups decode in lockstep, and each group is scored in one stacked
+    forward per model."""
     t0 = time.perf_counter()
+    marks = [t0]
     vocab = tasks.char_vocab()
     prompt_rng, rollout_rng, mask_rng = _step_rngs(cfg, state.step)
-    decode_cfg = cfg.decode_config()
 
-    rewards_all: list[float] = []
-    advantages: list[float] = []
-    deltas: list[float] = []
-    grads: list[np.ndarray] = []
-    zero_std = 0
+    insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
+    groups = mdm.sample_completion_groups(
+        state.params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
+        cfg.group_size, cfg.decode_config(), rollout_rng,
+    )
+    marks.append(time.perf_counter())
 
     adv_cfg = objectives.AdvantageConfig(normalize=cfg.normalize_adv)
-    ref_params = state.ref_params if cfg.reference else None
-    for _ in range(cfg.groups_per_batch):
-        inst = _gen_instance(cfg, prompt_rng)
-        prompt = tasks.encode_text(inst.prompt_text, vocab)
-        completions = mdm.sample_completion_group(
-            state.params, prompt, cfg.group_size, decode_cfg, rollout_rng
-        )
-        rewards = [
-            tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
-            for c in completions
-        ]
+    rewards_all: list[float] = []
+    advantages: list[float] = []
+    zero_std = 0
+    for inst, group in zip(insts, groups):
+        rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab)) for c in group]
         if np.std(rewards) == 0.0:
             zero_std += 1
         advantages.extend(objectives.group_advantages(rewards, adv_cfg))
         rewards_all.extend(rewards)
+    marks.append(time.perf_counter())
 
-        for comp in completions:
-            masks = score.sample_mask_sets(comp.completion_len, cfg.k_masks, mask_rng)
-            delta, grad = score.coupled_delta_and_grad(state.params, ref_params, comp, masks)
-            deltas.append(delta)
-            grads.append(grad)
+    masks_per = [[score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng) for c in group]
+                 for group in groups]
+    ref_params = state.ref_params if cfg.reference else None
+    deltas: list[float] = []
+    grads: list[np.ndarray] = []
+    for group, masks in zip(groups, masks_per):
+        group_deltas, group_grads = score.coupled_deltas_and_grads(
+            state.params, ref_params, group, masks)
+        deltas.extend(group_deltas)
+        grads.extend(group_grads)
+    marks.append(time.perf_counter())
 
     if cfg.centering:
         batch = score.center_scores(deltas)
@@ -307,11 +335,13 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         raise RunAborted(
             f"non-finite loss/gradient at step {state.step}: loss={loss_out.loss}"
         )
+    marks.append(time.perf_counter())
 
     theta, m, v = adam_update(
         state.params.theta, grad, state.m, state.v, state.step + 1,
         cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
     )
+    marks.append(time.perf_counter())
     new_state = TrainState(
         params=state.params.replace_theta(theta),
         ref_params=state.ref_params,
@@ -328,6 +358,7 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         batch_mean_offset=score.batch_mean_offset(batch),
         zero_std_group_ratio=zero_std / cfg.groups_per_batch,
         wall_time=time.perf_counter() - t0,
+        phase_times=dict(zip(PHASES, np.diff(marks).tolist())),
     )
     return new_state, metrics
 
@@ -414,7 +445,8 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
             history.append(metrics)
             mfh.write(metrics.to_json_line() + "\n")
             mfh.flush()
-            tfh.write(json.dumps({"step": metrics.step, "wall_time": metrics.wall_time}) + "\n")
+            tfh.write(json.dumps({"step": metrics.step, "wall_time": metrics.wall_time,
+                                  **metrics.phase_times}) + "\n")
             if cfg.checkpoint_every and state.step % cfg.checkpoint_every == 0:
                 save_checkpoint(out / f"checkpoint_{state.step:06d}.bin", state, cfg)
 
@@ -456,16 +488,15 @@ def _init_summary_metrics(cfg: RunConfig) -> dict:
     state = init_state(cfg)
     vocab = tasks.char_vocab()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
-    rewards = []
-    for _ in range(cfg.groups_per_batch):
-        inst = _gen_instance(cfg, rng)
-        prompt = tasks.encode_text(inst.prompt_text, vocab)
-        comps = mdm.sample_completion_group(
-            state.params, prompt, cfg.group_size, cfg.decode_config(), rng
-        )
-        rewards.extend(
-            tasks.reward(inst, tasks.decode_tokens(c.completion, vocab)) for c in comps
-        )
+    # spawning children draws nothing from rng, so drawing every instance
+    # before the spawns matches alternating them
+    insts = [_gen_instance(cfg, rng) for _ in range(cfg.groups_per_batch)]
+    groups = mdm.sample_completion_groups(
+        state.params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
+        cfg.group_size, cfg.decode_config(), rng,
+    )
+    rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
+               for inst, group in zip(insts, groups) for c in group]
     return {"mean_reward": float(np.mean(rewards))}
 
 

@@ -97,7 +97,8 @@ def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfi
             rngs) -> Sequence:
     """Confidence-decode fully masked completions of ``shape``: (gen_len,)
     for one, (len(rngs), gen_len) for a stack decoded in lockstep;
-    completion ``b`` draws from ``rngs[b]``.
+    completion ``b`` draws from ``rngs[b]``.  ``prompt`` is shared, or one
+    left-padded row per completion.
 
     Every step commits ``min(unmask_per_step, still masked)`` positions of
     the active block in every completion, so all completions keep the same
@@ -147,6 +148,31 @@ def decode_semi_ar(
     return _unmask(params, prompt, (cfg.gen_len,), cfg, [rng])
 
 
+def sample_completion_groups(
+    params: DenoiserParams,
+    prompts: list[np.ndarray],
+    group_size: int,
+    cfg: DecodeConfig,
+    rng: np.random.Generator,
+) -> list[list[Sequence]]:
+    """Decode ``group_size`` completions per prompt, all groups in lockstep
+    over one stack whose prompts are left-padded to one width.  Each prompt's
+    completions draw from ``rng.spawn(group_size)``, spawned in prompt order,
+    so each group equals ``sample_completion_group`` on that prompt."""
+    if group_size < 2:
+        raise ValueError("group size must be >= 2 for a relative signal")
+    prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
+    width = max((p.size for p in prompts), default=0)
+    padded = np.full((len(prompts), width), -1, dtype=np.int64)
+    for row, p in zip(padded, prompts):
+        row[width - p.size:] = p
+    rngs = [child for _ in prompts for child in rng.spawn(group_size)]
+    stack = _unmask(params, np.repeat(padded, group_size, axis=0), (len(rngs), cfg.gen_len),
+                    cfg, rngs)
+    rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
+    return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]
+
+
 def sample_completion_group(
     params: DenoiserParams,
     prompt: np.ndarray,
@@ -156,7 +182,4 @@ def sample_completion_group(
 ) -> list[Sequence]:
     """Decode ``group_size`` completions in lockstep, each on its own child
     RNG stream; each equals ``decode_semi_ar`` on that stream."""
-    if group_size < 2:
-        raise ValueError("group size must be >= 2 for a relative signal")
-    stack = _unmask(params, prompt, (group_size, cfg.gen_len), cfg, rng.spawn(group_size))
-    return [Sequence(stack.prompt, completion) for completion in stack.completion]
+    return sample_completion_groups(params, [prompt], group_size, cfg, rng)[0]

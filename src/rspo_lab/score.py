@@ -67,63 +67,80 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> list[MaskSam
 
 
 class _MaskStack:
-    """A clean sequence corrupted at each distinct position set of ``masks``,
-    stacked so that one denoiser forward scores every set once."""
+    """Clean completions sharing a prompt, each corrupted at every distinct
+    position set of its masks and stacked so that one denoiser forward scores
+    every (completion, distinct set) row once."""
 
-    def __init__(self, seq: Sequence, masks: list[MaskSample]):
-        if not masks:
-            raise ValueError("need at least one mask sample")
-        if not seq.is_clean():
-            raise ValueError("scoring expects a clean sequence")
-        sets = list(dict.fromkeys(m.positions for m in masks))
-        index = {s: j for j, s in enumerate(sets)}
-        self.which = np.array([index[m.positions] for m in masks])
-        self.sets = [np.asarray(s, dtype=np.int64) for s in sets]
-        masked = np.zeros((len(sets), seq.completion_len), dtype=bool)
-        for j, idx in enumerate(self.sets):
+    def __init__(self, group: list[Sequence], masks_per: list[list[MaskSample]]):
+        if not group or len(group) != len(masks_per):
+            raise ValueError("need one mask list per completion, and a completion")
+        if any(not np.array_equal(seq.prompt, group[0].prompt) for seq in group[1:]):
+            raise ValueError("a scored group must share one prompt")
+        self.rows: list[tuple[int, np.ndarray]] = []  # (completion, positions)
+        self.spans: list[range] = []  # per completion, its rows
+        self.which: list[np.ndarray] = []  # per completion, the row of each mask
+        for c, (seq, masks) in enumerate(zip(group, masks_per)):
+            if not masks:
+                raise ValueError("need at least one mask sample")
+            if not seq.is_clean():
+                raise ValueError("scoring expects a clean sequence")
+            sets = list(dict.fromkeys(m.positions for m in masks))
+            first = len(self.rows)
+            index = {s: first + j for j, s in enumerate(sets)}
+            self.which.append(np.array([index[m.positions] for m in masks]))
+            self.spans.append(range(first, first + len(sets)))
+            self.rows.extend((c, np.asarray(s, dtype=np.int64)) for s in sets)
+        self.clean = np.array([seq.completion for seq in group])
+        masked = np.zeros((len(self.rows), self.clean.shape[1]), dtype=bool)
+        for j, (_, idx) in enumerate(self.rows):
             masked[j, idx] = True
-        self.stack = Sequence(seq.prompt, np.where(masked, MASKED_TOKEN, seq.completion), masked)
-        self.clean = seq.completion
+        tokens = np.where(masked, MASKED_TOKEN, self.clean[[c for c, _ in self.rows]])
+        self.stack = Sequence(group[0].prompt, tokens, masked)
 
-    def terms(self, logprobs: np.ndarray) -> np.ndarray:
-        """Per-mask terms from the stack's log-probability tables: the
-        mask-size reweighted log-probability sum of the clean tokens."""
-        l_c = self.clean.size
-        by_set = np.array([(l_c / idx.size) * logprobs[j, idx, self.clean[idx]].sum()
-                           for j, idx in enumerate(self.sets)])
-        return by_set[self.which]
+    def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
+        """Per completion, the per-mask terms from the stack's
+        log-probability tables: the mask-size reweighted log-probability sum
+        of the clean tokens."""
+        l_c = self.clean.shape[1]
+        by_row = np.array([(l_c / idx.size) * logprobs[j, idx, self.clean[c, idx]].sum()
+                           for j, (c, idx) in enumerate(self.rows)])
+        return [by_row[which] for which in self.which]
 
-    def grad(self, params: DenoiserParams, fwd, scale: float) -> np.ndarray:
-        """Gradient of ``scale`` times the mean term, by one backward through
-        the stack's forward ``fwd``."""
-        l_c, k = self.clean.size, self.which.size
-        counts = np.bincount(self.which, minlength=len(self.sets))
-        rows = np.concatenate([j * l_c + idx for j, idx in enumerate(self.sets)])
-        positions = np.concatenate(self.sets)
-        weights = np.concatenate([np.full(idx.size, scale * c * (l_c / idx.size) / k)
-                                  for c, idx in zip(counts, self.sets)])
-        return backward(params, fwd, rows, self.clean[positions], weights)
+    def grad(self, params: DenoiserParams, fwd, c: int, scale: float) -> np.ndarray:
+        """Gradient of ``scale`` times completion ``c``'s mean term, by one
+        backward through the stack's forward ``fwd``."""
+        l_c, span, which = self.clean.shape[1], self.spans[c], self.which[c]
+        counts = np.bincount(which - span.start, minlength=len(span))
+        sets = [self.rows[j][1] for j in span]
+        rows = np.concatenate([j * l_c + idx for j, idx in zip(span, sets)])
+        positions = np.concatenate(sets)
+        weights = np.concatenate([np.full(idx.size, scale * n * (l_c / idx.size) / which.size)
+                                  for n, idx in zip(counts, sets)])
+        return backward(params, fwd, rows, self.clean[c, positions], weights)
+
+    def deltas(self, cur_logprobs: np.ndarray, params_ref: DenoiserParams | None) -> list[float]:
+        """Per completion, the per-token current-reference score difference;
+        the reference scores come from one forward over the same stack."""
+        l_c = self.clean.shape[1]
+        cur = [float(t.mean()) for t in self.terms(cur_logprobs)]
+        if params_ref is None:
+            return [value / l_c for value in cur]
+        ref = [float(t.mean()) for t in self.terms(denoiser_logprobs(params_ref, self.stack))]
+        return [(a - b) / l_c for a, b in zip(cur, ref)]
 
 
 def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> ElboEstimate:
     """Monte Carlo sequence score: average over masks of the mask-size
     reweighted sum of denoising log-probabilities at masked positions."""
-    stack = _MaskStack(seq, masks)
-    terms = stack.terms(denoiser_logprobs(params, stack.stack))
+    stack = _MaskStack([seq], [masks])
+    terms = stack.terms(denoiser_logprobs(params, stack.stack))[0]
     return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
 
 
 def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
     """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
-    stack = _MaskStack(seq, masks)
-    return stack.grad(params, forward(params, stack.stack), 1.0)
-
-
-def _per_token_delta(cur: float, params_ref: DenoiserParams | None, seq: Sequence,
-                     masks: list[MaskSample]) -> float:
-    if params_ref is None:
-        return cur / seq.completion_len
-    return (cur - elbo_score(params_ref, seq, masks).value) / seq.completion_len
+    stack = _MaskStack([seq], [masks])
+    return stack.grad(params, forward(params, stack.stack), 0, 1.0)
 
 
 def coupled_delta(
@@ -138,7 +155,8 @@ def coupled_delta(
     exactly zero.  Without a reference (``params_ref`` None) the result is
     the per-token current score.
     """
-    return _per_token_delta(elbo_score(params_cur, seq, masks).value, params_ref, seq, masks)
+    stack = _MaskStack([seq], [masks])
+    return stack.deltas(denoiser_logprobs(params_cur, stack.stack), params_ref)[0]
 
 
 def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
@@ -147,20 +165,21 @@ def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample
     return elbo_grad(params_cur, seq, masks) / seq.completion_len
 
 
-def coupled_delta_and_grad(
+def coupled_deltas_and_grads(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
-    seq: Sequence,
-    masks: list[MaskSample],
-) -> tuple[float, np.ndarray]:
-    """``coupled_delta`` and ``delta_grad`` together: the current model's
-    stacked forward gives both its score and, through one backward, the
-    gradient."""
-    stack = _MaskStack(seq, masks)
+    group: list[Sequence],
+    masks_per: list[list[MaskSample]],
+) -> tuple[list[float], list[np.ndarray]]:
+    """``coupled_delta`` and ``delta_grad`` of every completion of a group
+    sharing one prompt, completion ``c`` under ``masks_per[c]``: one current
+    and one reference forward over the whole group's stack, then one backward
+    per completion through the current forward."""
+    stack = _MaskStack(group, masks_per)
     fwd = forward(params_cur, stack.stack)
-    cur = float(stack.terms(fwd[0]).mean())
-    return (_per_token_delta(cur, params_ref, seq, masks),
-            stack.grad(params_cur, fwd, 1.0 / seq.completion_len))
+    scale = 1.0 / stack.clean.shape[1]
+    return (stack.deltas(fwd[0], params_ref),
+            [stack.grad(params_cur, fwd, c, scale) for c in range(len(group))])
 
 
 def center_scores(deltas) -> RelativeScoreBatch:

@@ -4,8 +4,10 @@ A Sequence always carries the prompt (never corrupted) and the completion
 together with per-position masked flags.  Masked positions keep a sentinel
 token value; the flags are the authoritative record of corruption.  A
 completion array with leading axes holds a stack of completions of one
-length that share the prompt: ``completion[b]`` and ``masked[b]`` are
-completion ``b``.
+length: ``completion[b]`` and ``masked[b]`` are completion ``b``.  The stack
+shares a one-dimensional prompt, or has one prompt per completion when the
+prompt carries the same leading axes; such prompts are left-padded to one
+width with -1.
 """
 
 from __future__ import annotations
@@ -61,10 +63,13 @@ class Sequence:
             raise ValueError("masked flags must match completion length")
         if self.completion.ndim < 1 or self.completion.shape[-1] < 1:
             raise ValueError("completion must have at least one token")
+        if self.prompt.ndim != 1 and self.prompt.shape[:-1] != self.completion.shape[:-1]:
+            raise ValueError("a prompt with leading axes must match the completion's")
 
     @property
     def prompt_len(self) -> int:
-        return len(self.prompt)
+        """Prompt width, left padding included."""
+        return self.prompt.shape[-1]
 
     @property
     def completion_len(self) -> int:
@@ -72,7 +77,7 @@ class Sequence:
 
     @property
     def total_len(self) -> int:
-        return len(self.prompt) + self.completion_len
+        return self.prompt_len + self.completion_len
 
     def is_clean(self) -> bool:
         return not self.masked.any()

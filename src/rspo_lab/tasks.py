@@ -37,25 +37,23 @@ def char_vocab() -> Vocab:
 
 
 def encode_text(text: str, vocab: Vocab) -> np.ndarray:
-    out = np.empty(len(text), dtype=np.int64)
-    for i, ch in enumerate(text):
-        idx = vocab.index(ch)
-        if idx == vocab.mask_id:
-            raise KeyError("mask token cannot appear in clean text")
-        out[i] = idx
-    return out
+    ids = dict(zip(vocab.tokens, range(vocab.size)))
+    del ids[vocab.tokens[vocab.mask_id]]
+    try:
+        return np.array([ids[ch] for ch in text], dtype=np.int64)
+    except KeyError as exc:
+        if exc.args[0] == vocab.tokens[vocab.mask_id]:
+            raise KeyError("mask token cannot appear in clean text") from None
+        raise KeyError(f"character {exc.args[0]!r} not in vocab") from None
 
 
 def decode_tokens(tokens, vocab: Vocab) -> str:
-    chars = []
-    for tok in np.asarray(tokens, dtype=np.int64):
-        if tok == vocab.mask_id:
-            chars.append(MASK_CHAR)
-        elif 0 <= tok < vocab.size:
-            chars.append(vocab.tokens[tok])
-        else:
-            chars.append(MASK_CHAR)
-    return "".join(chars)
+    # one lookup per token in a plain dict: the mask id and ids outside the
+    # vocab miss it and print as MASK_CHAR (numpy's per-call overhead exceeds
+    # the whole lookup for completions this short)
+    chars = dict(enumerate(vocab.tokens))
+    del chars[vocab.mask_id]
+    return "".join([chars.get(t, MASK_CHAR) for t in np.asarray(tokens, dtype=np.int64).tolist()])
 
 
 @dataclass

@@ -162,6 +162,49 @@ class TestStack:
             np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
 
 
+class TestRaggedPrompts:
+    def test_each_row_equals_its_unpadded_forward(self, rng):
+        # prompts of every length 0..P left-padded with -1 in one stack; each
+        # row's features and table equal its own unpadded forward exactly
+        worst, cases = 0.0, 0
+        for trial in range(40):
+            vocab = int(rng.integers(2, 7))
+            window = int(rng.integers(1, 6))
+            width = int(rng.integers(0, 5))
+            completion_len = int(rng.integers(1, 7))
+            params = init_params(vocab, window=window, hidden=int(rng.integers(1, 9)),
+                                 embed_dim=int(rng.integers(1, 5)),
+                                 n_positions=width + completion_len + int(rng.integers(0, 2)),
+                                 seed=trial, scale=1.0)
+            lengths = np.arange(width + 1).repeat(2)
+            prompts = np.full((lengths.size, width), -1)
+            for row, n in zip(prompts, lengths):
+                row[width - n:] = rng.integers(0, vocab, size=n)
+            masked = rng.random((lengths.size, completion_len)) < 0.5
+            masked[0] = True
+            completion = np.where(masked, -1, rng.integers(0, vocab, size=masked.shape))
+            stack = Sequence(prompts, completion, masked)
+            x, ctx = _features(params, stack)
+            lp = denoiser_logprobs(params, stack)
+            for b, n in enumerate(lengths):
+                one = Sequence(prompts[b, width - n:], completion[b], masked[b])
+                x_one, ctx_one = _features(params, one)
+                assert np.array_equal(x[b], x_one)
+                assert np.array_equal(ctx[b], ctx_one)
+                assert np.array_equal(lp[b], denoiser_logprobs(params, one))
+                worst = max(worst, float(np.max(np.abs(lp[b] - loop_logprobs(params, one)))))
+            cases += window >= width + completion_len == params.n_positions
+        assert worst <= 1e-12
+        assert cases > 0  # windows past both ends of a full position table
+
+    def test_position_table_checks_unpadded_length(self):
+        params = init_params(3, window=1, hidden=2, embed_dim=2, n_positions=4)
+        fits = Sequence([[-1, -1, 0], [-1, 1, 2]], [[0, 1], [1, 0]])
+        assert denoiser_logprobs(params, fits).shape == (2, 2, 3)
+        with pytest.raises(ValueError, match="position table"):
+            denoiser_logprobs(params, Sequence([[-1, -1, 0], [0, 1, 2]], [[0, 1], [1, 0]]))
+
+
 class TestGradients:
     def test_matches_finite_differences(self, rng):
         # 100 random (params, state, position, token) draws, rel. 1e-4

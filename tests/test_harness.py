@@ -83,6 +83,17 @@ class TestRunConfig:
             RunConfig.from_dict({"centering": "false"})
         with pytest.raises(ValueError, match="lambda"):
             RunConfig.from_dict({"lambda": "0.1"})
+        # out-of-range values name their JSON key
+        named = [("block_size", 0), ("gen_len", 0), ("groups_per_batch", 0), ("hidden", 0),
+                 ("embed_dim", 0), ("window", -1), ("modulus", 1), ("modulus", 101),
+                 ("checkpoint_every", -1), ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0),
+                 ("weight_decay", -1.0), ("lambda", float("nan")), ("lambda", float("inf")),
+                 ("temperature", float("nan")), ("lr", float("inf"))]
+        for key, value in named:
+            with pytest.raises(ValueError, match=key):
+                RunConfig.from_dict({key: value})
+        edge = RunConfig(window=0, checkpoint_every=0, modulus=100, beta1=0.0, weight_decay=0.0)
+        assert edge.window == 0 and edge.modulus == 100
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
@@ -264,8 +275,13 @@ class TestRunExperiment:
         assert len(rows) == cfg_a.steps
         assert [r["step"] for r in rows] == list(range(cfg_a.steps))
         assert all("wall_time" not in r for r in rows)
+        # every step's phase wall times, none negative, fit inside its wall time
         timings = read_metrics(out / "timings.jsonl")
-        assert all("wall_time" in r for r in timings)
+        assert [r["step"] for r in timings] == list(range(cfg_a.steps))
+        for r in timings:
+            phases = [r[name] for name in harness.PHASES]
+            assert min(phases) >= 0.0
+            assert sum(phases) <= r["wall_time"]
 
     def test_periodic_checkpoints(self, tmp_path):
         cfg = smoke_config(tmp_path, steps=4, checkpoint_every=2)

@@ -12,6 +12,7 @@ from rspo_lab.mdm import (
     forward_mask,
     reverse_step,
     sample_completion_group,
+    sample_completion_groups,
 )
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
 
@@ -236,6 +237,27 @@ class TestCompletionGroups:
                 alone = decode_semi_ar(params, np.array([1, 3]), cfg, child)
                 assert np.array_equal(comp.completion, alone.completion)
                 assert not comp.masked.any()
+
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    def test_ragged_groups_equal_one_group_at_a_time(self, temperature):
+        # prompts of different lengths, the empty one included, decode in one
+        # lockstep stack exactly as one group per prompt on the same RNG
+        params = wide_params()
+        cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3,
+                           temperature=temperature)
+        prompts = [np.array([1, 3, 0]), np.array([2]), np.array([], dtype=np.int64),
+                   np.array([3, 3])]
+        for seed in range(5):
+            groups = sample_completion_groups(params, prompts, 3, cfg,
+                                              np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            for prompt, group in zip(prompts, groups):
+                alone = sample_completion_group(params, prompt, 3, cfg, rng)
+                for comp, want in zip(group, alone):
+                    assert np.array_equal(comp.prompt, prompt)
+                    assert np.array_equal(comp.completion, want.completion)
+                    assert not comp.masked.any()
 
 
 class TestTies:

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import central_diff, tiny_params, tiny_sequence
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
+from rspo_lab.sequences import Sequence
 from rspo_lab.score import (
     MaskSample,
     batch_mean_offset,
     center_scores,
     coupled_delta,
+    coupled_deltas_and_grads,
     delta_grad,
     elbo_grad,
     elbo_score,
@@ -168,6 +170,37 @@ class TestCoupledDelta:
             sample_mask_sets(0, 2, rng)
         with pytest.raises(ValueError):
             coupled_delta(params, params, tiny_sequence(rng), [])
+
+
+class TestGroupScoring:
+    def test_group_equals_each_member_alone(self, rng):
+        # one stacked forward per model over a group, duplicate masks and a
+        # shared set across members included, gives every member's delta and
+        # gradient bit for bit
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        prompt = rng.integers(0, 4, size=2)
+        group = [Sequence(prompt, rng.integers(0, 4, size=3)) for _ in range(5)]
+        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
+        masks_per[1] = masks_per[1] + masks_per[1][:1]
+        masks_per[2] = masks_per[0][:1] + masks_per[2]
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
+            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
+                assert delta == one == coupled_delta(cur, params_ref, seq, masks)
+                assert np.array_equal(grad, one_grad)
+            np.testing.assert_allclose(
+                grads[0], delta_grad(cur, group[0], masks_per[0]), rtol=1e-12, atol=1e-15)
+
+    def test_group_must_share_prompt(self, rng):
+        params = tiny_params(seed=6)
+        group = [tiny_sequence(rng), tiny_sequence(rng)]
+        group[1].prompt[0] = (group[0].prompt[0] + 1) % 4
+        masks = [[MaskSample(0.5, (0,))]] * 2
+        with pytest.raises(ValueError, match="share one prompt"):
+            coupled_deltas_and_grads(params, None, group, masks)
+        with pytest.raises(ValueError, match="mask list"):
+            coupled_deltas_and_grads(params, None, group[:1], masks)
 
 
 class TestCentering:
