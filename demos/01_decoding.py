@@ -27,10 +27,10 @@ def main():
 
     # instrument the model to show the mask pattern before every denoiser call
     class Narrator:
-        def logprobs(self, seq):
+        def logprobs(self, seq, where):
             print("  state:", decode_tokens(np.where(seq.masked, vocab.mask_id,
                                                      seq.completion), vocab))
-            return params.logprobs(seq)
+            return params.logprobs(seq, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2,
                        temperature=0.9, seed=0)

@@ -75,8 +75,8 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return self.replace_theta(self.theta.copy())
 
-    def logprobs(self, seq: Sequence) -> np.ndarray:
-        return denoiser_logprobs(self, seq)
+    def logprobs(self, seq: Sequence, where: np.ndarray | None = None) -> np.ndarray:
+        return denoiser_logprobs(self, seq, where)
 
 
 def init_params(
@@ -97,56 +97,73 @@ def init_params(
                           embed_dim=embed_dim, n_positions=n_positions, seed=seed)
 
 
-def _features(params: DenoiserParams, seq: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Feature array (..., L_c, F) and the context index array ``ctx``
-    (..., L_c, 2*window) of one completion or of a stack of them (the leading
-    axes of ``seq.completion``).
+def _features(params: DenoiserParams, seq: Sequence,
+              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows (n, F) and context index rows ``ctx`` (n, 2*window) at
+    the True entries of ``where`` (shape of ``seq.completion``; every
+    position when None), flat in C order over the leading axes and the
+    positions of one completion or of a stack of them.
 
-    ``ctx[..., i, slot]`` is the token whose embedding fills feature slot
-    ``slot`` of position ``i`` (neighbour offsets -window..-1, 1..window), or
-    -1 when that neighbour is outside the sequence or masked.  The backward
+    ``ctx[r, slot]`` is the token whose embedding fills feature slot
+    ``slot`` of row ``r`` (neighbour offsets -window..-1, 1..window), or -1
+    when that neighbour is outside the sequence or masked.  The backward
     pass routes embedding gradients through the same array.
 
-    A row's absolute positions start after its own prompt tokens, the
+    A completion's absolute positions start after its own prompt tokens, the
     entries >= 0; its -1 left padding reads as outside the sequence, so every
     row gets the features of its unpadded sequence.
     """
     lc, pl = seq.completion_len, seq.prompt_len
     w, e = params.window, params.embed_dim
     lead = seq.completion.shape[:-1]
-    pos = (seq.prompt >= 0).sum(axis=-1, keepdims=True) + np.arange(lc)
-    if pos.max() >= params.n_positions:
+    if where is None:
+        where = np.ones(seq.completion.shape, dtype=bool)
+    # one row per completion
+    rows = seq.completion.size // lc
+    prompt = np.broadcast_to(seq.prompt, lead + (pl,)).reshape(rows, pl)
+    completion = seq.completion.reshape(rows, lc)
+    masked = seq.masked.reshape(rows, lc)
+    starts = (prompt >= 0).sum(axis=1)
+    if starts.max() + lc > params.n_positions:
         raise ValueError(
-            f"sequence length {pos.max() + 1} exceeds position table {params.n_positions}"
+            f"sequence length {starts.max() + lc} exceeds position table {params.n_positions}"
         )
+    b, i = np.nonzero(where.reshape(rows, lc))
     # every token the window can reach, with -1 for masked and off-sequence
-    padded = np.full(lead + (seq.total_len + 2 * w,), -1, dtype=np.int64)
-    padded[..., w:w + pl] = seq.prompt
-    padded[..., w + pl:w + seq.total_len] = np.where(seq.masked, -1, seq.completion)
+    width = seq.total_len + 2 * w
+    padded = np.full((rows, width), -1, dtype=np.int64)
+    padded[:, w:w + pl] = prompt
+    padded[:, w + pl:w + seq.total_len] = np.where(masked, -1, completion)
     offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
-    ctx = padded[..., w + pl + np.arange(lc)[:, None] + offsets]
+    # flat offsets (row start + position + window offset); cheaper than a 2-D gather
+    ctx = padded.ravel()[(b * width + w + pl + i)[:, None] + offsets]
 
     # ctx -1 picks the zero row appended to the embedding table
     table = np.vstack([params.embed, np.zeros((1, e))])
-    x = np.zeros(lead + (lc, params.feature_dim), dtype=np.float64)
+    x = np.zeros((b.size, params.feature_dim), dtype=np.float64)
     # the position one-hot, written through flat offsets (row start + position)
-    row_starts = np.arange(0, x.size, params.feature_dim).reshape(lead + (lc,))
-    x.reshape(-1)[(row_starts + pos).ravel()] = 1.0
-    x[..., params.n_positions:-1] = table[ctx].reshape(lead + (lc, 2 * w * e))
-    x[..., -1] = seq.masked.sum(axis=-1, keepdims=True) / lc
+    x.reshape(-1)[np.arange(b.size) * params.feature_dim + starts[b] + i] = 1.0
+    x[:, params.n_positions:-1] = np.take(table, ctx, axis=0).reshape(b.size, 2 * w * e)
+    x[:, -1] = (masked.sum(axis=1) / lc)[b]
     return x, ctx
 
 
-def forward(params: DenoiserParams, seq: Sequence):
-    """Log-probability tables (..., L_c, size) of one completion or a stack,
-    and the activations ``backward`` reuses.
+def forward(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = None):
+    """Log-probability rows (n, size) at the True entries of ``where``
+    (shape of ``seq.completion``; every position when None), flat in C order
+    as ``_features`` numbers them, and the activations ``backward`` reuses.
 
-    A stack runs both matmuls as one gemm per stacked completion, so each
-    table is bit-identical to the completion's own forward.
+    Both matmuls run as gemms of exactly L_c rows, the shape of one
+    completion's forward, with the last one zero-padded: a row's bits then
+    do not depend on which rows share the call or where the row sits.
     """
-    x, ctx = _features(params, seq)
-    h = np.tanh(x @ params.w1.T + params.b1)
-    logits = h @ params.w2.T + params.b2
+    x, ctx = _features(params, seq, where)
+    n, lc = x.shape[0], seq.completion_len
+    pad = -n % lc
+    stacked = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
+    h = np.tanh(stacked.reshape(-1, lc, x.shape[1]) @ params.w1.T + params.b1)
+    logits = (h @ params.w2.T + params.b2).reshape(-1, params.vocab_size)[:n]
+    h = h.reshape(-1, params.hidden)[:n]
     m = logits.max(axis=-1, keepdims=True)
     logz = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     return logits - logz, (x, ctx, h)
@@ -154,39 +171,42 @@ def forward(params: DenoiserParams, seq: Sequence):
 
 def backward(params: DenoiserParams, fwd, rows, tokens, weights) -> np.ndarray:
     """Gradient w.r.t. theta of sum_r weights[r] * log p(tokens[r]) at the
-    ``forward`` rows ``rows``, numbered over the leading axes and positions
-    in C order (row ``b * L_c + i`` is position ``i`` of completion ``b``)."""
+    ``forward`` rows ``rows``: a slice, which reads the forward's arrays
+    without copying them, or an index array."""
     logprobs, (x, ctx, h) = fwd
-    x = x.reshape(-1, x.shape[-1])[rows]
-    ctx = ctx.reshape(-1, ctx.shape[-1])[rows]
-    h = h.reshape(-1, h.shape[-1])[rows]
+    x, ctx, h = x[rows], ctx[rows], h[rows]
+    n, v, e = len(x), params.vocab_size, params.embed_dim
 
-    dlogits = -np.exp(logprobs.reshape(-1, params.vocab_size)[rows])
-    dlogits[np.arange(len(rows)), tokens] += 1.0
+    dlogits = -np.exp(logprobs[rows])
+    dlogits[np.arange(n), tokens] += 1.0
     dlogits *= weights[:, None]
     d_w2 = dlogits.T @ h
     da = (dlogits @ params.w2) * (1.0 - h ** 2)
     d_w1 = da.T @ x
     dx = da @ params.w1
-    d_slots = dx[:, params.n_positions:-1].reshape(len(rows), 2 * params.window,
-                                                   params.embed_dim)
-    # the row for ctx -1 (masked or outside) collects what no embedding gets
-    d_table = np.zeros((params.vocab_size + 1, params.embed_dim))
-    np.add.at(d_table, ctx, d_slots)
+    # one (token, embedding column) cell per slot entry, added in row order;
+    # token v, for ctx -1 (masked or outside), collects what no embedding gets
+    cells = (np.where(ctx < 0, v, ctx)[:, :, None] * e + np.arange(e)).ravel()
+    d_table = np.bincount(cells, dx[:, params.n_positions:-1].ravel(),
+                          minlength=(v + 1) * e)
 
     return np.concatenate(
-        [d_table[:-1].ravel(), d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
+        [d_table[:v * e], d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
     )
 
 
-def denoiser_logprobs(params: DenoiserParams, seq: Sequence) -> np.ndarray:
+def denoiser_logprobs(params: DenoiserParams, seq: Sequence,
+                      where: np.ndarray | None = None) -> np.ndarray:
     """Per-position log-probability table over the vocab, shape (L_c, size)
-    for one completion and (..., L_c, size) for a stack.
+    for one completion and (..., L_c, size) for a stack; with ``where``
+    (shape of ``seq.completion``), only its True entries, as flat rows
+    (n, size) in C order.
 
     Rows exponentiate-and-sum to one; the computation is deterministic in its
     inputs.
     """
-    return forward(params, seq)[0]
+    logprobs = forward(params, seq, where)[0]
+    return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
 
 
 def logprob_sum_grad(

@@ -79,16 +79,18 @@ def reverse_step(
     if not (0.0 <= s < t <= 1.0):
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     stay = (1.0 - alpha_linear(s)) / (1.0 - alpha_linear(t))
-    logprobs = params.logprobs(z_t)
+    masked = np.flatnonzero(z_t.masked)
+    logprobs = params.logprobs(z_t, z_t.masked)  # one row per masked position
     # per masked position in order: the stay draw, then the token draw if it moves
-    fill, us = [], []
-    for i in np.flatnonzero(z_t.masked):
+    moves, us = [], []
+    for row in range(masked.size):
         if rng.random() >= stay:
-            fill.append(i)
+            moves.append(row)
             us.append(rng.random())
-    fill = np.asarray(fill, dtype=np.int64)
+    moves = np.asarray(moves, dtype=np.int64)
+    fill = masked[moves]
     z_s = z_t.copy()
-    z_s.completion[fill] = _sample_categorical(logprobs[fill], 1.0, np.asarray(us))
+    z_s.completion[fill] = _sample_categorical(logprobs[moves], 1.0, np.asarray(us))
     z_s.masked[fill] = False
     return z_s
 
@@ -102,7 +104,8 @@ def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfi
 
     Every step commits ``min(unmask_per_step, still masked)`` positions of
     the active block in every completion, so all completions keep the same
-    number of masked positions and share one stacked forward per step.
+    number of masked positions and share one stacked forward per step, which
+    evaluates only those still-masked positions of the block.
     """
     seq = Sequence(prompt, np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
     # (completions, gen_len) views: one row per completion
@@ -112,12 +115,12 @@ def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfi
     for start in range(0, cfg.gen_len, cfg.block_size):
         left = cfg.block_size
         while left:
-            logprobs = params.logprobs(seq).reshape(len(rngs), cfg.gen_len, -1)
             # the still-masked positions of the block, ascending, per completion
-            block = masked[:, start:start + cfg.block_size]
-            active = start + np.nonzero(block)[1].reshape(len(rngs), left)
+            where = np.zeros_like(masked)
+            where[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
+            cand = params.logprobs(seq, where.reshape(shape)).reshape(len(rngs), left, -1)
+            active = np.nonzero(where)[1].reshape(len(rngs), left)
             u = np.array([rng.random(left) for rng in rngs])
-            cand = logprobs[rows, active]
             tok = _sample_categorical(cand, cfg.temperature, u)
             conf = np.exp(cand[rows, np.arange(left), tok])
             # highest confidence first; ties broken by lowest index

@@ -68,55 +68,72 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> list[MaskSam
 
 class _MaskStack:
     """Clean completions sharing a prompt, each corrupted at every distinct
-    position set of its masks and stacked so that one denoiser forward scores
-    every (completion, distinct set) row once."""
+    position set of its masks and stacked so that one denoiser forward at the
+    stack's masked positions scores every (completion, distinct set) row
+    once.  That forward's rows are flat in C order, so each stack row's
+    masked positions, and each completion's rows, are contiguous."""
 
     def __init__(self, group: list[Sequence], masks_per: list[list[MaskSample]]):
         if not group or len(group) != len(masks_per):
             raise ValueError("need one mask list per completion, and a completion")
         if any(not np.array_equal(seq.prompt, group[0].prompt) for seq in group[1:]):
             raise ValueError("a scored group must share one prompt")
-        self.rows: list[tuple[int, np.ndarray]] = []  # (completion, positions)
-        self.spans: list[range] = []  # per completion, its rows
-        self.which: list[np.ndarray] = []  # per completion, the row of each mask
+        owners: list[int] = []  # per stack row, its completion
+        sets: list[tuple[int, ...]] = []  # per stack row, its positions
+        self.spans: list[range] = []  # per completion, its stack rows
+        self.which: list[np.ndarray] = []  # per completion, the stack row of each mask
         for c, (seq, masks) in enumerate(zip(group, masks_per)):
             if not masks:
                 raise ValueError("need at least one mask sample")
             if not seq.is_clean():
                 raise ValueError("scoring expects a clean sequence")
-            sets = list(dict.fromkeys(m.positions for m in masks))
-            first = len(self.rows)
-            index = {s: first + j for j, s in enumerate(sets)}
+            distinct = list(dict.fromkeys(m.positions for m in masks))
+            first = len(sets)
+            index = {s: first + j for j, s in enumerate(distinct)}
             self.which.append(np.array([index[m.positions] for m in masks]))
-            self.spans.append(range(first, first + len(sets)))
-            self.rows.extend((c, np.asarray(s, dtype=np.int64)) for s in sets)
+            self.spans.append(range(first, first + len(distinct)))
+            owners.extend([c] * len(distinct))
+            sets.extend(distinct)
         self.clean = np.array([seq.completion for seq in group])
-        masked = np.zeros((len(self.rows), self.clean.shape[1]), dtype=bool)
-        for j, (_, idx) in enumerate(self.rows):
-            masked[j, idx] = True
-        tokens = np.where(masked, MASKED_TOKEN, self.clean[[c for c, _ in self.rows]])
-        self.stack = Sequence(group[0].prompt, tokens, masked)
+        self.sizes = np.array([len(s) for s in sets])
+        masked = np.zeros((len(sets), self.clean.shape[1]), dtype=bool)
+        masked[np.repeat(np.arange(len(sets)), self.sizes), np.concatenate(sets)] = True
+        clean_rows = self.clean[owners]
+        self.stack = Sequence(group[0].prompt, np.where(masked, MASKED_TOKEN, clean_rows), masked)
+        self.tokens = clean_rows[masked]  # the clean token at each forward row
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)])  # stack row -> forward rows
+        self.by_size = []  # per set size s: its stack rows and their (rows, s) forward rows
+        for s in set(self.sizes.tolist()):  # np.unique would import numpy.ma, +1.7 MiB
+            rows = np.flatnonzero(self.sizes == s)
+            self.by_size.append((rows, self.starts[rows, None] + np.arange(s)))
+
+    def logprobs(self, params: DenoiserParams) -> np.ndarray:
+        """The denoiser's log-probability rows at the stack's masked positions."""
+        return denoiser_logprobs(params, self.stack, self.stack.masked)
 
     def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
-        """Per completion, the per-mask terms from the stack's
-        log-probability tables: the mask-size reweighted log-probability sum
-        of the clean tokens."""
+        """Per completion, the per-mask terms from the log-probability rows
+        at the stack's masked positions: the mask-size reweighted
+        log-probability sum of the clean tokens."""
         l_c = self.clean.shape[1]
-        by_row = np.array([(l_c / idx.size) * logprobs[j, idx, self.clean[c, idx]].sum()
-                           for j, (c, idx) in enumerate(self.rows)])
+        picked = logprobs[np.arange(len(self.tokens)), self.tokens]
+        by_row = np.empty(len(self.sizes))
+        for rows, cells in self.by_size:
+            # a sum along the contiguous last axis adds each row in the order
+            # of that row's own 1-D sum; np.add.reduceat does not
+            by_row[rows] = (l_c / cells.shape[1]) * picked[cells].sum(axis=1)
         return [by_row[which] for which in self.which]
 
     def grad(self, params: DenoiserParams, fwd, c: int, scale: float) -> np.ndarray:
         """Gradient of ``scale`` times completion ``c``'s mean term, by one
-        backward through the stack's forward ``fwd``."""
+        backward through the forward ``fwd`` at the stack's masked
+        positions."""
         l_c, span, which = self.clean.shape[1], self.spans[c], self.which[c]
         counts = np.bincount(which - span.start, minlength=len(span))
-        sets = [self.rows[j][1] for j in span]
-        rows = np.concatenate([j * l_c + idx for j, idx in zip(span, sets)])
-        positions = np.concatenate(sets)
-        weights = np.concatenate([np.full(idx.size, scale * n * (l_c / idx.size) / which.size)
-                                  for n, idx in zip(counts, sets)])
-        return backward(params, fwd, rows, self.clean[c, positions], weights)
+        sizes = self.sizes[span.start:span.stop]
+        weights = np.repeat(scale * counts * (l_c / sizes) / which.size, sizes)
+        rows = slice(self.starts[span.start], self.starts[span.stop])
+        return backward(params, fwd, rows, self.tokens[rows], weights)
 
     def deltas(self, cur_logprobs: np.ndarray, params_ref: DenoiserParams | None) -> list[float]:
         """Per completion, the per-token current-reference score difference;
@@ -125,7 +142,7 @@ class _MaskStack:
         cur = [float(t.mean()) for t in self.terms(cur_logprobs)]
         if params_ref is None:
             return [value / l_c for value in cur]
-        ref = [float(t.mean()) for t in self.terms(denoiser_logprobs(params_ref, self.stack))]
+        ref = [float(t.mean()) for t in self.terms(self.logprobs(params_ref))]
         return [(a - b) / l_c for a, b in zip(cur, ref)]
 
 
@@ -133,14 +150,14 @@ def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -
     """Monte Carlo sequence score: average over masks of the mask-size
     reweighted sum of denoising log-probabilities at masked positions."""
     stack = _MaskStack([seq], [masks])
-    terms = stack.terms(denoiser_logprobs(params, stack.stack))[0]
+    terms = stack.terms(stack.logprobs(params))[0]
     return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
 
 
 def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
     """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
     stack = _MaskStack([seq], [masks])
-    return stack.grad(params, forward(params, stack.stack), 0, 1.0)
+    return stack.grad(params, forward(params, stack.stack, stack.stack.masked), 0, 1.0)
 
 
 def coupled_delta(
@@ -156,7 +173,7 @@ def coupled_delta(
     the per-token current score.
     """
     stack = _MaskStack([seq], [masks])
-    return stack.deltas(denoiser_logprobs(params_cur, stack.stack), params_ref)[0]
+    return stack.deltas(stack.logprobs(params_cur), params_ref)[0]
 
 
 def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
@@ -173,10 +190,11 @@ def coupled_deltas_and_grads(
 ) -> tuple[list[float], list[np.ndarray]]:
     """``coupled_delta`` and ``delta_grad`` of every completion of a group
     sharing one prompt, completion ``c`` under ``masks_per[c]``: one current
-    and one reference forward over the whole group's stack, then one backward
-    per completion through the current forward."""
+    and one reference forward over the whole group's stack, each at its
+    masked positions only, then one backward per completion through the
+    current forward."""
     stack = _MaskStack(group, masks_per)
-    fwd = forward(params_cur, stack.stack)
+    fwd = forward(params_cur, stack.stack, stack.stack.masked)
     scale = 1.0 / stack.clean.shape[1]
     return (stack.deltas(fwd[0], params_ref),
             [stack.grad(params_cur, fwd, c, scale) for c in range(len(group))])

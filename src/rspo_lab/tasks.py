@@ -184,47 +184,55 @@ def reward_countdown(instance: TaskInstance, completion_text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sudoku4_candidates(grid: np.ndarray, r: int, c: int) -> list[int]:
-    used = set(grid[r]) | set(grid[:, c])
-    br, bc = 2 * (r // 2), 2 * (c // 2)
-    used |= set(grid[br:br + 2, bc:bc + 2].ravel())
+# per cell of the row-major grid, the other cells of its row, column and 2x2 box
+_SUDOKU4_PEERS = [
+    tuple(p for p in range(16) if p != cell and (
+        p // 4 == cell // 4 or p % 4 == cell % 4 or (p // 8, p % 4 // 2) == (cell // 8, cell % 4 // 2)))
+    for cell in range(16)
+]
+
+
+def _sudoku4_candidates(grid: list[int], cell: int) -> list[int]:
+    used = {grid[p] for p in _SUDOKU4_PEERS[cell]}
     return [d for d in (1, 2, 3, 4) if d not in used]
 
 
-def _fill_sudoku4(grid: np.ndarray, rng: np.random.Generator) -> bool:
-    empties = np.argwhere(grid == 0)
-    if len(empties) == 0:
+def _fill_sudoku4(grid: list[int], rng: np.random.Generator) -> bool:
+    """Fill the empty (0) cells of the 16 row-major cells in place, trying
+    each cell's candidates in a shuffled order."""
+    if 0 not in grid:
         return True
-    r, c = empties[0]
-    cands = _sudoku4_candidates(grid, r, c)
+    cell = grid.index(0)
+    cands = _sudoku4_candidates(grid, cell)
     rng.shuffle(cands)
     for d in cands:
-        grid[r, c] = d
+        grid[cell] = d
         if _fill_sudoku4(grid, rng):
             return True
-        grid[r, c] = 0
+    grid[cell] = 0
     return False
 
 
+def _count_sudoku4(grid: list[int], limit: int) -> int:
+    """Solutions of the 16 row-major cells, counted up to ``limit``; the
+    grid is restored before returning."""
+    if 0 not in grid:
+        return 1
+    cell = grid.index(0)
+    total = 0
+    for d in _sudoku4_candidates(grid, cell):
+        grid[cell] = d
+        total += _count_sudoku4(grid, limit)
+        if total >= limit:
+            break
+    grid[cell] = 0
+    return total
+
+
 def count_sudoku4_solutions(grid: np.ndarray, limit: int = 2) -> int:
-    """Backtracking solution counter with early stop at ``limit``."""
-    grid = np.array(grid, dtype=np.int64)
-
-    def solve(g: np.ndarray) -> int:
-        empties = np.argwhere(g == 0)
-        if len(empties) == 0:
-            return 1
-        r, c = empties[0]
-        total = 0
-        for d in _sudoku4_candidates(g, r, c):
-            g[r, c] = d
-            total += solve(g)
-            g[r, c] = 0
-            if total >= limit:
-                break
-        return total
-
-    return solve(grid)
+    """Backtracking solution counter with early stop at ``limit``; 0 marks
+    an empty cell."""
+    return _count_sudoku4(np.asarray(grid, dtype=np.int64).ravel().tolist(), limit)
 
 
 def valid_sudoku4(grid: np.ndarray) -> bool:
@@ -248,30 +256,24 @@ def gen_sudoku4(rng: np.random.Generator, holes: int = 6) -> TaskInstance:
     if not 4 <= holes <= 8:
         raise ValueError("holes must be in 4..8")
     while True:
-        solution = np.zeros((4, 4), dtype=np.int64)
+        solution = [0] * 16
         _fill_sudoku4(solution, rng)
         puzzle = solution.copy()
-        order = rng.permutation(16)
         removed = 0
-        for cell in order:
+        for cell in rng.permutation(16).tolist():
             if removed == holes:
                 break
-            r, c = divmod(int(cell), 4)
-            keep = puzzle[r, c]
-            puzzle[r, c] = 0
-            if count_sudoku4_solutions(puzzle) == 1:
+            keep = puzzle[cell]
+            puzzle[cell] = 0
+            if _count_sudoku4(puzzle, 2) == 1:
                 removed += 1
             else:
-                puzzle[r, c] = keep
+                puzzle[cell] = keep
         if removed == holes:
-            flat = "".join(str(d) for d in puzzle.ravel())
             return TaskInstance(
                 kind="sudoku4",
-                prompt_text=flat + "=",
-                payload={
-                    "puzzle": puzzle.ravel().tolist(),
-                    "solution": solution.ravel().tolist(),
-                },
+                prompt_text="".join(map(str, puzzle)) + "=",
+                payload={"puzzle": puzzle, "solution": solution},
             )
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rspo_lab import tasks
 from rspo_lab.denoiser import DenoiserParams, init_params
+from rspo_lab.harness import RunConfig, init_state
 from rspo_lab.sequences import Sequence
 
 
@@ -24,6 +26,19 @@ def tiny_sequence(rng: np.random.Generator, vocab_size: int = 4,
         prompt=rng.integers(0, vocab_size, size=prompt_len),
         completion=rng.integers(0, vocab_size, size=completion_len),
     )
+
+
+def default_model(task: str, rng: np.random.Generator, noise: float = 0.05):
+    """The reference model of a run of ``task`` at ``RunConfig`` defaults and
+    a current model moved off it by Gaussian noise, as after some updates."""
+    ref = init_state(RunConfig(task=task)).params
+    return ref.replace_theta(ref.theta + noise * rng.standard_normal(ref.n_params)), ref
+
+
+def task_prompts(task: str, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Token ids of ``n`` generated prompts of ``task``."""
+    vocab = tasks.char_vocab()
+    return [tasks.encode_text(tasks.GENERATORS[task](rng).prompt_text, vocab) for _ in range(n)]
 
 
 def central_diff(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -185,6 +185,8 @@ class TestRaggedPrompts:
             completion = np.where(masked, -1, rng.integers(0, vocab, size=masked.shape))
             stack = Sequence(prompts, completion, masked)
             x, ctx = _features(params, stack)
+            x = x.reshape(lengths.size, completion_len, -1)
+            ctx = ctx.reshape(lengths.size, completion_len, -1)
             lp = denoiser_logprobs(params, stack)
             for b, n in enumerate(lengths):
                 one = Sequence(prompts[b, width - n:], completion[b], masked[b])

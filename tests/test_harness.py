@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from rspo_lab import denoiser, harness
+from conftest import default_model
+from rspo_lab import denoiser, harness, mdm, objectives, score, tasks
 from rspo_lab.denoiser import CHECKPOINT_HEADER, save_params
 from rspo_lab.harness import (
     RunAborted,
     RunConfig,
     StepMetrics,
+    TrainState,
     adam_update,
     init_state,
     load_checkpoint,
@@ -190,6 +192,43 @@ class TestTrainStep:
         monkeypatch.setattr(harness.objectives, "rspo_gradient", poisoned)
         with pytest.raises(RunAborted):
             train_step(init_state(cfg), cfg)
+
+
+class TestMovingPolicyStep:
+    @pytest.mark.parametrize("task,k_masks", [("countdown", 2), ("sudoku4", 8)])
+    def test_step_equals_rebuild_from_single_completions(self, tmp_path, task, k_masks):
+        # default runs of these tasks never leave the reference: reward 0 and
+        # params == ref give a zero gradient.  From a policy moved off the
+        # reference, the step's new theta equals, bit for bit, a rebuild that
+        # decodes one group at a time and scores each completion alone
+        cfg = RunConfig(task=task, k_masks=k_masks, out_dir=str(tmp_path))
+        start = init_state(cfg)
+        params, ref = default_model(task, np.random.default_rng(5))
+        assert np.array_equal(ref.theta, start.params.theta)
+        state = TrainState(params, ref, start.m, start.v, step=2)
+        new_state, metrics = train_step(state, cfg)
+
+        vocab = tasks.char_vocab()
+        prompt_rng, rollout_rng, mask_rng = harness._step_rngs(cfg, state.step)
+        insts = [harness._gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
+        advantages, deltas, grads = [], [], []
+        for inst in insts:
+            group = mdm.sample_completion_group(
+                params, tasks.encode_text(inst.prompt_text, vocab), cfg.group_size,
+                cfg.decode_config(), rollout_rng)
+            rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
+                       for c in group]
+            advantages.extend(objectives.group_advantages(rewards))
+            for c in group:
+                masks = score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
+                deltas.append(score.coupled_delta(params, ref, c, masks))
+                grads.append(score.delta_grad(params, c, masks))
+        grad = objectives.rspo_gradient(score.center_scores(deltas), advantages, cfg.lam, grads)
+        theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1,
+                                  cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+        assert metrics.grad_norm == float(np.linalg.norm(grad)) > 0
+        assert np.array_equal(new_state.params.theta, theta)
+        assert not np.array_equal(theta, params.theta)
 
 
 class TestCheckpoints:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_params, tiny_sequence
+from conftest import default_model, task_prompts, tiny_params, tiny_sequence
 from rspo_lab.denoiser import init_params
+from rspo_lab.harness import RunConfig
 from rspo_lab.mdm import (
     DecodeConfig,
     alpha_linear,
@@ -90,11 +91,11 @@ class PerfectDenoiser:
         self.clean = clean
         self.vocab_size = vocab_size
 
-    def logprobs(self, seq: Sequence) -> np.ndarray:
+    def logprobs(self, seq: Sequence, where: np.ndarray) -> np.ndarray:
         lp = np.full((seq.completion_len, self.vocab_size), -np.inf)
         for i in range(seq.completion_len):
             lp[i, self.clean.completion[i]] = 0.0
-        return lp
+        return lp[where]
 
 
 class TestReverseStep:
@@ -158,9 +159,9 @@ class TestDecode:
         real = params.logprobs
 
         class Spy:
-            def logprobs(self, seq):
+            def logprobs(self, seq, where):
                 snapshots.append(seq.masked.copy())
-                return real(seq)
+                return real(seq, where)
 
         decode_semi_ar(Spy(), np.array([1]), self.cfg(), rng)
         for masked in snapshots:
@@ -174,10 +175,10 @@ class TestDecode:
         real = params.logprobs
 
         class Spy:
-            def logprobs(self, seq):
+            def logprobs(self, seq, where):
                 nonlocal calls
                 calls += 1
-                return real(seq)
+                return real(seq, where)
 
         cfg = self.cfg(gen_len=8, block_size=4, unmask_per_step=2)
         decode_semi_ar(Spy(), np.array([1]), cfg, rng)
@@ -260,15 +261,59 @@ class TestCompletionGroups:
                     assert not comp.masked.any()
 
 
+class TestProductionSize:
+    def test_groups_equal_each_group_alone(self):
+        # four groups of six at RunConfig defaults, countdown's ragged prompts
+        # included, decode in one lockstep stack exactly as one group at a time
+        for task in ("arith", "countdown"):
+            rng = np.random.default_rng(11)
+            params, _ = default_model(task, rng)
+            cfg = RunConfig(task=task).decode_config()
+            for seed in range(3):
+                prompts = task_prompts(task, 4, rng)
+                groups = sample_completion_groups(params, prompts, 6, cfg,
+                                                  np.random.default_rng(seed))
+                alone_rng = np.random.default_rng(seed)
+                for prompt, group in zip(prompts, groups):
+                    alone = sample_completion_group(params, prompt, 6, cfg, alone_rng)
+                    for comp, want in zip(group, alone):
+                        assert np.array_equal(comp.completion, want.completion)
+
+    def test_decode_reads_only_the_active_masked_positions(self):
+        # each step asks for the still-masked positions of the active block,
+        # 8 + 6 + 4 + 2 per block and completion at the defaults, and gets
+        # exactly those rows of the full tables
+        rng = np.random.default_rng(12)
+        params, _ = default_model("arith", rng)
+        cfg = RunConfig().decode_config()
+        calls = []
+
+        class Spy:
+            def logprobs(self, seq, where):
+                rows = params.logprobs(seq, where)
+                assert np.array_equal(rows, params.logprobs(seq)[where])
+                calls.append((seq.masked.copy(), where.copy()))
+                return rows
+
+        sample_completion_groups(Spy(), task_prompts("arith", 4, rng), 6, cfg, rng)
+        assert len(calls) == cfg.gen_len // cfg.unmask_per_step
+        for masked, where in calls:
+            start = np.flatnonzero(masked.any(axis=0))[0] // cfg.block_size * cfg.block_size
+            want = np.zeros_like(masked)
+            want[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
+            assert np.array_equal(where, want)
+        assert sum(int(where.sum()) for _, where in calls) == 24 * 2 * (8 + 6 + 4 + 2)
+
+
 class TestTies:
     def test_equal_confidences_commit_lowest_positions_first(self, rng):
         # a uniform model gives every candidate the same confidence
         snapshots = []
 
         class Uniform:
-            def logprobs(self, seq):
+            def logprobs(self, seq, where):
                 snapshots.append(seq.masked.copy())
-                return np.full(seq.completion.shape + (4,), -math.log(4))
+                return np.full((int(where.sum()), 4), -math.log(4))
 
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
         sample_completion_group(Uniform(), np.array([1]), 3, cfg, rng)

@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import central_diff, tiny_params, tiny_sequence
+from conftest import central_diff, default_model, task_prompts, tiny_params, tiny_sequence
+from rspo_lab.denoiser import denoiser_logprobs, init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
 from rspo_lab.sequences import Sequence
+from rspo_lab.tasks import char_vocab
 from rspo_lab.score import (
     MaskSample,
+    _MaskStack,
     batch_mean_offset,
     center_scores,
     coupled_delta,
@@ -201,6 +204,46 @@ class TestGroupScoring:
             coupled_deltas_and_grads(params, None, group, masks)
         with pytest.raises(ValueError, match="mask list"):
             coupled_deltas_and_grads(params, None, group[:1], masks)
+
+
+class TestProductionSize:
+    @pytest.mark.parametrize("k_masks", [2, 8])
+    @pytest.mark.parametrize("task", ["arith", "sudoku4"])
+    def test_group_equals_each_member_alone(self, task, k_masks):
+        # a group of six length-16 completions on the default architecture,
+        # scored at its masked positions only: every member's delta and
+        # gradient bit for bit as when it is scored alone
+        rng = np.random.default_rng(7)
+        cur, ref = default_model(task, rng)
+        mask_id = char_vocab().mask_id
+        for prompt in task_prompts(task, 5, rng):
+            group = [Sequence(prompt, rng.integers(0, mask_id, size=16)) for _ in range(6)]
+            masks_per = [sample_mask_sets(16, k_masks, rng) for _ in group]
+            deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks_per)
+            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
+                assert delta == coupled_delta(cur, ref, seq, masks)
+                # 1/L_c is a power of two, so scaling inside or after is exact
+                assert np.array_equal(grad, delta_grad(cur, seq, masks))
+
+
+class TestMaskStack:
+    def test_terms_equal_per_mask_sums(self, rng):
+        # sets of 8 and more positions take numpy's unrolled pairwise sum;
+        # the sums by set size still equal each mask's own 1-D sum bit for bit
+        params = init_params(4, window=2, hidden=8, embed_dim=4, n_positions=22, seed=3)
+        prompt = rng.integers(0, 4, size=2)
+        group = [Sequence(prompt, rng.integers(0, 4, size=20)) for _ in range(6)]
+        masks_per = [sample_mask_sets(20, 8, rng) for _ in group]
+        stack = _MaskStack(group, masks_per)
+        sizes = {len(m.positions) for masks in masks_per for m in masks}
+        assert min(sizes) < 8 <= max(sizes)
+        for seq, masks, terms in zip(group, masks_per, stack.terms(stack.logprobs(params))):
+            want = []
+            for m in masks:
+                idx = np.asarray(m.positions)
+                lp = denoiser_logprobs(params, seq.with_masked(idx))
+                want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
+            assert np.array_equal(terms, want)
 
 
 class TestCentering:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestCountdown:
 
 
 class TestSudoku4:
+    def test_instances_match_recorded_digest(self):
+        # prompts and solutions of seeds 0-49, recorded from the numpy-grid
+        # generator: the generator's RNG use and output never drift
+        digest = hashlib.sha256()
+        for seed in range(50):
+            inst = gen_sudoku4(np.random.default_rng(seed))
+            solution = "".join(map(str, inst.payload["solution"]))
+            digest.update(f"{inst.prompt_text}{solution}\n".encode())
+        assert digest.hexdigest() == (
+            "540a45751937622bede7bc5f5fca60c63d8426bdae02a691f5feb606c1d46f0d")
+
     def test_generated_puzzles_unique(self):
         rng = np.random.default_rng(2)
         for holes in (4, 6, 8):
