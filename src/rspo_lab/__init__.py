@@ -24,6 +24,7 @@ from .mdm import (
 )
 from .score import (
     ElboEstimate,
+    MaskBatch,
     MaskSample,
     RelativeScoreBatch,
     batch_mean_offset,
@@ -56,6 +57,7 @@ __all__ = [
     "ElboEstimate",
     "LossOutput",
     "MASKED_TOKEN",
+    "MaskBatch",
     "MaskSample",
     "RelativeScoreBatch",
     "RunConfig",

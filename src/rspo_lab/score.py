@@ -8,6 +8,7 @@ gradients of raw scores by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,53 @@ class MaskSample:
             raise ValueError(f"mask time t={self.t} outside (0, 1]")
 
 
+@dataclass(frozen=True, eq=False)
+class MaskBatch:
+    """``k`` Monte Carlo corruptions as arrays: noise times ``t`` (k,) and the
+    boolean position sets ``hits`` (k, width), one nonempty row per mask.
+    Positions at and past ``width`` are unmasked, so a batch scores any
+    completion at least ``width`` long.  It is also a sequence of
+    ``MaskSample`` views: ``len``, iteration, an int index gives a row and a
+    slice gives a batch."""
+
+    t: np.ndarray
+    hits: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.hits, np.ndarray) or self.hits.dtype != bool or self.hits.ndim != 2:
+            raise ValueError("hits must be a 2-D bool array")
+        t = np.asarray(self.t, dtype=np.float64)
+        if t.shape != self.hits.shape[:1]:
+            raise ValueError(f"t must be 1-D with one time per hits row ({len(self.hits)})")
+        if not ((t > 0.0) & (t <= 1.0)).all():
+            raise ValueError("t values must lie in (0, 1]")
+        if not self.hits.any(axis=1).all():
+            raise ValueError("hits rows must each hold a nonempty position set")
+        object.__setattr__(self, "t", t)
+
+    @classmethod
+    def from_samples(cls, samples) -> "MaskBatch":
+        """The batch of hand-written ``MaskSample`` rows, ``width`` one past
+        their largest position."""
+        samples = list(samples)
+        width = max((max(m.positions) + 1 for m in samples), default=0)
+        hits = np.zeros((len(samples), width), dtype=bool)
+        for row, m in enumerate(samples):
+            hits[row, list(m.positions)] = True
+        return cls(np.array([m.t for m in samples]), hits)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MaskBatch(self.t[i], self.hits[i])
+        return MaskSample(float(self.t[i]), tuple(np.flatnonzero(self.hits[i]).tolist()))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class ElboEstimate:
     value: float
@@ -46,62 +94,79 @@ class RelativeScoreBatch:
     centered: np.ndarray
 
 
-def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> list[MaskSample]:
+def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> MaskBatch:
     """Draw ``k`` masks: each takes t ~ U(0,1] and an independent Bernoulli(t)
     mask over completion positions, resampling both until the set is
-    nonempty."""
+    nonempty.  Each round draws the missing rows' times, then their
+    (rows, l_c) Bernoulli matrix, and keeps its nonempty rows in order."""
     if l_c < 1:
         raise ValueError("completion length must be >= 1")
     if k < 1:
         raise ValueError("need k >= 1 mask samples")
-    out: list[MaskSample] = []
-    while len(out) < k:
-        n = k - len(out)
-        ts = 1.0 - rng.random(n)
-        hits = rng.random((n, l_c)) < ts[:, None]
-        for row in range(n):
-            pos = np.flatnonzero(hits[row])
-            if pos.size:
-                out.append(MaskSample(t=float(ts[row]), positions=tuple(int(i) for i in pos)))
-    return out
+    ts: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    kept = 0
+    while kept < k:
+        t = 1.0 - rng.random(k - kept)
+        hits = rng.random((t.size, l_c)) < t[:, None]
+        keep = hits.any(axis=1)
+        if not keep.all():
+            t, hits = t[keep], hits[keep]
+        ts.append(t)
+        rows.append(hits)
+        kept += t.size
+    if len(ts) == 1:
+        return MaskBatch(ts[0], rows[0])
+    return MaskBatch(np.concatenate(ts), np.concatenate(rows))
 
 
 class _MaskStack:
     """Clean completions sharing a prompt, each corrupted at every distinct
     position set of its masks and stacked so that one denoiser forward at the
     stack's masked positions scores every (completion, distinct set) row
-    once.  That forward's rows are flat in C order, so each stack row's
-    masked positions, and each completion's rows, are contiguous."""
+    once.  Stack rows keep first-occurrence order, completion by completion.
+    That forward's rows are flat in C order, so each stack row's masked
+    positions, and each completion's rows, are contiguous."""
 
-    def __init__(self, group: list[Sequence], masks_per: list[list[MaskSample]]):
+    def __init__(self, group: list[Sequence], masks_per: list[MaskBatch]):
         if not group or len(group) != len(masks_per):
             raise ValueError("need one mask list per completion, and a completion")
         if any(not np.array_equal(seq.prompt, group[0].prompt) for seq in group[1:]):
             raise ValueError("a scored group must share one prompt")
-        owners: list[int] = []  # per stack row, its completion
-        sets: list[tuple[int, ...]] = []  # per stack row, its positions
-        self.spans: list[range] = []  # per completion, its stack rows
-        self.which: list[np.ndarray] = []  # per completion, the stack row of each mask
-        for c, (seq, masks) in enumerate(zip(group, masks_per)):
+        for seq, masks in zip(group, masks_per):
             if not masks:
                 raise ValueError("need at least one mask sample")
+            if not isinstance(masks, MaskBatch):
+                raise TypeError("masks must be a MaskBatch; see MaskBatch.from_samples")
             if not seq.is_clean():
                 raise ValueError("scoring expects a clean sequence")
-            distinct = list(dict.fromkeys(m.positions for m in masks))
-            first = len(sets)
-            index = {s: first + j for j, s in enumerate(distinct)}
-            self.which.append(np.array([index[m.positions] for m in masks]))
-            self.spans.append(range(first, first + len(distinct)))
-            owners.extend([c] * len(distinct))
-            sets.extend(distinct)
         self.clean = np.array([seq.completion for seq in group])
-        self.sizes = np.array([len(s) for s in sets])
-        masked = np.zeros((len(sets), self.clean.shape[1]), dtype=bool)
-        masked[np.repeat(np.arange(len(sets)), self.sizes), np.concatenate(sets)] = True
-        clean_rows = self.clean[owners]
+        l_c = self.clean.shape[1]
+        offsets = [0, *itertools.accumulate(len(masks) for masks in masks_per)]
+        hits = np.zeros((offsets[-1], l_c), dtype=bool)
+        for masks, a, b in zip(masks_per, offsets, offsets[1:]):
+            if masks.hits.shape[1] > l_c:
+                raise ValueError("a mask position lies past the completion")
+            hits[a:b, :masks.hits.shape[1]] = masks.hits
+        # each completion's dict over the raw row bytes numbers its distinct
+        # sets in first-occurrence order; unlike np.unique this works at any
+        # l_c and imports no numpy.ma
+        keys = hits.view(f"V{l_c}").ravel().tolist()
+        sets: list[bytes] = []  # per stack row, its hits row
+        self.spans: list[range] = []  # per completion, its stack rows
+        self.which: list[np.ndarray] = []  # per completion, the stack row of each mask
+        for a, b in zip(offsets, offsets[1:]):
+            first, index = len(sets), {}
+            self.which.append(np.array([index.setdefault(key, first + len(index))
+                                        for key in keys[a:b]]))
+            sets.extend(index)
+            self.spans.append(range(first, len(sets)))
+        masked = np.frombuffer(b"".join(sets), dtype=bool).reshape(len(sets), l_c)
+        self.sizes = masked.sum(axis=1)
+        clean_rows = np.repeat(self.clean, [len(span) for span in self.spans], axis=0)
         self.stack = Sequence(group[0].prompt, np.where(masked, MASKED_TOKEN, clean_rows), masked)
         self.tokens = clean_rows[masked]  # the clean token at each forward row
-        self.starts = np.concatenate([[0], np.cumsum(self.sizes)])  # stack row -> forward rows
+        self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
         self.by_size = []  # per set size s: its stack rows and their (rows, s) forward rows
         for s in set(self.sizes.tolist()):  # np.unique would import numpy.ma, +1.7 MiB
             rows = np.flatnonzero(self.sizes == s)
@@ -146,7 +211,7 @@ class _MaskStack:
         return [(a - b) / l_c for a, b in zip(cur, ref)]
 
 
-def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> ElboEstimate:
+def elbo_score(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> ElboEstimate:
     """Monte Carlo sequence score: average over masks of the mask-size
     reweighted sum of denoising log-probabilities at masked positions."""
     stack = _MaskStack([seq], [masks])
@@ -154,7 +219,7 @@ def elbo_score(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -
     return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
 
 
-def elbo_grad(params: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
+def elbo_grad(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
     """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
     stack = _MaskStack([seq], [masks])
     return stack.grad(params, forward(params, stack.stack, stack.stack.masked), 0, 1.0)
@@ -164,7 +229,7 @@ def coupled_delta(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
     seq: Sequence,
-    masks: list[MaskSample],
+    masks: MaskBatch,
 ) -> float:
     """Per-token current-reference score difference under shared masks.
 
@@ -176,7 +241,7 @@ def coupled_delta(
     return stack.deltas(stack.logprobs(params_cur), params_ref)[0]
 
 
-def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: list[MaskSample]) -> np.ndarray:
+def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
     """Gradient of the coupled score difference; only the current model side
     depends on theta."""
     return elbo_grad(params_cur, seq, masks) / seq.completion_len
@@ -186,7 +251,7 @@ def coupled_deltas_and_grads(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
     group: list[Sequence],
-    masks_per: list[list[MaskSample]],
+    masks_per: list[MaskBatch],
 ) -> tuple[list[float], list[np.ndarray]]:
     """``coupled_delta`` and ``delta_grad`` of every completion of a group
     sharing one prompt, completion ``c`` under ``masks_per[c]``: one current

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rspo_lab
 from rspo_lab.cli import build_parser, main
 
 
@@ -130,6 +135,29 @@ class TestAudit:
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 5
         assert all(ln.startswith("PASS ") for ln in lines)
+
+
+class TestImports:
+    def test_train_and_audit_never_import_numpy_ma(self, tmp_path):
+        # numpy.ma (pulled in by np.unique, for one) adds about 1.7 MiB of
+        # resident memory; a fresh interpreter runs two steps of every task
+        # with k_masks 8, then one audit pass, and checks it never loaded
+        code = (
+            "import contextlib, io, sys\n"
+            "from rspo_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for task in ('arith', 'countdown', 'sudoku4'):\n"
+            "        main(['train', '--task', task, '--k-masks', '8', '--steps', '2',\n"
+            "              '--out', 'run_' + task])\n"
+            "    assert main(['audit']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(rspo_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestAblate:

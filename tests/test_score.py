@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from conftest import central_diff, default_model, task_prompts, tiny_params, tiny_sequence
 from rspo_lab.denoiser import denoiser_logprobs, init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
-from rspo_lab.sequences import Sequence
+from rspo_lab.sequences import MASKED_TOKEN, Sequence
 from rspo_lab.tasks import char_vocab
 from rspo_lab.score import (
+    MaskBatch,
     MaskSample,
     _MaskStack,
     batch_mean_offset,
@@ -39,6 +41,21 @@ class TestMaskLaw:
         with pytest.raises(ValueError):
             MaskSample(t=0.0, positions=(0,))
 
+    @pytest.mark.parametrize("l_c,digest", [
+        # l_c = 1 leaves about half of each round's rows empty, so it resamples
+        (1, "b8f44387ff779e73999c2b0d6a19a5dd94923fb5cd6fe4f0099194944ee35983"),
+        (3, "03854754225857f3e473d10838ef08a1499e7fbb4143abcaa4f7f94652b41f7d"),
+        (16, "c94b76335d9aa3df097a35a5f4ceb649bdccf19ef7e3fda5b72d55c7a1636e05"),
+        (70, "d438a21a0730a06a07735f3549fbe2d86bf5700b3bb5b47af35a43f123b10a44"),
+    ])
+    def test_sample_mask_sets_match_recorded_digest(self, l_c, digest):
+        # the draw order is pinned: each round draws the missing rows' times,
+        # then their Bernoulli matrix, and keeps the nonempty rows in order;
+        # the digests were recorded from the per-draw MaskSample sampler
+        masks = sample_mask_sets(l_c, 64, np.random.default_rng(5))
+        assert masks.hits.shape == (64, l_c)
+        assert hashlib.sha256(masks.t.tobytes() + masks.hits.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("l_c", [2, 3])
     def test_set_frequencies_match_closed_form(self, l_c):
         # empirical frequency of every nonempty subset of {0,..,l_c-1}
@@ -65,11 +82,51 @@ class TestMaskLaw:
             assert abs(total - 1.0) < 1e-12
 
 
+class TestMaskBatch:
+    @pytest.mark.parametrize("t,hits,field", [
+        ([0.5], np.array([1], dtype=bool), "hits"),
+        ([0.5], np.array([[1]]), "hits"),
+        ([[0.5]], np.array([[True]]), "t"),
+        ([0.5, 0.5], np.array([[True]]), "t"),
+        ([0.0], np.array([[True]]), "t"),
+        ([1.5], np.array([[True]]), "t"),
+        ([np.nan], np.array([[True]]), "t"),
+        ([0.5, 0.5], np.array([[True, False], [False, False]]), "hits"),
+    ])
+    def test_invalid_batch_names_field(self, t, hits, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            MaskBatch(np.asarray(t), hits)
+
+    def test_sequence_of_samples(self, rng):
+        masks = sample_mask_sets(5, 12, rng)
+        samples = list(masks)
+        assert len(masks) == len(samples) == 12
+        for i, m in enumerate(samples):
+            assert m == masks[i] == MaskSample(float(masks.t[i]), tuple(np.flatnonzero(masks.hits[i])))
+        assert masks[-1] == samples[-1]
+        part = masks[3:9:2]
+        assert isinstance(part, MaskBatch) and list(part) == samples[3:9:2]
+        again = MaskBatch.from_samples(samples)
+        width = again.hits.shape[1]
+        assert np.array_equal(again.t, masks.t)
+        assert np.array_equal(again.hits, masks.hits[:, :width])
+        assert not masks.hits[:, width:].any()
+
+    def test_scoring_takes_only_batches(self, rng):
+        params = tiny_params(seed=1)
+        seq = tiny_sequence(rng)
+        with pytest.raises(TypeError, match="MaskBatch"):
+            elbo_score(params, seq, [MaskSample(0.5, (0,))])
+        with pytest.raises(ValueError, match="past the completion"):
+            elbo_score(params, seq, MaskBatch.from_samples([MaskSample(0.5, (3,))]))
+
+
 class TestElboScore:
     def test_manual_value(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        masks = [MaskSample(t=0.5, positions=(0, 2)), MaskSample(t=0.9, positions=(1,))]
+        masks = MaskBatch.from_samples(
+            [MaskSample(t=0.5, positions=(0, 2)), MaskSample(t=0.9, positions=(1,))])
         est = elbo_score(params, seq, masks)
         lp_a = params.logprobs(seq.with_masked((0, 2)))
         lp_b = params.logprobs(seq.with_masked((1,)))
@@ -82,13 +139,14 @@ class TestElboScore:
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
         m = MaskSample(t=0.5, positions=(0,))
-        est = elbo_score(params, seq, [m, m, m])
+        est = elbo_score(params, seq, MaskBatch.from_samples([m, m, m]))
         assert est.terms[0] == est.terms[1] == est.terms[2]
 
     def test_masked_input_rejected(self, rng):
         params = tiny_params(seed=1)
         with pytest.raises(ValueError, match="clean"):
-            elbo_score(params, tiny_sequence(rng).with_masked([0]), [MaskSample(0.5, (0,))])
+            elbo_score(params, tiny_sequence(rng).with_masked([0]),
+                       MaskBatch.from_samples([MaskSample(0.5, (0,))]))
 
     def test_monte_carlo_matches_enumeration(self, rng):
         # z-test of the K-sample estimator against the closed-form expectation
@@ -184,8 +242,8 @@ class TestGroupScoring:
         prompt = rng.integers(0, 4, size=2)
         group = [Sequence(prompt, rng.integers(0, 4, size=3)) for _ in range(5)]
         masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[1] = masks_per[1] + masks_per[1][:1]
-        masks_per[2] = masks_per[0][:1] + masks_per[2]
+        masks_per[1] = MaskBatch.from_samples([*masks_per[1], *masks_per[1][:1]])
+        masks_per[2] = MaskBatch.from_samples([*masks_per[0][:1], *masks_per[2]])
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
             for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
@@ -199,7 +257,7 @@ class TestGroupScoring:
         params = tiny_params(seed=6)
         group = [tiny_sequence(rng), tiny_sequence(rng)]
         group[1].prompt[0] = (group[0].prompt[0] + 1) % 4
-        masks = [[MaskSample(0.5, (0,))]] * 2
+        masks = [MaskBatch.from_samples([MaskSample(0.5, (0,))])] * 2
         with pytest.raises(ValueError, match="share one prompt"):
             coupled_deltas_and_grads(params, None, group, masks)
         with pytest.raises(ValueError, match="mask list"):
@@ -244,6 +302,43 @@ class TestMaskStack:
                 lp = denoiser_logprobs(params, seq.with_masked(idx))
                 want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
             assert np.array_equal(terms, want)
+
+
+    @staticmethod
+    def _reference_stack(masks_per):
+        # the per-completion dict.fromkeys dedup over position tuples
+        which, spans, sets = [], [], []
+        for masks in masks_per:
+            distinct = list(dict.fromkeys(m.positions for m in masks))
+            index = {s: len(sets) + j for j, s in enumerate(distinct)}
+            which.append(np.array([index[m.positions] for m in masks]))
+            spans.append(range(len(sets), len(sets) + len(distinct)))
+            sets.extend(distinct)
+        return which, spans, sets
+
+    @pytest.mark.parametrize("l_c,k_max", [(3, 12), (6, 8), (70, 6)])
+    def test_dedup_matches_dict_reference(self, rng, l_c, k_max):
+        prompt = rng.integers(0, 4, size=2)
+        for _ in range(5):
+            group = [Sequence(prompt, rng.integers(0, 4, size=l_c)) for _ in range(4)]
+            masks_per = [sample_mask_sets(l_c, int(rng.integers(1, k_max + 1)), rng) for _ in group]
+            # repeat a set within a completion and share one across completions
+            masks_per[1] = MaskBatch.from_samples([*masks_per[1], masks_per[1][0], masks_per[0][0]])
+            masks_per[3] = MaskBatch.from_samples([masks_per[2][-1], *masks_per[3], masks_per[3][0]])
+            stack = _MaskStack(group, masks_per)
+            which, spans, sets = self._reference_stack(masks_per)
+            assert len(stack.which) == len(which)
+            for got, want in zip(stack.which, which):
+                assert np.array_equal(got, want)
+            assert stack.spans == spans
+            assert stack.sizes.tolist() == [len(s) for s in sets]
+            want_masked = np.zeros((len(sets), l_c), dtype=bool)
+            for row, s in enumerate(sets):
+                want_masked[row, list(s)] = True
+            assert np.array_equal(stack.stack.masked, want_masked)
+            owners = np.repeat(np.arange(len(group)), [len(s) for s in spans])
+            clean = np.array([seq.completion for seq in group])[owners]
+            assert np.array_equal(stack.stack.completion, np.where(want_masked, MASKED_TOKEN, clean))
 
 
 class TestCentering:
