@@ -105,6 +105,7 @@ class RunConfig:
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
             ("window", self.window >= 0, ">= 0"),
             ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("seed", 0 <= self.seed < 2**64, "in 0..2**64-1"),  # checkpoints store it as uint64
         ]
         for name, holds, rule in rules:
             if not holds:

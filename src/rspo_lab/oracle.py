@@ -4,8 +4,8 @@ Everything here is a separate code path from the estimators it checks: a
 per-position loop for the denoiser features and a one-sequence forward on
 top of it, exhaustive mask enumeration for the sequence score, dynamic
 programming for the exact reverse-chain likelihood, softmax optima for
-KL-regularized improvement, exact KL computations, and the scalar
-surrogate-error bound.
+KL-regularized improvement, exact KL computations, and the
+surrogate-error bound, checked over a stack of trials in one call.
 Oracles run inside the test suite and the audit command only.
 """
 
@@ -166,7 +166,7 @@ def kl_regularized_optimum(pi_ref, rewards, beta: float):
     delta_star = rewards / beta - log_z
     centered = delta_star - delta_star.mean()
     expected = (rewards - rewards.mean()) / beta
-    if np.max(np.abs(centered - expected)) > 1e-12:
+    if not (np.max(np.abs(centered - expected)) <= 1e-12):  # NaN fails too
         raise AssertionError("centered log-ratio identity violated")
     return pi_star, delta_star
 
@@ -192,51 +192,65 @@ def kl_proxy(p, q):
 
 @dataclass(frozen=True)
 class PerturbationBound:
-    lhs_aw: float
-    lhs_rspo: float
-    rhs_aw: float
-    rhs_rspo: float
+    """Both sides of the two bounds: Python floats for one trial, arrays
+    over the leading axes for a stack of trials."""
+
+    lhs_aw: float | np.ndarray
+    lhs_rspo: float | np.ndarray
+    rhs_aw: float | np.ndarray
+    rhs_rspo: float | np.ndarray
 
 
 def perturbation_bound_check(a_tilde, r_hat, xi, lam: float) -> PerturbationBound:
-    """Scalar surrogate-error audit.
+    """Surrogate-error audit over the last axis, for any number of leading
+    trial axes.
 
     Compares the advantage-weighted and feedback losses evaluated with ideal
     centered scores versus scores perturbed by per-sample errors bounded by
     eps, against the bounds 2*eps*||A|| and 2*eps*||A|| +
-    lam*(4*eps*||R|| + 4*eps^2) in the batch norm.
+    lam*(4*eps*||R|| + 4*eps^2) in the batch norm.  A NaN or infinite side
+    counts as a violation; the error names the first failing trial.
     """
     a = np.asarray(a_tilde, dtype=np.float64)
     r = np.asarray(r_hat, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     if not (a.shape == r.shape == xi.shape):
         raise ValueError("inputs must align")
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValueError("need at least one sample on the last axis")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    eps = float(np.max(np.abs(xi))) if xi.size else 0.0
-    r = r - r.mean()  # ideal scores are centered by definition
-    xi_hat = xi - xi.mean()
+    eps = np.abs(xi).max(axis=-1)
+    r = r - r.mean(axis=-1, keepdims=True)  # ideal scores are centered by definition
+    xi_hat = xi - xi.mean(axis=-1, keepdims=True)
     d_hat = r + xi_hat
 
     def aw(x):
-        return -float(np.mean(a * x))
+        return -np.mean(a * x, axis=-1)
 
     def rspo_forward(x):
-        return -float(np.mean((a - lam * x) * x))
+        return -np.mean((a - lam * x) * x, axis=-1)
 
     def bnorm(x):
-        return math.sqrt(float(np.mean(x**2)))
+        return np.sqrt(np.mean(x**2, axis=-1))
 
-    lhs_aw = abs(aw(d_hat) - aw(r))
-    lhs_rspo = abs(rspo_forward(d_hat) - rspo_forward(r))
+    lhs_aw = np.abs(aw(d_hat) - aw(r))
+    lhs_rspo = np.abs(rspo_forward(d_hat) - rspo_forward(r))
     rhs_aw = 2.0 * eps * bnorm(a)
-    rhs_rspo = rhs_aw + lam * (4.0 * eps * bnorm(r) + 4.0 * eps**2)
-    slack = 1e-12 * max(1.0, rhs_rspo)
-    if lhs_aw > rhs_aw + slack or lhs_rspo > rhs_rspo + slack:
+    # np.square, not **: a float64 scalar's ** 2 goes through libm pow, which can
+    # round eps^2 one ulp away from the array path
+    rhs_rspo = rhs_aw + lam * (4.0 * eps * bnorm(r) + 4.0 * np.square(eps))
+    slack = 1e-12 * np.maximum(1.0, rhs_rspo)
+    bad = ~((lhs_aw <= rhs_aw + slack) & (lhs_rspo <= rhs_rspo + slack))
+    if bad.any():
+        j = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = "" if not j else f" at trial {j[0] if len(j) == 1 else j}"
         raise AssertionError(
-            f"surrogate-error bound violated: aw {lhs_aw} vs {rhs_aw}, "
-            f"feedback {lhs_rspo} vs {rhs_rspo}"
+            f"surrogate-error bound violated{where}: aw {lhs_aw[j]} vs {rhs_aw[j]}, "
+            f"feedback {lhs_rspo[j]} vs {rhs_rspo[j]}"
         )
+    if a.ndim == 1:
+        return PerturbationBound(float(lhs_aw), float(lhs_rspo), float(rhs_aw), float(rhs_rspo))
     return PerturbationBound(lhs_aw, lhs_rspo, rhs_aw, rhs_rspo)
 
 

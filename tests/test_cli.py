@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rspo_lab
+from rspo_lab import oracle, tasks
 from rspo_lab.cli import build_parser, main
 
 
@@ -110,6 +113,16 @@ class TestTrain:
         assert_usage_error(capsys, "No such file", ["train", "--config", str(missing)])
         assert not (tmp_path / "run").exists()
 
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        for seed in ("-1", str(2**64)):
+            assert_usage_error(capsys, "seed must be in 0..2**64-1",
+                               ["train", "--config", str(cfg_path), "--seed", seed])
+        monkeypatch.setenv("RSPO_SEED", "-3")
+        assert_usage_error(capsys, "seed must be in 0..2**64-1",
+                           ["train", "--config", str(cfg_path)])
+        assert not (tmp_path / "run").exists()
+
     def test_env_bool_words_case_insensitive(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path)
         for word, want in (("OFF", False), ("No", False), ("0", False),
@@ -135,6 +148,58 @@ class TestAudit:
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 5
         assert all(ln.startswith("PASS ") for ln in lines)
+
+
+    def test_bad_seed_is_usage_error(self, capsys):
+        for seed in ("-1", str(2**64)):
+            assert_usage_error(capsys, "seed must be in 0..2**64-1", ["audit", "--seed", seed])
+
+    def test_non_finite_comparisons_fail(self, capsys, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(oracle, "exact_elbo_expectation", lambda params, seq: nan)
+        monkeypatch.setattr(oracle, "kl_proxy", lambda p, q: (nan, nan, nan))
+        assert main(["audit"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL elbo-estimator-exactness")
+        assert lines[2].startswith("FAIL kl-variance-proxy")
+        assert sum(ln.startswith("PASS ") for ln in lines) == 3
+
+    def test_surrogate_bound_is_one_call(self, capsys, monkeypatch):
+        calls = []
+        check = oracle.perturbation_bound_check
+
+        def spy(a, r, xi, lam):
+            calls.append(np.shape(a))
+            return check(a, r, xi, lam)
+
+        monkeypatch.setattr(oracle, "perturbation_bound_check", spy)
+        assert main(["audit"]) == 0
+        assert calls == [(2000, 6)]
+
+    # sha256 of the countdown payloads one pass generates, recorded before the
+    # surrogate-error trials were stacked: the RNG stream every check sees
+    PAYLOAD_DIGESTS = {
+        0: "3895afd48d154d0f8f7d1e2c3ac5ad880ea2c9ae62953c6e3feb16a4d64209ad",
+        1: "c9ee6f74824d83f804b500bd6a9efe95b392c6d5ecb0d9e8639409c1c184265e",
+        2: "da51f9fe8f85188f5b2b5e601b8f9ae29e3217521acbcd4aebb87bfd8b99327a",
+    }
+
+    def test_rng_stream_matches_recorded_digest(self, capsys, monkeypatch):
+        gen = tasks.gen_countdown
+        for seed, digest in self.PAYLOAD_DIGESTS.items():
+            payloads = []
+
+            def record(rng, *args, **kwargs):
+                inst = gen(rng, *args, **kwargs)
+                payloads.append(inst.payload)
+                return inst
+
+            monkeypatch.setattr(tasks, "gen_countdown", record)
+            assert main(["audit", "--seed", str(seed)]) == 0
+            assert len(payloads) == 50
+            blob = json.dumps(payloads, sort_keys=True, default=int).encode()
+            assert hashlib.sha256(blob).hexdigest() == digest, seed
+        capsys.readouterr()
 
 
 class TestImports:

@@ -97,6 +97,13 @@ class TestRunConfig:
         edge = RunConfig(window=0, checkpoint_every=0, modulus=100, beta1=0.0, weight_decay=0.0)
         assert edge.window == 0 and edge.modulus == 100
 
+    def test_seed_range(self):
+        for seed in (-1, 2**64, -(2**70)):
+            with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
+                RunConfig(seed=seed)
+        assert RunConfig(seed=0).seed == 0
+        assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
         path = tmp_path / "config.json"

@@ -123,6 +123,10 @@ class TestKLOptimum:
         with pytest.raises(ValueError):
             kl_regularized_optimum([0.5, 0.5], [0.0], 1.0)
 
+    def test_non_finite_rewards_fail_identity(self):
+        with pytest.raises(AssertionError, match="identity"):
+            kl_regularized_optimum([0.5, 0.5], [0.0, float("nan")], 1.0)
+
 
 class TestKLProxy:
     def test_exact_values(self):
@@ -181,6 +185,86 @@ class TestSurrogateErrorBound:
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             perturbation_bound_check([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], -1.0)
+
+    @staticmethod
+    def _draws(rng, shape):
+        a = rng.normal(size=shape)
+        a -= a.mean(axis=-1, keepdims=True)
+        r = rng.normal(size=shape)
+        xi = rng.uniform(-1, 1, size=shape) * rng.uniform(0, 0.5, size=shape[:-1] + (1,))
+        return a, r, xi
+
+    def test_stack_equals_per_trial_calls(self):
+        rng = np.random.default_rng(9)
+        fields = ("lhs_aw", "lhs_rspo", "rhs_aw", "rhs_rspo")
+        for n in (2, 3, 6, 9, 17):
+            a, r, xi = self._draws(rng, (250, n))
+            # an eps whose square libm pow rounds one ulp off the product
+            xi[0] *= 0.5
+            xi[0, 0] = float.fromhex("0x1.fac433cb8f530p-2")
+            for lam in (0.0, 0.01, 0.3):
+                stacked = perturbation_bound_check(a, r, xi, lam)
+                singles = [perturbation_bound_check(a[i], r[i], xi[i], lam) for i in range(250)]
+                for f in fields:
+                    got = getattr(stacked, f)
+                    assert isinstance(got, np.ndarray) and got.shape == (250,)
+                    assert np.array_equal(got, [getattr(o, f) for o in singles]), (n, lam, f)
+        # several leading axes are trials too
+        a, r, xi = self._draws(rng, (4, 5, 6))
+        out = perturbation_bound_check(a, r, xi, 0.1)
+        flat = perturbation_bound_check(a.reshape(20, 6), r.reshape(20, 6), xi.reshape(20, 6), 0.1)
+        for f in fields:
+            assert np.array_equal(getattr(out, f).ravel(), getattr(flat, f))
+
+    def test_one_trial_returns_floats(self):
+        a, r, xi = self._draws(np.random.default_rng(2), (5,))
+        out = perturbation_bound_check(a, r, xi, 0.1)
+        for value in (out.lhs_aw, out.lhs_rspo, out.rhs_aw, out.rhs_rspo):
+            assert type(value) is float
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_violation_names_first_failing_trial(self):
+        a, r, xi = self._draws(np.random.default_rng(3), (40, 6))
+        perturbation_bound_check(a, r, xi, 0.1)
+        for j in (0, 17, 39):
+            bad = r.copy()
+            bad[j, 2] = np.nan
+            bad[-1, 0] = np.inf  # a later failure is not the one named
+            with pytest.raises(AssertionError, match=rf"at trial {j}: aw nan vs"):
+                perturbation_bound_check(a, bad, xi, 0.1)
+        a3, r3, xi3 = self._draws(np.random.default_rng(4), (2, 3, 6))
+        r3[1, 2, 0] = np.nan
+        with pytest.raises(AssertionError, match=r"at trial \(1, 2\)"):
+            perturbation_bound_check(a3, r3, xi3, 0.1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_fails(self):
+        a, r, xi = self._draws(np.random.default_rng(5), (6,))
+        for arr in (a, r, xi):
+            for value in (np.nan, np.inf):
+                saved = arr[1]
+                arr[1] = value
+                with pytest.raises(AssertionError, match="bound violated"):
+                    perturbation_bound_check(a, r, xi, 0.1)
+                arr[1] = saved
+        with pytest.raises(AssertionError):
+            perturbation_bound_check(a, r, xi, float("nan"))
+
+    def test_empty_sample_axis_rejected(self):
+        for shape in ((0,), (3, 0)):
+            empty = np.zeros(shape)
+            with pytest.raises(ValueError, match="at least one sample"):
+                perturbation_bound_check(empty, empty, empty, 0.1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            perturbation_bound_check(1.0, 0.0, 0.0, 0.1)
+
+    def test_batched_bad_inputs_rejected(self):
+        a, r, xi = self._draws(np.random.default_rng(6), (8, 6))
+        for args in ((a, r[:, :5], xi), (a, r, xi[:7]), (a, r, xi.T), (a[0], r, xi)):
+            with pytest.raises(ValueError, match="align"):
+                perturbation_bound_check(*args, 0.1)
+        with pytest.raises(ValueError, match="lam"):
+            perturbation_bound_check(a, r, xi, -0.5)
 
 
 class TestTaskOracles:
