@@ -99,10 +99,12 @@ def init_params(
 
 def _features(params: DenoiserParams, seq: Sequence,
               where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows (n, F) and context index rows ``ctx`` (n, 2*window) at
-    the True entries of ``where`` (shape of ``seq.completion``; every
+    """Feature rows ``x`` and context index rows ``ctx`` (n, 2*window) at
+    the n True entries of ``where`` (shape of ``seq.completion``; every
     position when None), flat in C order over the leading axes and the
-    positions of one completion or of a stack of them.
+    positions of one completion or of a stack of them.  ``x`` is (n + pad, F),
+    zero rows appended up to a multiple of L_c, the layout ``forward``'s
+    gemms read.
 
     ``ctx[r, slot]`` is the token whose embedding fills feature slot
     ``slot`` of row ``r`` (neighbour offsets -window..-1, 1..window), or -1
@@ -140,11 +142,11 @@ def _features(params: DenoiserParams, seq: Sequence,
 
     # ctx -1 picks the zero row appended to the embedding table
     table = np.vstack([params.embed, np.zeros((1, e))])
-    x = np.zeros((b.size, params.feature_dim), dtype=np.float64)
+    x = np.zeros((b.size + -b.size % lc, params.feature_dim), dtype=np.float64)
     # the position one-hot, written through flat offsets (row start + position)
     x.reshape(-1)[np.arange(b.size) * params.feature_dim + starts[b] + i] = 1.0
-    x[:, params.n_positions:-1] = np.take(table, ctx, axis=0).reshape(b.size, 2 * w * e)
-    x[:, -1] = (masked.sum(axis=1) / lc)[b]
+    x[:b.size, params.n_positions:-1] = np.take(table, ctx, axis=0).reshape(b.size, 2 * w * e)
+    x[:b.size, -1] = (masked.sum(axis=1) / lc)[b]
     return x, ctx
 
 
@@ -154,14 +156,12 @@ def forward(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = No
     as ``_features`` numbers them, and the activations ``backward`` reuses.
 
     Both matmuls run as gemms of exactly L_c rows, the shape of one
-    completion's forward, with the last one zero-padded: a row's bits then
+    completion's forward, over ``x``'s zero-padded rows: a row's bits then
     do not depend on which rows share the call or where the row sits.
     """
     x, ctx = _features(params, seq, where)
-    n, lc = x.shape[0], seq.completion_len
-    pad = -n % lc
-    stacked = np.concatenate([x, np.zeros((pad, x.shape[1]))]) if pad else x
-    h = np.tanh(stacked.reshape(-1, lc, x.shape[1]) @ params.w1.T + params.b1)
+    n, lc = len(ctx), seq.completion_len
+    h = np.tanh(x.reshape(-1, lc, x.shape[1]) @ params.w1.T + params.b1)
     logits = (h @ params.w2.T + params.b2).reshape(-1, params.vocab_size)[:n]
     h = h.reshape(-1, params.hidden)[:n]
     m = logits.max(axis=-1, keepdims=True)

@@ -281,8 +281,8 @@ def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstanc
 
 def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetrics]:
     """One optimizer step over a micro-batch of complete prompt groups: all
-    groups decode in lockstep, and each group is scored in one stacked
-    forward per model."""
+    groups decode in lockstep, and the whole micro-batch is scored in one
+    stacked forward per model."""
     t0 = time.perf_counter()
     marks = [t0]
     vocab = tasks.char_vocab()
@@ -307,16 +307,11 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         rewards_all.extend(rewards)
     marks.append(time.perf_counter())
 
-    masks_per = [[score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng) for c in group]
-                 for group in groups]
-    ref_params = state.ref_params if cfg.reference else None
-    deltas: list[float] = []
-    grads: list[np.ndarray] = []
-    for group, masks in zip(groups, masks_per):
-        group_deltas, group_grads = score.coupled_deltas_and_grads(
-            state.params, ref_params, group, masks)
-        deltas.extend(group_deltas)
-        grads.extend(group_grads)
+    completions = [c for group in groups for c in group]
+    masks_per = [score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
+                 for c in completions]
+    deltas, grads = score.coupled_deltas_and_grads(
+        state.params, state.ref_params if cfg.reference else None, completions, masks_per)
     marks.append(time.perf_counter())
 
     if cfg.centering:

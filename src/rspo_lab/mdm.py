@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sequences import MASKED_TOKEN, Sequence
+from .sequences import MASKED_TOKEN, Sequence, left_pad
 
 
 def alpha_linear(t: float) -> float:
@@ -112,23 +112,29 @@ def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfi
     completion = seq.completion.reshape(len(rngs), cfg.gen_len)
     masked = seq.masked.reshape(len(rngs), cfg.gen_len)
     rows = np.arange(len(rngs))[:, None]
+    # masked positions left in the active block at each step of a block
+    lefts = range(cfg.block_size, 0, -cfg.unmask_per_step)
+    # a step draws one uniform per such position from every stream;
+    # Generator.random is split-invariant, so one call per stream for the
+    # whole decode, sliced per step, draws what one call per step would
+    uniforms = np.array([rng.random(cfg.gen_len // cfg.block_size * sum(lefts))
+                         for rng in rngs])
+    drawn = 0
     for start in range(0, cfg.gen_len, cfg.block_size):
-        left = cfg.block_size
-        while left:
+        for left in lefts:
             # the still-masked positions of the block, ascending, per completion
             where = np.zeros_like(masked)
             where[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
             cand = params.logprobs(seq, where.reshape(shape)).reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
-            u = np.array([rng.random(left) for rng in rngs])
-            tok = _sample_categorical(cand, cfg.temperature, u)
+            tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
+            drawn += left
             conf = np.exp(cand[rows, np.arange(left), tok])
             # highest confidence first; ties broken by lowest index
             best = np.lexsort((active, -conf))[:, :cfg.unmask_per_step]
             commit = active[rows, best]
             completion[rows, commit] = tok[rows, best]
             masked[rows, commit] = False
-            left -= best.shape[1]
     return seq
 
 
@@ -164,14 +170,9 @@ def sample_completion_groups(
     so each group equals ``sample_completion_group`` on that prompt."""
     if group_size < 2:
         raise ValueError("group size must be >= 2 for a relative signal")
-    prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
-    width = max((p.size for p in prompts), default=0)
-    padded = np.full((len(prompts), width), -1, dtype=np.int64)
-    for row, p in zip(padded, prompts):
-        row[width - p.size:] = p
     rngs = [child for _ in prompts for child in rng.spawn(group_size)]
-    stack = _unmask(params, np.repeat(padded, group_size, axis=0), (len(rngs), cfg.gen_len),
-                    cfg, rngs)
+    stack = _unmask(params, np.repeat(left_pad(prompts), group_size, axis=0),
+                    (len(rngs), cfg.gen_len), cfg, rngs)
     rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
     return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# logprob_sum_grad stays importable from score, where the benchmark's tracer wraps it
-from .denoiser import (DenoiserParams, backward, denoiser_logprobs, forward,  # noqa: F401
-                       logprob_sum_grad)
-from .sequences import MASKED_TOKEN, Sequence
+from . import denoiser
+# denoiser_logprobs and logprob_sum_grad stay importable from score, where the
+# benchmark's tracer wraps them
+from .denoiser import DenoiserParams, denoiser_logprobs, logprob_sum_grad  # noqa: F401
+from .sequences import MASKED_TOKEN, Sequence, left_pad
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,17 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> MaskBatch:
 
 
 class _MaskStack:
-    """Clean completions sharing a prompt, each corrupted at every distinct
-    position set of its masks and stacked so that one denoiser forward at the
-    stack's masked positions scores every (completion, distinct set) row
-    once.  Stack rows keep first-occurrence order, completion by completion.
-    That forward's rows are flat in C order, so each stack row's masked
-    positions, and each completion's rows, are contiguous."""
+    """Clean completions, each corrupted at every distinct position set of
+    its masks and stacked so that one denoiser forward at the stack's masked
+    positions scores every (completion, distinct set) row once.  Each stack
+    row carries its completion's prompt, left-padded with -1 to the widest
+    prompt.  Stack rows keep first-occurrence order, completion by
+    completion.  That forward's rows are flat in C order, so each stack
+    row's masked positions, and each completion's rows, are contiguous."""
 
     def __init__(self, group: list[Sequence], masks_per: list[MaskBatch]):
         if not group or len(group) != len(masks_per):
             raise ValueError("need one mask list per completion, and a completion")
-        if any(not np.array_equal(seq.prompt, group[0].prompt) for seq in group[1:]):
-            raise ValueError("a scored group must share one prompt")
         for seq, masks in zip(group, masks_per):
             if not masks:
                 raise ValueError("need at least one mask sample")
@@ -163,8 +163,10 @@ class _MaskStack:
             self.spans.append(range(first, len(sets)))
         masked = np.frombuffer(b"".join(sets), dtype=bool).reshape(len(sets), l_c)
         self.sizes = masked.sum(axis=1)
-        clean_rows = np.repeat(self.clean, [len(span) for span in self.spans], axis=0)
-        self.stack = Sequence(group[0].prompt, np.where(masked, MASKED_TOKEN, clean_rows), masked)
+        n_rows = [len(span) for span in self.spans]  # stack rows per completion
+        clean_rows = np.repeat(self.clean, n_rows, axis=0)
+        prompts = np.repeat(left_pad([seq.prompt for seq in group]), n_rows, axis=0)
+        self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows), masked)
         self.tokens = clean_rows[masked]  # the clean token at each forward row
         self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
         self.by_size = []  # per set size s: its stack rows and their (rows, s) forward rows
@@ -174,7 +176,7 @@ class _MaskStack:
 
     def logprobs(self, params: DenoiserParams) -> np.ndarray:
         """The denoiser's log-probability rows at the stack's masked positions."""
-        return denoiser_logprobs(params, self.stack, self.stack.masked)
+        return denoiser.denoiser_logprobs(params, self.stack, self.stack.masked)
 
     def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
         """Per completion, the per-mask terms from the log-probability rows
@@ -189,6 +191,10 @@ class _MaskStack:
             by_row[rows] = (l_c / cells.shape[1]) * picked[cells].sum(axis=1)
         return [by_row[which] for which in self.which]
 
+    def means(self, logprobs: np.ndarray) -> list[float]:
+        """Per completion, the mean of its per-mask terms."""
+        return [float(t.mean()) for t in self.terms(logprobs)]
+
     def grad(self, params: DenoiserParams, fwd, c: int, scale: float) -> np.ndarray:
         """Gradient of ``scale`` times completion ``c``'s mean term, by one
         backward through the forward ``fwd`` at the stack's masked
@@ -198,17 +204,20 @@ class _MaskStack:
         sizes = self.sizes[span.start:span.stop]
         weights = np.repeat(scale * counts * (l_c / sizes) / which.size, sizes)
         rows = slice(self.starts[span.start], self.starts[span.stop])
-        return backward(params, fwd, rows, self.tokens[rows], weights)
+        return denoiser.backward(params, fwd, rows, self.tokens[rows], weights)
 
-    def deltas(self, cur_logprobs: np.ndarray, params_ref: DenoiserParams | None) -> list[float]:
-        """Per completion, the per-token current-reference score difference;
-        the reference scores come from one forward over the same stack."""
+    def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
+        """Per completion, the per-token current-reference score difference,
+        and the current forward.  The reference forward runs first and is
+        reduced to its means before the current forward is built, so the two
+        are never alive together."""
         l_c = self.clean.shape[1]
-        cur = [float(t.mean()) for t in self.terms(cur_logprobs)]
-        if params_ref is None:
-            return [value / l_c for value in cur]
-        ref = [float(t.mean()) for t in self.terms(self.logprobs(params_ref))]
-        return [(a - b) / l_c for a, b in zip(cur, ref)]
+        ref = None if params_ref is None else self.means(self.logprobs(params_ref))
+        fwd = denoiser.forward(params_cur, self.stack, self.stack.masked)
+        cur = self.means(fwd[0])
+        if ref is None:
+            return [value / l_c for value in cur], fwd
+        return [(a - b) / l_c for a, b in zip(cur, ref)], fwd
 
 
 def elbo_score(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> ElboEstimate:
@@ -222,7 +231,7 @@ def elbo_score(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> ElboE
 def elbo_grad(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
     """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
     stack = _MaskStack([seq], [masks])
-    return stack.grad(params, forward(params, stack.stack, stack.stack.masked), 0, 1.0)
+    return stack.grad(params, denoiser.forward(params, stack.stack, stack.stack.masked), 0, 1.0)
 
 
 def coupled_delta(
@@ -237,8 +246,8 @@ def coupled_delta(
     exactly zero.  Without a reference (``params_ref`` None) the result is
     the per-token current score.
     """
-    stack = _MaskStack([seq], [masks])
-    return stack.deltas(stack.logprobs(params_cur), params_ref)[0]
+    deltas, _ = _MaskStack([seq], [masks]).deltas(params_cur, params_ref)
+    return deltas[0]
 
 
 def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
@@ -253,16 +262,15 @@ def coupled_deltas_and_grads(
     group: list[Sequence],
     masks_per: list[MaskBatch],
 ) -> tuple[list[float], list[np.ndarray]]:
-    """``coupled_delta`` and ``delta_grad`` of every completion of a group
-    sharing one prompt, completion ``c`` under ``masks_per[c]``: one current
-    and one reference forward over the whole group's stack, each at its
-    masked positions only, then one backward per completion through the
-    current forward."""
+    """``coupled_delta`` and ``delta_grad`` of every completion of ``group``,
+    whose prompts may differ, completion ``c`` under ``masks_per[c]``: one
+    reference and one current forward over the whole stack, each at its
+    masked positions only, then one backward per completion through its
+    slice of the current forward."""
     stack = _MaskStack(group, masks_per)
-    fwd = forward(params_cur, stack.stack, stack.stack.masked)
+    deltas, fwd = stack.deltas(params_cur, params_ref)
     scale = 1.0 / stack.clean.shape[1]
-    return (stack.deltas(fwd[0], params_ref),
-            [stack.grad(params_cur, fwd, c, scale) for c in range(len(group))])
+    return deltas, [stack.grad(params_cur, fwd, c, scale) for c in range(len(group))]
 
 
 def center_scores(deltas) -> RelativeScoreBatch:

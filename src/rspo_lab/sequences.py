@@ -20,6 +20,17 @@ import numpy as np
 MASKED_TOKEN = -1
 
 
+def left_pad(prompts) -> np.ndarray:
+    """One row per prompt, each left-padded with -1 to the widest prompt:
+    the per-completion prompt layout of a stack."""
+    prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
+    width = max((p.size for p in prompts), default=0)
+    padded = np.full((len(prompts), width), -1, dtype=np.int64)
+    for row, p in zip(padded, prompts):
+        row[width - p.size:] = p
+    return padded
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Ordered token alphabet with a distinguished mask token."""

@@ -200,6 +200,39 @@ class TestTrainStep:
         with pytest.raises(RunAborted):
             train_step(init_state(cfg), cfg)
 
+    @pytest.mark.parametrize("reference,score_forwards", [(True, 2), (False, 1)])
+    def test_default_step_kernel_calls(self, tmp_path, monkeypatch, reference, score_forwards):
+        # a default step decodes in one forward per decode step, scores the
+        # whole micro-batch in one forward per model, and backpropagates
+        # once per completion
+        calls = []
+        phase = ["score"]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((phase[0], name))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sample = mdm.sample_completion_groups
+
+        def decode(*args, **kwargs):
+            phase[0] = "decode"
+            try:
+                return sample(*args, **kwargs)
+            finally:
+                phase[0] = "score"
+
+        monkeypatch.setattr(mdm, "sample_completion_groups", decode)
+        monkeypatch.setattr(denoiser, "forward", counted("forward", denoiser.forward))
+        monkeypatch.setattr(denoiser, "backward", counted("backward", denoiser.backward))
+        cfg = RunConfig(reference=reference, out_dir=str(tmp_path))
+        train_step(init_state(cfg), cfg)
+        assert calls.count(("decode", "forward")) == cfg.gen_len // cfg.unmask_per_step == 8
+        assert calls.count(("score", "forward")) == score_forwards
+        assert calls.count(("score", "backward")) == cfg.groups_per_batch * cfg.group_size == 24
+        assert len(calls) == 8 + score_forwards + 24
+
 
 class TestMovingPolicyStep:
     @pytest.mark.parametrize("task,k_masks", [("countdown", 2), ("sudoku4", 8)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -303,6 +304,27 @@ class TestProductionSize:
             want[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
             assert np.array_equal(where, want)
         assert sum(int(where.sum()) for _, where in calls) == 24 * 2 * (8 + 6 + 4 + 2)
+
+
+@pytest.mark.parametrize("block_size,unmask,temperature,digest", [
+    (8, 2, 0.9, "5fbafea3d32d28e6db59dd8e229660e825b589b77daae143366d50d30b9f9c10"),
+    (8, 3, 0.9, "ab217bcca592bea269bfe6d14c4b0faf8a05099d9a702039df4f5dd60a3274f0"),
+    (16, 16, 0.9, "89638e15395011c2b73df3482e39099a998520721142067c1ff186099fc24b18"),
+    (8, 2, 0.0, "37a381366e58a958ef7ef8a9b45ae5384321cb29b46a0483128bb909f8f86781"),
+])
+def test_sample_completion_groups_match_recorded_digest(block_size, unmask, temperature,
+                                                        digest):
+    # four groups of six on countdown's ragged prompts (widths 8 and 9); the
+    # digests pin every child stream's uniform draws and the tokens they pick
+    rng = np.random.default_rng(21)
+    params, _ = default_model("countdown", rng)
+    prompts = task_prompts("countdown", 4, rng)
+    cfg = DecodeConfig(gen_len=16, block_size=block_size, unmask_per_step=unmask,
+                       temperature=temperature)
+    groups = sample_completion_groups(params, prompts, 6, cfg, rng)
+    assert {p.size for p in prompts} == {8, 9}
+    blob = np.array([[c.completion for c in group] for group in groups]).tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestTies:

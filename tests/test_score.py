@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import central_diff, default_model, task_prompts, tiny_params, tiny_sequence
+from rspo_lab import denoiser
 from rspo_lab.denoiser import denoiser_logprobs, init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
@@ -253,15 +255,23 @@ class TestGroupScoring:
             np.testing.assert_allclose(
                 grads[0], delta_grad(cur, group[0], masks_per[0]), rtol=1e-12, atol=1e-15)
 
-    def test_group_must_share_prompt(self, rng):
-        params = tiny_params(seed=6)
-        group = [tiny_sequence(rng), tiny_sequence(rng)]
-        group[1].prompt[0] = (group[0].prompt[0] + 1) % 4
-        masks = [MaskBatch.from_samples([MaskSample(0.5, (0,))])] * 2
-        with pytest.raises(ValueError, match="share one prompt"):
-            coupled_deltas_and_grads(params, None, group, masks)
+    def test_mixed_prompts_equal_each_member_alone(self, rng):
+        # prompts of every length 0..P and two equal ones, scored in one call:
+        # every member's delta and gradient bit for bit as when scored alone
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        prompts = [rng.integers(0, 4, size=n) for n in range(4)]
+        prompts.append(prompts[2].copy())
+        group = [Sequence(p, rng.integers(0, 4, size=3)) for p in prompts]
+        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
+        masks_per[4] = MaskBatch.from_samples([*masks_per[2][:1], *masks_per[4]])
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
+            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
+                assert delta == one == coupled_delta(cur, params_ref, seq, masks)
+                assert np.array_equal(grad, one_grad)
         with pytest.raises(ValueError, match="mask list"):
-            coupled_deltas_and_grads(params, None, group[:1], masks)
+            coupled_deltas_and_grads(cur, None, group[:1], masks_per)
 
 
 class TestProductionSize:
@@ -282,6 +292,47 @@ class TestProductionSize:
                 assert delta == coupled_delta(cur, ref, seq, masks)
                 # 1/L_c is a power of two, so scaling inside or after is exact
                 assert np.array_equal(grad, delta_grad(cur, seq, masks))
+
+    def test_micro_batch_equals_each_member_alone(self):
+        # a whole default countdown micro-batch, four groups of six on
+        # prompts of widths 8 and 9, scored in one call
+        rng = np.random.default_rng(7)
+        cur, ref = default_model("countdown", rng)
+        mask_id = char_vocab().mask_id
+        prompts = task_prompts("countdown", 4, rng)
+        assert {p.size for p in prompts} == {8, 9}
+        batch = [Sequence(p, rng.integers(0, mask_id, size=16)) for p in prompts for _ in range(6)]
+        masks_per = [sample_mask_sets(16, 2, rng) for _ in batch]
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks_per)
+            for seq, masks, delta, grad in zip(batch, masks_per, deltas, grads):
+                assert delta == coupled_delta(cur, params_ref, seq, masks)
+                assert np.array_equal(grad, delta_grad(cur, seq, masks))
+
+    def test_peak_memory_stays_below_two_forwards(self):
+        # a score-heavy micro-batch: 24 sudoku4 completions, 8 masks each.
+        # The reference forward is reduced and released before the current
+        # one is built, and the features carry their gemm padding, so the
+        # call's peak stays below two forwards' activations (about 1.6 of
+        # them; a current forward kept alive through the reference forward
+        # reaches about 2.3)
+        rng = np.random.default_rng(9)
+        cur, ref = default_model("sudoku4", rng)
+        mask_id = char_vocab().mask_id
+        batch = [Sequence(p, rng.integers(0, mask_id, size=16))
+                 for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
+        masks_per = [sample_mask_sets(16, 8, rng) for _ in batch]
+        stack = _MaskStack(batch, masks_per)
+        logprobs, (x, ctx, h) = denoiser.forward(cur, stack.stack, stack.stack.masked)
+        one_forward = logprobs.nbytes + x.nbytes + ctx.nbytes + h.nbytes
+        del stack, logprobs, x, ctx, h
+        tracemalloc.start()
+        try:
+            coupled_deltas_and_grads(cur, ref, batch, masks_per)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one_forward
 
 
 class TestMaskStack:
