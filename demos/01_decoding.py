@@ -25,11 +25,12 @@ def main():
     print(f"prompt: {inst.prompt_text!r}  (answer: {inst.payload['answer']})")
     print()
 
-    # instrument the model to show the mask pattern before every denoiser call
+    # instrument the model to show the mask pattern before every denoiser call;
+    # the decoder hands it a stack holding the one completion
     class Narrator:
         def logprobs(self, seq, where):
-            print("  state:", decode_tokens(np.where(seq.masked, vocab.mask_id,
-                                                     seq.completion), vocab))
+            print("  state:", decode_tokens(np.where(seq.masked[0], vocab.mask_id,
+                                                     seq.completion[0]), vocab))
             return params.logprobs(seq, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2,

@@ -7,7 +7,6 @@ reward tasks, and a reproducible training harness.
 from .sequences import MASKED_TOKEN, Sequence, Vocab
 from .denoiser import (
     DenoiserParams,
-    denoiser_logprob_grad,
     denoiser_logprobs,
     init_params,
     load_params,
@@ -19,18 +18,15 @@ from .mdm import (
     decode_semi_ar,
     forward_mask,
     reverse_step,
-    sample_completion_group,
     sample_completion_groups,
 )
 from .score import (
-    ElboEstimate,
     MaskBatch,
-    MaskSample,
     RelativeScoreBatch,
     batch_mean_offset,
     center_scores,
-    coupled_delta,
-    elbo_score,
+    coupled_deltas_and_grads,
+    elbo_terms,
     sample_mask_sets,
     uncentered_scores,
     var_delta,
@@ -54,11 +50,9 @@ __all__ = [
     "AdvantageConfig",
     "DecodeConfig",
     "DenoiserParams",
-    "ElboEstimate",
     "LossOutput",
     "MASKED_TOKEN",
     "MaskBatch",
-    "MaskSample",
     "RelativeScoreBatch",
     "RunConfig",
     "Sequence",
@@ -69,11 +63,10 @@ __all__ = [
     "aw_loss",
     "batch_mean_offset",
     "center_scores",
-    "coupled_delta",
+    "coupled_deltas_and_grads",
     "decode_semi_ar",
-    "denoiser_logprob_grad",
     "denoiser_logprobs",
-    "elbo_score",
+    "elbo_terms",
     "fixed_point_residual",
     "forward_mask",
     "group_advantages",
@@ -85,7 +78,6 @@ __all__ = [
     "rspo_loss",
     "rspo_weights",
     "run_experiment",
-    "sample_completion_group",
     "sample_completion_groups",
     "sample_mask_sets",
     "save_params",

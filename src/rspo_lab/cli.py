@@ -123,10 +123,11 @@ def cmd_audit(args) -> int:
                            completion=rng.integers(0, 4, size=3))
             exact = oracle.exact_elbo_expectation(params, seq)
             masks = score.sample_mask_sets(3, 20000, rng)
-            est = score.elbo_score(params, seq, masks)
-            se = float(est.terms.std(ddof=1)) / np.sqrt(est.k)
-            if not (abs(est.value - exact) <= 4 * se):  # NaN fails too
-                raise AssertionError(f"MC estimate {est.value} vs exact {exact} (se {se})")
+            (terms,) = score.elbo_terms(params, [seq], [masks])
+            value = float(terms.mean())
+            se = float(terms.std(ddof=1)) / np.sqrt(terms.size)
+            if not (abs(value - exact) <= 4 * se):  # NaN fails too
+                raise AssertionError(f"MC estimate {value} vs exact {exact} (se {se})")
 
     def centered_target():
         for _ in range(20):

@@ -209,34 +209,6 @@ def denoiser_logprobs(params: DenoiserParams, seq: Sequence,
     return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
 
 
-def logprob_sum_grad(
-    params: DenoiserParams,
-    seq: Sequence,
-    positions,
-    tokens,
-) -> np.ndarray:
-    """Gradient w.r.t. theta of sum_j log p(tokens[j] | seq) at positions[j]
-    of one completion."""
-    positions = np.asarray(positions, dtype=np.int64)
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if positions.shape != tokens.shape:
-        raise ValueError("positions and tokens must align")
-    return backward(params, forward(params, seq), positions, tokens,
-                    np.ones(positions.size))
-
-
-def denoiser_logprob_grad(
-    params: DenoiserParams,
-    seq: Sequence,
-    position: int,
-    token: int,
-) -> np.ndarray:
-    """Analytic gradient of log p(token | seq) at one masked position."""
-    if not seq.masked[position]:
-        raise ValueError(f"position {position} is not masked")
-    return logprob_sum_grad(params, seq, [position], [token])
-
-
 def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over
     ``path``: a write that fails midway leaves the previous file untouched."""

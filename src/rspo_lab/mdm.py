@@ -4,6 +4,7 @@ and semi-autoregressive confidence decoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,13 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("gen_len", "block_size", "unmask_per_step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.gen_len % self.block_size != 0:
             raise ValueError("block_size must divide gen_len")
-        if self.unmask_per_step < 1:
-            raise ValueError("unmask_per_step must be >= 1")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
 
@@ -95,22 +99,19 @@ def reverse_step(
     return z_s
 
 
-def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfig,
-            rngs) -> Sequence:
-    """Confidence-decode fully masked completions of ``shape``: (gen_len,)
-    for one, (len(rngs), gen_len) for a stack decoded in lockstep;
-    completion ``b`` draws from ``rngs[b]``.  ``prompt`` is shared, or one
-    left-padded row per completion.
+def _unmask(params, prompt: np.ndarray, cfg: DecodeConfig, rngs) -> Sequence:
+    """Confidence-decode a (len(rngs), gen_len) stack of fully masked
+    completions in lockstep; completion ``b`` draws from ``rngs[b]``.
+    ``prompt`` is shared, or one left-padded row per completion.
 
     Every step commits ``min(unmask_per_step, still masked)`` positions of
     the active block in every completion, so all completions keep the same
     number of masked positions and share one stacked forward per step, which
     evaluates only those still-masked positions of the block.
     """
+    shape = (len(rngs), cfg.gen_len)
     seq = Sequence(prompt, np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
-    # (completions, gen_len) views: one row per completion
-    completion = seq.completion.reshape(len(rngs), cfg.gen_len)
-    masked = seq.masked.reshape(len(rngs), cfg.gen_len)
+    completion, masked = seq.completion, seq.masked
     rows = np.arange(len(rngs))[:, None]
     # masked positions left in the active block at each step of a block
     lefts = range(cfg.block_size, 0, -cfg.unmask_per_step)
@@ -125,7 +126,7 @@ def _unmask(params, prompt: np.ndarray, shape: tuple[int, ...], cfg: DecodeConfi
             # the still-masked positions of the block, ascending, per completion
             where = np.zeros_like(masked)
             where[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
-            cand = params.logprobs(seq, where.reshape(shape)).reshape(len(rngs), left, -1)
+            cand = params.logprobs(seq, where).reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
             tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
             drawn += left
@@ -154,7 +155,8 @@ def decode_semi_ar(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return _unmask(params, prompt, (cfg.gen_len,), cfg, [rng])
+    stack = _unmask(params, prompt, cfg, [rng])
+    return Sequence(prompt, stack.completion[0])
 
 
 def sample_completion_groups(
@@ -167,23 +169,13 @@ def sample_completion_groups(
     """Decode ``group_size`` completions per prompt, all groups in lockstep
     over one stack whose prompts are left-padded to one width.  Each prompt's
     completions draw from ``rng.spawn(group_size)``, spawned in prompt order,
-    so each group equals ``sample_completion_group`` on that prompt."""
+    so each group equals this call on that prompt alone."""
     if group_size < 2:
         raise ValueError("group size must be >= 2 for a relative signal")
+    if not prompts:
+        raise ValueError("need at least one prompt")
     rngs = [child for _ in prompts for child in rng.spawn(group_size)]
-    stack = _unmask(params, np.repeat(left_pad(prompts), group_size, axis=0),
-                    (len(rngs), cfg.gen_len), cfg, rngs)
+    stack = _unmask(params, np.repeat(left_pad(prompts), group_size, axis=0), cfg, rngs)
     rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
     return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]
 
-
-def sample_completion_group(
-    params: DenoiserParams,
-    prompt: np.ndarray,
-    group_size: int,
-    cfg: DecodeConfig,
-    rng: np.random.Generator,
-) -> list[Sequence]:
-    """Decode ``group_size`` completions in lockstep, each on its own child
-    RNG stream; each equals ``decode_semi_ar`` on that stream."""
-    return sample_completion_groups(params, [prompt], group_size, cfg, rng)[0]

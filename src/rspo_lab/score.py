@@ -14,24 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-# denoiser_logprobs and logprob_sum_grad stay importable from score, where the
-# benchmark's tracer wraps them
-from .denoiser import DenoiserParams, denoiser_logprobs, logprob_sum_grad  # noqa: F401
+from .denoiser import DenoiserParams
 from .sequences import MASKED_TOKEN, Sequence, left_pad
-
-
-@dataclass(frozen=True)
-class MaskSample:
-    """One Monte Carlo corruption: a noise time and a nonempty position set."""
-
-    t: float
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.positions) == 0:
-            raise ValueError("mask position set must be nonempty")
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"mask time t={self.t} outside (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +23,7 @@ class MaskBatch:
     """``k`` Monte Carlo corruptions as arrays: noise times ``t`` (k,) and the
     boolean position sets ``hits`` (k, width), one nonempty row per mask.
     Positions at and past ``width`` are unmasked, so a batch scores any
-    completion at least ``width`` long.  It is also a sequence of
-    ``MaskSample`` views: ``len``, iteration, an int index gives a row and a
-    slice gives a batch."""
+    completion at least ``width`` long."""
 
     t: np.ndarray
     hits: np.ndarray
@@ -58,34 +40,8 @@ class MaskBatch:
             raise ValueError("hits rows must each hold a nonempty position set")
         object.__setattr__(self, "t", t)
 
-    @classmethod
-    def from_samples(cls, samples) -> "MaskBatch":
-        """The batch of hand-written ``MaskSample`` rows, ``width`` one past
-        their largest position."""
-        samples = list(samples)
-        width = max((max(m.positions) + 1 for m in samples), default=0)
-        hits = np.zeros((len(samples), width), dtype=bool)
-        for row, m in enumerate(samples):
-            hits[row, list(m.positions)] = True
-        return cls(np.array([m.t for m in samples]), hits)
-
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return MaskBatch(self.t[i], self.hits[i])
-        return MaskSample(float(self.t[i]), tuple(np.flatnonzero(self.hits[i]).tolist()))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-@dataclass
-class ElboEstimate:
-    value: float
-    k: int
-    terms: np.ndarray
 
 
 @dataclass
@@ -137,7 +93,7 @@ class _MaskStack:
             if not masks:
                 raise ValueError("need at least one mask sample")
             if not isinstance(masks, MaskBatch):
-                raise TypeError("masks must be a MaskBatch; see MaskBatch.from_samples")
+                raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
             if not seq.is_clean():
                 raise ValueError("scoring expects a clean sequence")
         self.clean = np.array([seq.completion for seq in group])
@@ -220,40 +176,15 @@ class _MaskStack:
         return [(a - b) / l_c for a, b in zip(cur, ref)], fwd
 
 
-def elbo_score(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> ElboEstimate:
-    """Monte Carlo sequence score: average over masks of the mask-size
-    reweighted sum of denoising log-probabilities at masked positions."""
-    stack = _MaskStack([seq], [masks])
-    terms = stack.terms(stack.logprobs(params))[0]
-    return ElboEstimate(value=float(terms.mean()), k=len(masks), terms=terms)
-
-
-def elbo_grad(params: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
-    """Gradient w.r.t. theta of the elbo_score value under fixed masks."""
-    stack = _MaskStack([seq], [masks])
-    return stack.grad(params, denoiser.forward(params, stack.stack, stack.stack.masked), 0, 1.0)
-
-
-def coupled_delta(
-    params_cur: DenoiserParams,
-    params_ref: DenoiserParams | None,
-    seq: Sequence,
-    masks: MaskBatch,
-) -> float:
-    """Per-token current-reference score difference under shared masks.
-
-    The same mask draws evaluate both models, so identical parameters give
-    exactly zero.  Without a reference (``params_ref`` None) the result is
-    the per-token current score.
-    """
-    deltas, _ = _MaskStack([seq], [masks]).deltas(params_cur, params_ref)
-    return deltas[0]
-
-
-def delta_grad(params_cur: DenoiserParams, seq: Sequence, masks: MaskBatch) -> np.ndarray:
-    """Gradient of the coupled score difference; only the current model side
-    depends on theta."""
-    return elbo_grad(params_cur, seq, masks) / seq.completion_len
+def elbo_terms(params: DenoiserParams, group: list[Sequence],
+               masks_per: list[MaskBatch]) -> list[np.ndarray]:
+    """Per completion of ``group``, whose prompts may differ, its Monte Carlo
+    sequence score terms under ``masks_per[c]``, one per mask: the mask-size
+    reweighted sum of denoising log-probabilities at the masked positions.
+    Their mean is the score estimate.  One forward over the whole stack, at
+    its masked positions only."""
+    stack = _MaskStack(group, masks_per)
+    return stack.terms(stack.logprobs(params))
 
 
 def coupled_deltas_and_grads(
@@ -262,9 +193,15 @@ def coupled_deltas_and_grads(
     group: list[Sequence],
     masks_per: list[MaskBatch],
 ) -> tuple[list[float], list[np.ndarray]]:
-    """``coupled_delta`` and ``delta_grad`` of every completion of ``group``,
-    whose prompts may differ, completion ``c`` under ``masks_per[c]``: one
-    reference and one current forward over the whole stack, each at its
+    """Per completion of ``group``, whose prompts may differ, completion ``c``
+    under ``masks_per[c]``: the per-token current-reference score difference
+    (the difference of the mean ``elbo_terms`` of the two models, divided by
+    the completion length) and its gradient w.r.t. the current theta.
+
+    The same masks evaluate both models, so identical parameters give
+    exactly zero.  Without a reference (``params_ref`` None) the delta is
+    the per-token current score.  Only the current side depends on theta.
+    One reference and one current forward over the whole stack, each at its
     masked positions only, then one backward per completion through its
     slice of the current forward."""
     stack = _MaskStack(group, masks_per)

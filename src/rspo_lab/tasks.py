@@ -15,7 +15,6 @@ score zero rather than raising.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -382,30 +381,3 @@ def clean_sequence(instance: TaskInstance, completion_text: str, vocab: Vocab) -
         completion=encode_text(completion_text, vocab),
     )
 
-
-def save_instances(path, instances: list[TaskInstance]) -> None:
-    """One instance per line: kind, prompt, payload, split."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps({
-                "kind": inst.kind,
-                "prompt": inst.prompt_text,
-                "payload": inst.payload,
-                "split": inst.split,
-            }, sort_keys=True) + "\n")
-
-
-def load_instances(path) -> list[TaskInstance]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(TaskInstance(
-                kind=obj["kind"],
-                prompt_text=obj["prompt"],
-                payload=obj["payload"],
-                split=obj.get("split"),
-            ))
-    return out

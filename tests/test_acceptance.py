@@ -84,16 +84,17 @@ def test_criterion_01_gradient_identity(rng):
         lam = float(rng.choice([0.0, 0.01, 0.1]))
         adv = zero_sum_adv(rng, 3)
 
+        ref_terms = score.elbo_terms(ref, seqs, mask_sets)
+
         def deltas_at(theta):
-            p = params.replace_theta(theta)
+            cur_terms = score.elbo_terms(params.replace_theta(theta), seqs, mask_sets)
             return np.array([
-                (score.elbo_score(p, s, ms).value
-                 - score.elbo_score(ref, s, ms).value) / s.completion_len
-                for s, ms in zip(seqs, mask_sets)
+                (float(a.mean()) - float(b.mean())) / s.completion_len
+                for s, a, b in zip(seqs, cur_terms, ref_terms)
             ])
 
         batch = score.center_scores(deltas_at(params.theta))
-        grads = [score.delta_grad(params, s, ms) for s, ms in zip(seqs, mask_sets)]
+        _, grads = score.coupled_deltas_and_grads(params, ref, seqs, mask_sets)
         grad = objectives.rspo_gradient(batch, adv, lam, grads)
 
         w0 = objectives.rspo_weights(adv, batch.centered, lam)
@@ -136,11 +137,8 @@ def test_criterion_03_reference_point_equality(rng):
     # real pipeline with current model equal to the reference
     params = tiny_params(seed=9)
     seqs = [tiny_sequence(rng) for _ in range(4)]
-    deltas, grads = [], []
-    for s in seqs:
-        masks = score.sample_mask_sets(s.completion_len, 2, rng)
-        deltas.append(score.coupled_delta(params, params.copy(), s, masks))
-        grads.append(score.delta_grad(params, s, masks))
+    mask_sets = [score.sample_mask_sets(s.completion_len, 2, rng) for s in seqs]
+    deltas, grads = score.coupled_deltas_and_grads(params, params.copy(), seqs, mask_sets)
     assert all(d == 0.0 for d in deltas)
     batch = score.center_scores(deltas)
     adv = objectives.group_advantages([1.0, 0.0, 0.0, 1.0])
@@ -221,12 +219,13 @@ def test_criterion_06_estimator_exactness(rng):
         seq = tiny_sequence(rng)
         exact = oracle.exact_elbo_expectation(params, seq)
         masks = score.sample_mask_sets(seq.completion_len, 100_000, rng)
-        est = score.elbo_score(params, seq, masks)
-        se = float(est.terms.std(ddof=1)) / math.sqrt(est.k)
-        assert abs(est.value - exact) <= 3 * se, f"instance {trial}"
+        (terms,) = score.elbo_terms(params, [seq], [masks])
+        se = float(terms.std(ddof=1)) / math.sqrt(terms.size)
+        assert abs(float(terms.mean()) - exact) <= 3 * se, f"instance {trial}"
         # identical models cancel exactly under shared masks
         masks = score.sample_mask_sets(seq.completion_len, 2, rng)
-        assert score.coupled_delta(params, params.copy(), seq, masks) == 0.0
+        (delta,), _ = score.coupled_deltas_and_grads(params, params.copy(), [seq], [masks])
+        assert delta == 0.0
     print("PASS criterion-06 estimator-exactness (20 instances within 3 SE)")
 
 

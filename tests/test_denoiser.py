@@ -7,16 +7,22 @@ from conftest import central_diff, tiny_params, tiny_sequence
 from rspo_lab.denoiser import (
     _features,
     backward,
-    denoiser_logprob_grad,
     denoiser_logprobs,
     forward,
     init_params,
     load_params,
-    logprob_sum_grad,
     save_params,
 )
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
+
+
+def logprob_grad(params, seq, positions, tokens):
+    """Gradient of sum_j log p(tokens[j] | seq) at positions[j] of one
+    completion, by one backward through its forward at every position."""
+    positions = np.asarray(positions)
+    return backward(params, forward(params, seq), positions, np.asarray(tokens),
+                    np.ones(positions.size))
 
 
 class TestLogprobs:
@@ -55,7 +61,7 @@ class TestLogprobs:
         params = tiny_params(seed=3)
         seq = tiny_sequence(rng).with_masked([0, 2])
         tok = int(seq.completion[0]) if seq.completion[0] >= 0 else 0
-        grad = logprob_sum_grad(params, seq, [0], [tok])
+        grad = logprob_grad(params, seq, [0], [tok])
         coord = int(np.argmax(grad))
         assert grad[coord] > 0
         h = 1e-5
@@ -155,9 +161,9 @@ class TestStack:
             total = backward(params, forward(params, stack),
                              items * stack.completion_len + positions, tokens, weights)
             singles = sum(
-                w * denoiser_logprob_grad(
+                w * logprob_grad(
                     params, Sequence(stack.prompt, stack.completion[i], stack.masked[i]),
-                    int(p), int(t))
+                    [p], [t])
                 for i, p, t, w in zip(items, positions, tokens, weights))
             np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
 
@@ -219,7 +225,7 @@ class TestGradients:
             z = seq.with_masked(masked)
             pos = int(rng.choice(masked))
             tok = int(rng.integers(4))
-            grad = denoiser_logprob_grad(params, z, pos, tok)
+            grad = logprob_grad(params, z, [pos], [tok])
 
             def f(theta):
                 return denoiser_logprobs(params.replace_theta(theta), z)[pos, tok]
@@ -238,8 +244,8 @@ class TestGradients:
                 rng.choice(4, size=int(rng.integers(2, 5)), replace=False))
             positions = np.flatnonzero(z.masked)
             tokens = rng.integers(0, 2, size=positions.size)
-            total = logprob_sum_grad(params, z, positions, tokens)
-            singles = sum(denoiser_logprob_grad(params, z, int(p), int(t))
+            total = logprob_grad(params, z, positions, tokens)
+            singles = sum(logprob_grad(params, z, [int(p)], [int(t)])
                           for p, t in zip(positions, tokens))
             np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
 
@@ -250,21 +256,15 @@ class TestGradients:
         lp = denoiser_logprobs(params, z)
         total = np.zeros_like(params.theta)
         for v in range(params.vocab_size):
-            total += math.exp(lp[1, v]) * denoiser_logprob_grad(params, z, 1, v)
+            total += math.exp(lp[1, v]) * logprob_grad(params, z, [1], [v])
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
-
-    def test_unmasked_position_rejected(self, rng):
-        params = tiny_params(seed=7)
-        z = tiny_sequence(rng).with_masked([1])
-        with pytest.raises(ValueError, match="not masked"):
-            denoiser_logprob_grad(params, z, 0, 0)
 
     def test_absent_features_have_zero_gradient(self, rng):
         # embedding rows of tokens nowhere visible in the context stay zero
         params = tiny_params(seed=8)
         seq = tiny_sequence(rng, vocab_size=2)  # tokens 0/1 only
         z = seq.with_masked([0])
-        grad = denoiser_logprob_grad(params, z, 0, 0)
+        grad = logprob_grad(params, z, [0], [0])
         embed_grad = grad[: params.vocab_size * params.embed_dim].reshape(
             params.vocab_size, params.embed_dim
         )

@@ -253,16 +253,17 @@ class TestMovingPolicyStep:
         insts = [harness._gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
         advantages, deltas, grads = [], [], []
         for inst in insts:
-            group = mdm.sample_completion_group(
-                params, tasks.encode_text(inst.prompt_text, vocab), cfg.group_size,
-                cfg.decode_config(), rollout_rng)
+            group = mdm.sample_completion_groups(
+                params, [tasks.encode_text(inst.prompt_text, vocab)], cfg.group_size,
+                cfg.decode_config(), rollout_rng)[0]
             rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
                        for c in group]
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:
                 masks = score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
-                deltas.append(score.coupled_delta(params, ref, c, masks))
-                grads.append(score.delta_grad(params, c, masks))
+                (delta,), (grad,) = score.coupled_deltas_and_grads(params, ref, [c], [masks])
+                deltas.append(delta)
+                grads.append(grad)
         grad = objectives.rspo_gradient(score.center_scores(deltas), advantages, cfg.lam, grads)
         theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1,
                                   cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)

@@ -13,7 +13,6 @@ from rspo_lab.mdm import (
     decode_semi_ar,
     forward_mask,
     reverse_step,
-    sample_completion_group,
     sample_completion_groups,
 )
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
@@ -147,6 +146,16 @@ class TestDecode:
         with pytest.raises(ValueError):
             DecodeConfig(gen_len=10, block_size=4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("gen_len", 0), ("gen_len", -8), ("block_size", 0), ("block_size", -4),
+        ("unmask_per_step", 0), ("temperature", float("nan")),
+        ("temperature", float("inf")), ("temperature", -0.5),
+    ])
+    def test_invalid_config_names_field(self, field, value):
+        # block_size 0 is rejected before gen_len % block_size can divide by it
+        with pytest.raises(ValueError, match=f"^{field} "):
+            DecodeConfig(**{field: value})
+
     def test_fully_unmasked_output(self, rng):
         params = tiny_params(seed=5)
         out = decode_semi_ar(params, np.array([1]), self.cfg(gen_len=4, block_size=4), rng)
@@ -167,8 +176,8 @@ class TestDecode:
         decode_semi_ar(Spy(), np.array([1]), self.cfg(), rng)
         for masked in snapshots:
             # later blocks must stay fully masked until earlier ones finish
-            if masked[:4].any():
-                assert masked[4:].all()
+            if masked[..., :4].any():
+                assert masked[..., 4:].all()
 
     def test_step_count(self, rng):
         params = wide_params()
@@ -203,13 +212,21 @@ class TestCompletionGroups:
     def test_group_of_one_rejected(self, rng):
         params = tiny_params(seed=5)
         with pytest.raises(ValueError):
-            sample_completion_group(params, np.array([1]), 1,
-                                    DecodeConfig(gen_len=4, block_size=4), rng)
+            sample_completion_groups(params, [np.array([1])], 1,
+                                     DecodeConfig(gen_len=4, block_size=4), rng)
+
+    def test_no_prompts_rejected(self, rng):
+        # rejected before anything is drawn from rng
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^need at least one prompt$"):
+            sample_completion_groups(tiny_params(seed=5), [], 4,
+                                     DecodeConfig(gen_len=4, block_size=4), rng)
+        assert rng.bit_generator.state == state
 
     def test_temperature_zero_collapses(self, rng):
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.0)
-        group = sample_completion_group(params, np.array([1]), 4, cfg, rng)
+        group = sample_completion_groups(params, [np.array([1])], 4, cfg, rng)[0]
         first = group[0].completion
         for comp in group[1:]:
             assert np.array_equal(comp.completion, first)
@@ -218,10 +235,10 @@ class TestCompletionGroups:
         # the first completions agree regardless of how many siblings follow
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.9)
-        a = sample_completion_group(params, np.array([1]), 2, cfg,
-                                    np.random.default_rng(3))
-        b = sample_completion_group(params, np.array([1]), 4, cfg,
-                                    np.random.default_rng(3))
+        a = sample_completion_groups(params, [np.array([1])], 2, cfg,
+                                     np.random.default_rng(3))[0]
+        b = sample_completion_groups(params, [np.array([1])], 4, cfg,
+                                     np.random.default_rng(3))[0]
         assert np.array_equal(a[0].completion, b[0].completion)
         assert np.array_equal(a[1].completion, b[1].completion)
 
@@ -232,8 +249,8 @@ class TestCompletionGroups:
         cfg = DecodeConfig(gen_len=8, block_size=block_size, unmask_per_step=unmask,
                            temperature=temperature)
         for seed in range(5):
-            group = sample_completion_group(params, np.array([1, 3]), 5, cfg,
-                                            np.random.default_rng(seed))
+            group = sample_completion_groups(params, [np.array([1, 3])], 5, cfg,
+                                             np.random.default_rng(seed))[0]
             children = np.random.default_rng(seed).spawn(5)
             for comp, child in zip(group, children):
                 alone = decode_semi_ar(params, np.array([1, 3]), cfg, child)
@@ -255,7 +272,7 @@ class TestCompletionGroups:
                                               np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             for prompt, group in zip(prompts, groups):
-                alone = sample_completion_group(params, prompt, 3, cfg, rng)
+                alone = sample_completion_groups(params, [prompt], 3, cfg, rng)[0]
                 for comp, want in zip(group, alone):
                     assert np.array_equal(comp.prompt, prompt)
                     assert np.array_equal(comp.completion, want.completion)
@@ -276,7 +293,7 @@ class TestProductionSize:
                                                   np.random.default_rng(seed))
                 alone_rng = np.random.default_rng(seed)
                 for prompt, group in zip(prompts, groups):
-                    alone = sample_completion_group(params, prompt, 6, cfg, alone_rng)
+                    alone = sample_completion_groups(params, [prompt], 6, cfg, alone_rng)[0]
                     for comp, want in zip(group, alone):
                         assert np.array_equal(comp.completion, want.completion)
 
@@ -338,7 +355,7 @@ class TestTies:
                 return np.full((int(where.sum()), 4), -math.log(4))
 
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
-        sample_completion_group(Uniform(), np.array([1]), 3, cfg, rng)
+        sample_completion_groups(Uniform(), [np.array([1])], 3, cfg, rng)
         before = [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1],
                   [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
         assert len(snapshots) == len(before)

@@ -13,35 +13,42 @@ from rspo_lab.sequences import MASKED_TOKEN, Sequence
 from rspo_lab.tasks import char_vocab
 from rspo_lab.score import (
     MaskBatch,
-    MaskSample,
     _MaskStack,
     batch_mean_offset,
     center_scores,
-    coupled_delta,
     coupled_deltas_and_grads,
-    delta_grad,
-    elbo_grad,
-    elbo_score,
+    elbo_terms,
     sample_mask_sets,
     uncentered_scores,
     var_delta,
 )
 
 
+def masks_of(width: int, *rows) -> MaskBatch:
+    """A batch of hand-written ``(t, positions)`` masks, ``width`` wide."""
+    hits = np.zeros((len(rows), width), dtype=bool)
+    for row, (_, positions) in zip(hits, rows):
+        row[list(positions)] = True
+    return MaskBatch(np.array([t for t, _ in rows]), hits)
+
+
+def take(masks: MaskBatch, rows) -> MaskBatch:
+    """The batch of ``masks``' rows ``rows``, a slice or an index list."""
+    return MaskBatch(masks.t[rows], masks.hits[rows])
+
+
+def join(*batches: MaskBatch) -> MaskBatch:
+    """One batch of the rows of ``batches``, in order."""
+    return MaskBatch(np.concatenate([m.t for m in batches]),
+                     np.concatenate([m.hits for m in batches]))
+
+
 class TestMaskLaw:
     def test_sample_validity(self, rng):
-        for m in sample_mask_sets(4, 200, rng):
-            assert 0.0 < m.t <= 1.0
-            assert len(m.positions) >= 1
-            assert all(0 <= p < 4 for p in m.positions)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            MaskSample(t=0.5, positions=())
-
-    def test_time_zero_rejected(self):
-        with pytest.raises(ValueError):
-            MaskSample(t=0.0, positions=(0,))
+        masks = sample_mask_sets(4, 200, rng)
+        assert len(masks) == 200 and masks.hits.shape == (200, 4)
+        assert ((0.0 < masks.t) & (masks.t <= 1.0)).all()
+        assert masks.hits.any(axis=1).all()
 
     @pytest.mark.parametrize("l_c,digest", [
         # l_c = 1 leaves about half of each round's rows empty, so it resamples
@@ -53,7 +60,7 @@ class TestMaskLaw:
     def test_sample_mask_sets_match_recorded_digest(self, l_c, digest):
         # the draw order is pinned: each round draws the missing rows' times,
         # then their Bernoulli matrix, and keeps the nonempty rows in order;
-        # the digests were recorded from the per-draw MaskSample sampler
+        # the digests were recorded from an earlier sampler that drew one mask at a time
         masks = sample_mask_sets(l_c, 64, np.random.default_rng(5))
         assert masks.hits.shape == (64, l_c)
         assert hashlib.sha256(masks.t.tobytes() + masks.hits.tobytes()).hexdigest() == digest
@@ -64,14 +71,14 @@ class TestMaskLaw:
         # against the exact law, 4-sigma multinomial tolerance
         n = 200_000
         rng = np.random.default_rng(77)
-        counts: dict[tuple[int, ...], int] = {}
-        for m in sample_mask_sets(l_c, n, rng):
-            counts[m.positions] = counts.get(m.positions, 0) + 1
+        # each set counted under its bit code, position i as bit i
+        bits = 1 << np.arange(l_c)
+        counts = np.bincount(sample_mask_sets(l_c, n, rng).hits @ bits, minlength=2 ** l_c)
         for size in range(1, l_c + 1):
-            for positions in itertools.combinations(range(l_c), size):
-                p = mask_set_weight(positions, l_c)
+            for subset in itertools.combinations(range(l_c), size):
+                p = mask_set_weight(subset, l_c)
                 sigma = np.sqrt(p * (1 - p) / n)
-                freq = counts.get(positions, 0) / n
+                freq = counts[bits[list(subset)].sum()] / n
                 assert abs(freq - p) < 4 * sigma + 1e-9
 
     def test_weights_sum_to_one(self):
@@ -99,56 +106,38 @@ class TestMaskBatch:
         with pytest.raises(ValueError, match=f"^{field} "):
             MaskBatch(np.asarray(t), hits)
 
-    def test_sequence_of_samples(self, rng):
-        masks = sample_mask_sets(5, 12, rng)
-        samples = list(masks)
-        assert len(masks) == len(samples) == 12
-        for i, m in enumerate(samples):
-            assert m == masks[i] == MaskSample(float(masks.t[i]), tuple(np.flatnonzero(masks.hits[i])))
-        assert masks[-1] == samples[-1]
-        part = masks[3:9:2]
-        assert isinstance(part, MaskBatch) and list(part) == samples[3:9:2]
-        again = MaskBatch.from_samples(samples)
-        width = again.hits.shape[1]
-        assert np.array_equal(again.t, masks.t)
-        assert np.array_equal(again.hits, masks.hits[:, :width])
-        assert not masks.hits[:, width:].any()
-
     def test_scoring_takes_only_batches(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
         with pytest.raises(TypeError, match="MaskBatch"):
-            elbo_score(params, seq, [MaskSample(0.5, (0,))])
+            elbo_terms(params, [seq], [[(0.5, (0,))]])
         with pytest.raises(ValueError, match="past the completion"):
-            elbo_score(params, seq, MaskBatch.from_samples([MaskSample(0.5, (3,))]))
+            elbo_terms(params, [seq], [masks_of(4, (0.5, (3,)))])
 
 
 class TestElboScore:
     def test_manual_value(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        masks = MaskBatch.from_samples(
-            [MaskSample(t=0.5, positions=(0, 2)), MaskSample(t=0.9, positions=(1,))])
-        est = elbo_score(params, seq, masks)
+        (terms,) = elbo_terms(params, [seq], [masks_of(3, (0.5, (0, 2)), (0.9, (1,)))])
         lp_a = params.logprobs(seq.with_masked((0, 2)))
         lp_b = params.logprobs(seq.with_masked((1,)))
         term_a = (3 / 2) * (lp_a[0, seq.completion[0]] + lp_a[2, seq.completion[2]])
         term_b = (3 / 1) * lp_b[1, seq.completion[1]]
-        assert abs(est.value - 0.5 * (term_a + term_b)) < 1e-12
-        assert est.k == 2
+        assert abs(terms.mean() - 0.5 * (term_a + term_b)) < 1e-12
+        assert terms.size == 2
 
     def test_duplicate_masks_share_terms(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        m = MaskSample(t=0.5, positions=(0,))
-        est = elbo_score(params, seq, MaskBatch.from_samples([m, m, m]))
-        assert est.terms[0] == est.terms[1] == est.terms[2]
+        m = (0.5, (0,))
+        (terms,) = elbo_terms(params, [seq], [masks_of(3, m, m, m)])
+        assert terms[0] == terms[1] == terms[2]
 
     def test_masked_input_rejected(self, rng):
         params = tiny_params(seed=1)
         with pytest.raises(ValueError, match="clean"):
-            elbo_score(params, tiny_sequence(rng).with_masked([0]),
-                       MaskBatch.from_samples([MaskSample(0.5, (0,))]))
+            elbo_terms(params, [tiny_sequence(rng).with_masked([0])], [masks_of(3, (0.5, (0,)))])
 
     def test_monte_carlo_matches_enumeration(self, rng):
         # z-test of the K-sample estimator against the closed-form expectation
@@ -156,9 +145,9 @@ class TestElboScore:
         seq = tiny_sequence(rng)
         exact = exact_elbo_expectation(params, seq)
         masks = sample_mask_sets(seq.completion_len, 40_000, np.random.default_rng(11))
-        est = elbo_score(params, seq, masks)
-        se = est.terms.std(ddof=1) / np.sqrt(est.k)
-        assert abs(est.value - exact) < 5 * se
+        (terms,) = elbo_terms(params, [seq], [masks])
+        se = terms.std(ddof=1) / np.sqrt(terms.size)
+        assert abs(terms.mean() - exact) < 5 * se
 
     def test_estimator_is_unbiased_per_mask_count(self, rng):
         # grouping the same draws into K=1 vs K=4 estimators leaves the
@@ -166,8 +155,9 @@ class TestElboScore:
         params = tiny_params(seed=2)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 400, np.random.default_rng(4))
-        whole = elbo_score(params, seq, masks).value
-        chunks = [elbo_score(params, seq, masks[i:i + 4]).value for i in range(0, 400, 4)]
+        whole = elbo_terms(params, [seq], [masks])[0].mean()
+        chunks = [elbo_terms(params, [seq], [take(masks, slice(i, i + 4))])[0].mean()
+                  for i in range(0, 400, 4)]
         assert abs(np.mean(chunks) - whole) < 1e-10
 
 
@@ -176,24 +166,27 @@ class TestScoreGradients:
         params = tiny_params(seed=3)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        grad = elbo_grad(params, seq, masks)
+        # without a reference the delta is the per-token score
+        _, (grad,) = coupled_deltas_and_grads(params, None, [seq], [masks])
 
         def f(theta):
-            return elbo_score(params.replace_theta(theta), seq, masks).value
+            terms = elbo_terms(params.replace_theta(theta), [seq], [masks])[0]
+            return float(terms.mean()) / seq.completion_len
 
         fd = central_diff(f, params.theta)
         denom = np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(grad)))
         assert np.max(np.abs(fd - grad) / denom) < 1e-4
 
     def test_delta_grad_is_length_scaled(self, rng):
+        # the delta's gradient is the per-token score's gradient whatever the
+        # reference, since only the current side depends on theta; the test
+        # above checks that gradient against central differences
         params = tiny_params(seed=3)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, rng)
-        np.testing.assert_allclose(
-            delta_grad(params, seq, masks),
-            elbo_grad(params, seq, masks) / seq.completion_len,
-            rtol=0, atol=0,
-        )
+        _, (grad,) = coupled_deltas_and_grads(params, tiny_params(seed=4), [seq], [masks])
+        _, (per_token,) = coupled_deltas_and_grads(params, None, [seq], [masks])
+        np.testing.assert_allclose(grad, per_token, rtol=0, atol=0)
 
 
 class TestCoupledDelta:
@@ -201,7 +194,7 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        delta = coupled_delta(params, params.copy(), seq, masks)
+        (delta,), _ = coupled_deltas_and_grads(params, params.copy(), [seq], [masks])
         assert delta == 0.0
 
     def test_sign_tracks_likelihood(self, rng):
@@ -209,10 +202,10 @@ class TestCoupledDelta:
         ref = tiny_params(seed=5)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, np.random.default_rng(8))
-        delta0 = coupled_delta(ref, ref, seq, masks)
-        step = 0.05 * elbo_grad(ref, seq, masks)
+        (delta0,), (grad,) = coupled_deltas_and_grads(ref, ref, [seq], [masks])
+        step = 0.05 * seq.completion_len * grad  # along the score gradient
         cur = ref.replace_theta(ref.theta + step)
-        d_cur = coupled_delta(cur, ref, seq, masks)
+        (d_cur,), _ = coupled_deltas_and_grads(cur, ref, [seq], [masks])
         assert delta0 == 0.0
         assert d_cur > 0.0
 
@@ -220,19 +213,21 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        want = elbo_score(params, seq, masks).value / seq.completion_len
-        assert coupled_delta(params, None, seq, masks) == want
+        want = float(elbo_terms(params, [seq], [masks])[0].mean()) / seq.completion_len
+        (delta,), _ = coupled_deltas_and_grads(params, None, [seq], [masks])
+        assert delta == want
 
     def test_k_zero_rejected(self, rng):
         # masks come from the sampler, which rejects k < 1 and l_c < 1;
-        # an empty mask list is rejected by the score itself
+        # an empty mask batch is rejected by the score itself
         params = tiny_params(seed=4)
         with pytest.raises(ValueError, match="k >= 1"):
             sample_mask_sets(3, 0, rng)
         with pytest.raises(ValueError, match="completion length"):
             sample_mask_sets(0, 2, rng)
-        with pytest.raises(ValueError):
-            coupled_delta(params, params, tiny_sequence(rng), [])
+        empty = MaskBatch(np.empty(0), np.zeros((0, 3), dtype=bool))
+        with pytest.raises(ValueError, match="at least one mask"):
+            coupled_deltas_and_grads(params, params, [tiny_sequence(rng)], [empty])
 
 
 class TestGroupScoring:
@@ -244,16 +239,14 @@ class TestGroupScoring:
         prompt = rng.integers(0, 4, size=2)
         group = [Sequence(prompt, rng.integers(0, 4, size=3)) for _ in range(5)]
         masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[1] = MaskBatch.from_samples([*masks_per[1], *masks_per[1][:1]])
-        masks_per[2] = MaskBatch.from_samples([*masks_per[0][:1], *masks_per[2]])
+        masks_per[1] = join(masks_per[1], take(masks_per[1], [0]))
+        masks_per[2] = join(take(masks_per[0], [0]), masks_per[2])
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
             for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
                 (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
-                assert delta == one == coupled_delta(cur, params_ref, seq, masks)
+                assert delta == one
                 assert np.array_equal(grad, one_grad)
-            np.testing.assert_allclose(
-                grads[0], delta_grad(cur, group[0], masks_per[0]), rtol=1e-12, atol=1e-15)
 
     def test_mixed_prompts_equal_each_member_alone(self, rng):
         # prompts of every length 0..P and two equal ones, scored in one call:
@@ -263,15 +256,37 @@ class TestGroupScoring:
         prompts.append(prompts[2].copy())
         group = [Sequence(p, rng.integers(0, 4, size=3)) for p in prompts]
         masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[4] = MaskBatch.from_samples([*masks_per[2][:1], *masks_per[4]])
+        masks_per[4] = join(take(masks_per[2], [0]), masks_per[4])
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
             for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
                 (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
-                assert delta == one == coupled_delta(cur, params_ref, seq, masks)
+                assert delta == one
                 assert np.array_equal(grad, one_grad)
         with pytest.raises(ValueError, match="mask list"):
             coupled_deltas_and_grads(cur, None, group[:1], masks_per)
+
+    def test_value_only_and_gradient_paths_agree(self, rng):
+        # mixed prompts and repeated mask sets: elbo_terms over the whole group
+        # equals each member scored alone, and the mean terms of the two
+        # models give coupled_deltas_and_grads' deltas, bit for bit
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        prompts = [rng.integers(0, 4, size=n) for n in (2, 0, 3, 1, 2)]
+        group = [Sequence(p, rng.integers(0, 4, size=3)) for p in prompts]
+        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
+        masks_per[1] = join(masks_per[1], take(masks_per[1], [0, 0]))
+        masks_per[3] = join(take(masks_per[0], [-1]), masks_per[3], take(masks_per[2], [0]))
+        cur_terms = elbo_terms(cur, group, masks_per)
+        ref_terms = elbo_terms(ref, group, masks_per)
+        for seq, masks, terms in zip(group, masks_per, cur_terms):
+            (alone,) = elbo_terms(cur, [seq], [masks])
+            assert terms.shape == (len(masks),)
+            assert np.array_equal(terms, alone)
+        deltas, _ = coupled_deltas_and_grads(cur, ref, group, masks_per)
+        assert deltas == [(float(a.mean()) - float(b.mean())) / 3
+                          for a, b in zip(cur_terms, ref_terms)]
+        deltas, _ = coupled_deltas_and_grads(cur, None, group, masks_per)
+        assert deltas == [float(a.mean()) / 3 for a in cur_terms]
 
 
 class TestProductionSize:
@@ -289,9 +304,9 @@ class TestProductionSize:
             masks_per = [sample_mask_sets(16, k_masks, rng) for _ in group]
             deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks_per)
             for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
-                assert delta == coupled_delta(cur, ref, seq, masks)
-                # 1/L_c is a power of two, so scaling inside or after is exact
-                assert np.array_equal(grad, delta_grad(cur, seq, masks))
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, ref, [seq], [masks])
+                assert delta == one
+                assert np.array_equal(grad, one_grad)
 
     def test_micro_batch_equals_each_member_alone(self):
         # a whole default countdown micro-batch, four groups of six on
@@ -306,8 +321,9 @@ class TestProductionSize:
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks_per)
             for seq, masks, delta, grad in zip(batch, masks_per, deltas, grads):
-                assert delta == coupled_delta(cur, params_ref, seq, masks)
-                assert np.array_equal(grad, delta_grad(cur, seq, masks))
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
+                assert delta == one
+                assert np.array_equal(grad, one_grad)
 
     def test_peak_memory_stays_below_two_forwards(self):
         # a score-heavy micro-batch: 24 sudoku4 completions, 8 masks each.
@@ -344,12 +360,12 @@ class TestMaskStack:
         group = [Sequence(prompt, rng.integers(0, 4, size=20)) for _ in range(6)]
         masks_per = [sample_mask_sets(20, 8, rng) for _ in group]
         stack = _MaskStack(group, masks_per)
-        sizes = {len(m.positions) for masks in masks_per for m in masks}
+        sizes = {int(n) for masks in masks_per for n in masks.hits.sum(axis=1)}
         assert min(sizes) < 8 <= max(sizes)
         for seq, masks, terms in zip(group, masks_per, stack.terms(stack.logprobs(params))):
             want = []
-            for m in masks:
-                idx = np.asarray(m.positions)
+            for row in masks.hits:
+                idx = np.flatnonzero(row)
                 lp = denoiser_logprobs(params, seq.with_masked(idx))
                 want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
             assert np.array_equal(terms, want)
@@ -360,9 +376,10 @@ class TestMaskStack:
         # the per-completion dict.fromkeys dedup over position tuples
         which, spans, sets = [], [], []
         for masks in masks_per:
-            distinct = list(dict.fromkeys(m.positions for m in masks))
+            sets_of = [tuple(np.flatnonzero(row).tolist()) for row in masks.hits]
+            distinct = list(dict.fromkeys(sets_of))
             index = {s: len(sets) + j for j, s in enumerate(distinct)}
-            which.append(np.array([index[m.positions] for m in masks]))
+            which.append(np.array([index[s] for s in sets_of]))
             spans.append(range(len(sets), len(sets) + len(distinct)))
             sets.extend(distinct)
         return which, spans, sets
@@ -374,8 +391,8 @@ class TestMaskStack:
             group = [Sequence(prompt, rng.integers(0, 4, size=l_c)) for _ in range(4)]
             masks_per = [sample_mask_sets(l_c, int(rng.integers(1, k_max + 1)), rng) for _ in group]
             # repeat a set within a completion and share one across completions
-            masks_per[1] = MaskBatch.from_samples([*masks_per[1], masks_per[1][0], masks_per[0][0]])
-            masks_per[3] = MaskBatch.from_samples([masks_per[2][-1], *masks_per[3], masks_per[3][0]])
+            masks_per[1] = join(masks_per[1], take(masks_per[1], [0]), take(masks_per[0], [0]))
+            masks_per[3] = join(take(masks_per[2], [-1]), masks_per[3], take(masks_per[3], [0]))
             stack = _MaskStack(group, masks_per)
             which, spans, sets = self._reference_stack(masks_per)
             assert len(stack.which) == len(which)

@@ -15,12 +15,10 @@ from rspo_lab.tasks import (
     gen_arith,
     gen_countdown,
     gen_sudoku4,
-    load_instances,
     reward,
     reward_arith,
     reward_countdown,
     reward_sudoku4,
-    save_instances,
     split_by_solution,
     valid_sudoku4,
 )
@@ -210,17 +208,3 @@ class TestPlumbing:
         assert decode_tokens(seq.prompt, v) == "1+1=?"
         assert decode_tokens(seq.completion, v) == "2"
         assert seq.is_clean()
-
-    def test_instance_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        instances = [gen_arith(rng), gen_countdown(rng), gen_sudoku4(rng)]
-        instances[0].split = "train"
-        path = tmp_path / "instances.jsonl"
-        save_instances(path, instances)
-        loaded = load_instances(path)
-        assert len(loaded) == 3
-        for a, b in zip(instances, loaded):
-            assert a.kind == b.kind
-            assert a.prompt_text == b.prompt_text
-            assert a.payload == b.payload
-            assert a.split == b.split
