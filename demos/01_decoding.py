@@ -33,8 +33,7 @@ def main():
                                                      seq.completion[0]), vocab))
             return params.logprobs(seq, where)
 
-    cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2,
-                       temperature=0.9, seed=0)
+    cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
     out = decode_semi_ar(Narrator(), prompt, cfg, rng)
     print("  final:", decode_tokens(out.completion, vocab))

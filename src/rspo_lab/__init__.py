@@ -5,13 +5,7 @@ reward tasks, and a reproducible training harness.
 """
 
 from .sequences import MASKED_TOKEN, Sequence, Vocab
-from .denoiser import (
-    DenoiserParams,
-    denoiser_logprobs,
-    init_params,
-    load_params,
-    save_params,
-)
+from .denoiser import DenoiserParams, init_params
 from .mdm import (
     DecodeConfig,
     alpha_linear,
@@ -32,7 +26,6 @@ from .score import (
     var_delta,
 )
 from .objectives import (
-    AdvantageConfig,
     LossOutput,
     aw_loss,
     fixed_point_residual,
@@ -47,7 +40,6 @@ from .harness import RunConfig, StepMetrics, adam_update, run_experiment, train_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageConfig",
     "DecodeConfig",
     "DenoiserParams",
     "LossOutput",
@@ -65,13 +57,11 @@ __all__ = [
     "center_scores",
     "coupled_deltas_and_grads",
     "decode_semi_ar",
-    "denoiser_logprobs",
     "elbo_terms",
     "fixed_point_residual",
     "forward_mask",
     "group_advantages",
     "init_params",
-    "load_params",
     "quad_loss",
     "reverse_step",
     "rspo_gradient",
@@ -80,7 +70,6 @@ __all__ = [
     "run_experiment",
     "sample_completion_groups",
     "sample_mask_sets",
-    "save_params",
     "train_step",
     "uncentered_scores",
     "var_delta",

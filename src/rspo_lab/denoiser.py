@@ -76,7 +76,13 @@ class DenoiserParams:
         return self.replace_theta(self.theta.copy())
 
     def logprobs(self, seq: Sequence, where: np.ndarray | None = None) -> np.ndarray:
-        return denoiser_logprobs(self, seq, where)
+        """Per-position log-probability table over the vocab, shape (L_c, size)
+        for one completion and (..., L_c, size) for a stack; with ``where``
+        (shape of ``seq.completion``), only its True entries, as flat rows
+        (n, size) in C order.  Rows exponentiate-and-sum to one; the
+        computation is deterministic in its inputs."""
+        logprobs = forward(self, seq, where)[0]
+        return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
 
 
 def init_params(
@@ -195,20 +201,6 @@ def backward(params: DenoiserParams, fwd, rows, tokens, weights) -> np.ndarray:
     )
 
 
-def denoiser_logprobs(params: DenoiserParams, seq: Sequence,
-                      where: np.ndarray | None = None) -> np.ndarray:
-    """Per-position log-probability table over the vocab, shape (L_c, size)
-    for one completion and (..., L_c, size) for a stack; with ``where``
-    (shape of ``seq.completion``), only its True entries, as flat rows
-    (n, size) in C order.
-
-    Rows exponentiate-and-sum to one; the computation is deterministic in its
-    inputs.
-    """
-    logprobs = forward(params, seq, where)[0]
-    return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
-
-
 def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over
     ``path``: a write that fails midway leaves the previous file untouched."""
@@ -221,20 +213,6 @@ def write_atomic(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def save_params(path, params: DenoiserParams) -> None:
-    """Binary checkpoint: fixed header then little-endian float64 parameters."""
-    write_atomic(path, params_to_bytes(params))
-
-
-def load_params(path) -> DenoiserParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    params, end = params_from_bytes(data)
-    if end != len(data):
-        raise ValueError(f"{len(data) - end} trailing bytes after the params section")
-    return params
 
 
 def params_to_bytes(params: DenoiserParams) -> bytes:

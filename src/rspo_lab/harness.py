@@ -98,8 +98,6 @@ class RunConfig:
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
             ("adam_eps", self.adam_eps > 0, "> 0"),
             ("weight_decay", self.weight_decay >= 0, ">= 0"),
-            ("gen_len", self.gen_len >= 1, ">= 1"),
-            ("block_size", self.block_size >= 1, ">= 1"),
             ("modulus", 2 <= self.modulus <= 100, "in 2..100"),  # what gen_arith accepts
             ("hidden", self.hidden >= 1, ">= 1"),
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
@@ -113,7 +111,7 @@ class RunConfig:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, name)!r}")
         if self.task not in tasks.GENERATORS:
             raise ValueError(f"unknown task {self.task!r}")
-        self.decode_config()  # gen_len/block_size, unmask_per_step, temperature
+        self.decode_config()  # gen_len, block_size, unmask_per_step, temperature
 
     def to_dict(self) -> dict:
         out = {}
@@ -143,13 +141,12 @@ class RunConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def decode_config(self, seed: int = 0) -> mdm.DecodeConfig:
+    def decode_config(self) -> mdm.DecodeConfig:
         return mdm.DecodeConfig(
             gen_len=self.gen_len,
             block_size=self.block_size,
             unmask_per_step=self.unmask_per_step,
             temperature=self.temperature,
-            seed=seed,
         )
 
 
@@ -279,6 +276,18 @@ def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstanc
     return tasks.gen_sudoku4(rng)
 
 
+def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
+    """The micro-batch's prompt instances, drawn from ``prompt_rng``, and a
+    group of completions per prompt, decoded from ``rollout_rng``."""
+    vocab = tasks.char_vocab()
+    insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
+    groups = mdm.sample_completion_groups(
+        params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
+        cfg.group_size, cfg.decode_config(), rollout_rng,
+    )
+    return insts, groups
+
+
 def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetrics]:
     """One optimizer step over a micro-batch of complete prompt groups: all
     groups decode in lockstep, and the whole micro-batch is scored in one
@@ -288,14 +297,9 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     vocab = tasks.char_vocab()
     prompt_rng, rollout_rng, mask_rng = _step_rngs(cfg, state.step)
 
-    insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
-    groups = mdm.sample_completion_groups(
-        state.params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
-        cfg.group_size, cfg.decode_config(), rollout_rng,
-    )
+    insts, groups = _rollout(state.params, cfg, prompt_rng, rollout_rng)
     marks.append(time.perf_counter())
 
-    adv_cfg = objectives.AdvantageConfig(normalize=cfg.normalize_adv)
     rewards_all: list[float] = []
     advantages: list[float] = []
     zero_std = 0
@@ -303,7 +307,7 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab)) for c in group]
         if np.std(rewards) == 0.0:
             zero_std += 1
-        advantages.extend(objectives.group_advantages(rewards, adv_cfg))
+        advantages.extend(objectives.group_advantages(rewards, cfg.normalize_adv))
         rewards_all.extend(rewards)
     marks.append(time.perf_counter())
 
@@ -443,6 +447,7 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
             mfh.flush()
             tfh.write(json.dumps({"step": metrics.step, "wall_time": metrics.wall_time,
                                   **metrics.phase_times}) + "\n")
+            tfh.flush()
             if cfg.checkpoint_every and state.step % cfg.checkpoint_every == 0:
                 save_checkpoint(out / f"checkpoint_{state.step:06d}.bin", state, cfg)
 
@@ -456,8 +461,14 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
         var_tail = float(np.mean([h.var_delta for h in tail]))
         offset_tail = float(np.mean([abs(h.batch_mean_offset) for h in history]))
     else:
-        init_metrics = _init_summary_metrics(cfg)
-        final_reward = init_metrics["mean_reward"]
+        # the untouched initialization; one generator for prompts and rollouts,
+        # as recorded steps=0 summaries were drawn
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
+        insts, groups = _rollout(state.params, cfg, rng, rng)
+        vocab = tasks.char_vocab()
+        final_reward = float(np.mean([
+            tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
+            for inst, group in zip(insts, groups) for c in group]))
         var_tail = 0.0
         offset_tail = 0.0
 
@@ -477,23 +488,6 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
     write_atomic(out / SUMMARY_FILE, _json_bytes(summary))
     save_checkpoint(out / "checkpoint_final.bin", state, cfg)
     return state, summary
-
-
-def _init_summary_metrics(cfg: RunConfig) -> dict:
-    """Evaluation of the untouched initialization (used for steps=0 runs)."""
-    state = init_state(cfg)
-    vocab = tasks.char_vocab()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
-    # spawning children draws nothing from rng, so drawing every instance
-    # before the spawns matches alternating them
-    insts = [_gen_instance(cfg, rng) for _ in range(cfg.groups_per_batch)]
-    groups = mdm.sample_completion_groups(
-        state.params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
-        cfg.group_size, cfg.decode_config(), rng,
-    )
-    rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
-               for inst, group in zip(insts, groups) for c in group]
-    return {"mean_reward": float(np.mean(rewards))}
 
 
 def read_metrics(path) -> list[dict]:

@@ -26,7 +26,6 @@ class DecodeConfig:
     block_size: int = 8
     unmask_per_step: int = 2
     temperature: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("gen_len", "block_size", "unmask_per_step"):
@@ -143,7 +142,7 @@ def decode_semi_ar(
     params: DenoiserParams,
     prompt: np.ndarray,
     cfg: DecodeConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Sequence:
     """Block-wise confidence decoding.
 
@@ -153,8 +152,6 @@ def decode_semi_ar(
     sampled token has the highest denoiser probability, breaking ties by
     lowest position index.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     stack = _unmask(params, prompt, cfg, [rng])
     return Sequence(prompt, stack.completion[0])
 

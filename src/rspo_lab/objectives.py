@@ -16,14 +16,7 @@ import numpy as np
 from .score import RelativeScoreBatch
 
 
-@dataclass(frozen=True)
-class AdvantageConfig:
-    normalize: bool = False
-    epsilon: float = 1e-4
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+ADV_EPSILON = 1e-4  # added to the group's reward std when normalizing
 
 
 @dataclass
@@ -33,7 +26,7 @@ class LossOutput:
     decomposition: dict = field(default_factory=dict)
 
 
-def group_advantages(rewards, cfg: AdvantageConfig = AdvantageConfig()) -> np.ndarray:
+def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
     """Zero-sum advantages for one prompt group: rewards minus the group
     mean, optionally divided by the population reward std plus the
     stabilizer.  Zero-variance groups are retained (all advantages zero)."""
@@ -41,8 +34,8 @@ def group_advantages(rewards, cfg: AdvantageConfig = AdvantageConfig()) -> np.nd
     if rewards.size < 2:
         raise ValueError("group size must be >= 2")
     adv = rewards - rewards.mean()
-    if cfg.normalize:
-        adv = adv / (rewards.std() + cfg.epsilon)
+    if normalize:
+        adv = adv / (rewards.std() + ADV_EPSILON)
     return adv
 
 

@@ -11,6 +11,7 @@ Oracles run inside the test suite and the audit command only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -298,8 +299,10 @@ def countdown_solvable(numbers, target: int) -> bool:
     return False
 
 
-def all_sudoku4_grids() -> list[np.ndarray]:
-    """Every complete 4x4 grid satisfying row/column/box constraints."""
+@functools.cache
+def all_sudoku4_grids() -> np.ndarray:
+    """Every complete 4x4 grid satisfying row/column/box constraints, as one
+    read-only (288, 4, 4) array; the brute-force scan runs once."""
     grids = []
     perms = list(itertools.permutations((1, 2, 3, 4)))
     for rows in itertools.product(perms, repeat=4):
@@ -317,13 +320,13 @@ def all_sudoku4_grids() -> list[np.ndarray]:
                     ok = False
         if ok:
             grids.append(g)
-    return grids
+    catalogue = np.array(grids)
+    catalogue.flags.writeable = False
+    return catalogue
 
 
 def sudoku4_solutions_by_enumeration(puzzle: np.ndarray) -> int:
     """Count solutions by scanning the full grid catalogue."""
     puzzle = np.asarray(puzzle, dtype=np.int64).reshape(4, 4)
     given = puzzle != 0
-    return sum(
-        1 for g in all_sudoku4_grids() if np.array_equal(g[given], puzzle[given])
-    )
+    return int((all_sudoku4_grids()[:, given] == puzzle[given]).all(axis=1).sum())

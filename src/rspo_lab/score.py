@@ -132,7 +132,7 @@ class _MaskStack:
 
     def logprobs(self, params: DenoiserParams) -> np.ndarray:
         """The denoiser's log-probability rows at the stack's masked positions."""
-        return denoiser.denoiser_logprobs(params, self.stack, self.stack.masked)
+        return params.logprobs(self.stack, self.stack.masked)
 
     def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
         """Per completion, the per-mask terms from the log-probability rows

@@ -48,12 +48,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    def index(self, char: str) -> int:
-        try:
-            return self.tokens.index(char)
-        except ValueError:
-            raise KeyError(f"character {char!r} not in vocab") from None
-
 
 @dataclass
 class Sequence:

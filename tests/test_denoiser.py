@@ -7,11 +7,10 @@ from conftest import central_diff, tiny_params, tiny_sequence
 from rspo_lab.denoiser import (
     _features,
     backward,
-    denoiser_logprobs,
     forward,
     init_params,
-    load_params,
-    save_params,
+    params_from_bytes,
+    params_to_bytes,
 )
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
@@ -32,28 +31,28 @@ class TestLogprobs:
             seq = tiny_sequence(rng).with_masked(
                 rng.choice(3, size=rng.integers(1, 4), replace=False)
             )
-            lp = denoiser_logprobs(params, seq)
+            lp = params.logprobs(seq)
             np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-10)
 
     def test_zero_theta_is_uniform(self, rng):
         params = tiny_params(seed=1)
         params = params.replace_theta(np.zeros_like(params.theta))
         seq = tiny_sequence(rng).with_masked([0, 1])
-        lp = denoiser_logprobs(params, seq)
+        lp = params.logprobs(seq)
         np.testing.assert_allclose(lp, -math.log(params.vocab_size), atol=1e-12)
 
     def test_deterministic(self, rng):
         params = tiny_params(seed=2)
         seq = tiny_sequence(rng).with_masked([1])
-        a = denoiser_logprobs(params, seq)
-        b = denoiser_logprobs(params, seq)
+        a = params.logprobs(seq)
+        b = params.logprobs(seq)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self, rng):
         params = tiny_params(seed=2)  # n_positions=6
         seq = tiny_sequence(rng, prompt_len=5, completion_len=3)
         with pytest.raises(ValueError, match="position table"):
-            denoiser_logprobs(params, seq)
+            params.logprobs(seq)
 
     def test_positive_gradient_coordinate_raises_logprob(self, rng):
         # perturbing a weight along its positive gradient direction must
@@ -67,8 +66,8 @@ class TestLogprobs:
         h = 1e-5
         theta = params.theta.copy()
         theta[coord] += h
-        before = denoiser_logprobs(params, seq)[0, tok]
-        after = denoiser_logprobs(params.replace_theta(theta), seq)[0, tok]
+        before = params.logprobs(seq)[0, tok]
+        after = params.replace_theta(theta).logprobs(seq)[0, tok]
         assert after > before
 
 
@@ -136,7 +135,7 @@ class TestStack:
         worst, cases = 0.0, 0
         for trial in range(30):
             params, stack = random_stack(rng, trial, b)
-            lp = denoiser_logprobs(params, stack)
+            lp = params.logprobs(stack)
             assert lp.shape == (b, stack.completion_len, params.vocab_size)
             for i in range(b):
                 one = Sequence(stack.prompt, stack.completion[i], stack.masked[i])
@@ -193,13 +192,13 @@ class TestRaggedPrompts:
             x, ctx = _features(params, stack)
             x = x.reshape(lengths.size, completion_len, -1)
             ctx = ctx.reshape(lengths.size, completion_len, -1)
-            lp = denoiser_logprobs(params, stack)
+            lp = params.logprobs(stack)
             for b, n in enumerate(lengths):
                 one = Sequence(prompts[b, width - n:], completion[b], masked[b])
                 x_one, ctx_one = _features(params, one)
                 assert np.array_equal(x[b], x_one)
                 assert np.array_equal(ctx[b], ctx_one)
-                assert np.array_equal(lp[b], denoiser_logprobs(params, one))
+                assert np.array_equal(lp[b], params.logprobs(one))
                 worst = max(worst, float(np.max(np.abs(lp[b] - loop_logprobs(params, one)))))
             cases += window >= width + completion_len == params.n_positions
         assert worst <= 1e-12
@@ -208,9 +207,9 @@ class TestRaggedPrompts:
     def test_position_table_checks_unpadded_length(self):
         params = init_params(3, window=1, hidden=2, embed_dim=2, n_positions=4)
         fits = Sequence([[-1, -1, 0], [-1, 1, 2]], [[0, 1], [1, 0]])
-        assert denoiser_logprobs(params, fits).shape == (2, 2, 3)
+        assert params.logprobs(fits).shape == (2, 2, 3)
         with pytest.raises(ValueError, match="position table"):
-            denoiser_logprobs(params, Sequence([[-1, -1, 0], [0, 1, 2]], [[0, 1], [1, 0]]))
+            params.logprobs(Sequence([[-1, -1, 0], [0, 1, 2]], [[0, 1], [1, 0]]))
 
 
 class TestGradients:
@@ -228,7 +227,7 @@ class TestGradients:
             grad = logprob_grad(params, z, [pos], [tok])
 
             def f(theta):
-                return denoiser_logprobs(params.replace_theta(theta), z)[pos, tok]
+                return params.replace_theta(theta).logprobs(z)[pos, tok]
 
             fd = central_diff(f, params.theta)
             denom = np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(grad)))
@@ -253,7 +252,7 @@ class TestGradients:
         # sum_v pi(v) * grad log pi(v) = 0 for any model
         params = tiny_params(seed=7)
         z = tiny_sequence(rng).with_masked([1])
-        lp = denoiser_logprobs(params, z)
+        lp = params.logprobs(z)
         total = np.zeros_like(params.theta)
         for v in range(params.vocab_size):
             total += math.exp(lp[1, v]) * logprob_grad(params, z, [1], [v])
@@ -273,12 +272,11 @@ class TestGradients:
 
 
 class TestCheckpoints:
-    def test_roundtrip(self, tmp_path, rng):
+    def test_roundtrip(self, rng):
         params = init_params(21, window=3, hidden=16, embed_dim=8,
                              n_positions=20, seed=42)
-        path = tmp_path / "model.bin"
-        save_params(path, params)
-        loaded = load_params(path)
+        loaded, end = params_from_bytes(params_to_bytes(params))
+        assert end == len(params_to_bytes(params))
         assert np.array_equal(loaded.theta, params.theta)
         assert loaded.vocab_size == params.vocab_size
         assert loaded.window == params.window
@@ -287,25 +285,16 @@ class TestCheckpoints:
         assert loaded.n_positions == params.n_positions
         assert loaded.seed == params.seed
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 64)
+    def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
-            load_params(path)
+            params_from_bytes(b"XXXX" + b"\x00" * 64)
 
-    def test_truncated_and_trailing_bytes_rejected(self, tmp_path):
-        params = tiny_params(seed=0)
-        path = tmp_path / "model.bin"
-        save_params(path, params)
-        blob = path.read_bytes()
+    def test_truncated_bytes_rejected(self):
+        blob = params_to_bytes(tiny_params(seed=0))
         for cut, msg in ((10, "truncated params header"),
                          (len(blob) - 1, "truncated params theta")):
-            path.write_bytes(blob[:cut])
             with pytest.raises(ValueError, match=msg):
-                load_params(path)
-        path.write_bytes(blob + b"\x00")
-        with pytest.raises(ValueError, match="1 trailing bytes"):
-            load_params(path)
+                params_from_bytes(blob[:cut])
 
     def test_theta_metadata_consistency_enforced(self):
         params = tiny_params(seed=0)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import default_model
 from rspo_lab import denoiser, harness, mdm, objectives, score, tasks
-from rspo_lab.denoiser import CHECKPOINT_HEADER, save_params
+from rspo_lab.denoiser import CHECKPOINT_HEADER
 from rspo_lab.harness import (
     RunAborted,
     RunConfig,
@@ -371,10 +371,28 @@ class TestRunExperiment:
         assert (out / "checkpoint_000004.bin").exists()
 
     def test_zero_steps_still_summarizes(self, tmp_path):
-        cfg = smoke_config(tmp_path, steps=0)
-        _, summary = run_experiment(cfg)
-        assert 0.0 <= summary["final_reward"] <= 1.0
-        assert (tmp_path / "run" / "summary.json").exists()
+        # the mean reward of one rollout of the untouched initialization,
+        # pinned to its recorded value
+        for seed, reward in ((0, 0.0), (1, 1 / 3)):
+            _, summary = run_experiment(smoke_config(tmp_path, steps=0, seed=seed))
+            assert summary["final_reward"] == reward
+            assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_timings_written_every_step(self, tmp_path, monkeypatch):
+        # a reader during the run sees one timings line per finished step,
+        # as in metrics.jsonl
+        seen = []
+        real_step = harness.train_step
+
+        def step(state, cfg):
+            out = tmp_path / "run"
+            seen.append((state.step, len(read_metrics(out / "metrics.jsonl")),
+                         len(read_metrics(out / "timings.jsonl"))))
+            return real_step(state, cfg)
+
+        monkeypatch.setattr(harness, "train_step", step)
+        run_experiment(smoke_config(tmp_path, steps=3))
+        assert seen == [(k, k, k) for k in range(3)]
 
     def test_resume_from_checkpoint_state(self, tmp_path):
         # a checkpoint written mid-run reloads into a usable state
@@ -415,7 +433,6 @@ class TestAtomicWrites:
         state = init_state(cfg)
         writers = {
             "checkpoint.bin": lambda path: save_checkpoint(path, state, cfg),
-            "model.bin": lambda path: save_params(path, state.params),
             "config.json": lambda path: save_config(path, cfg),
         }
         for name, write in writers.items():

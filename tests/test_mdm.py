@@ -137,8 +137,7 @@ class TestReverseStep:
 
 class TestDecode:
     def cfg(self, **kw):
-        base = dict(gen_len=8, block_size=4, unmask_per_step=2,
-                    temperature=0.9, seed=0)
+        base = dict(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
         base.update(kw)
         return DecodeConfig(**base)
 

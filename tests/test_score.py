@@ -7,7 +7,7 @@ import pytest
 
 from conftest import central_diff, default_model, task_prompts, tiny_params, tiny_sequence
 from rspo_lab import denoiser
-from rspo_lab.denoiser import denoiser_logprobs, init_params
+from rspo_lab.denoiser import init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
 from rspo_lab.tasks import char_vocab
@@ -366,7 +366,7 @@ class TestMaskStack:
             want = []
             for row in masks.hits:
                 idx = np.flatnonzero(row)
-                lp = denoiser_logprobs(params, seq.with_masked(idx))
+                lp = params.logprobs(seq.with_masked(idx))
                 want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
             assert np.array_equal(terms, want)
 
