@@ -10,16 +10,15 @@ import numpy as np
 from rspo_lab.denoiser import init_params
 from rspo_lab.mdm import DecodeConfig, decode_semi_ar, forward_mask, reverse_step
 from rspo_lab.sequences import Sequence
-from rspo_lab.tasks import char_vocab, decode_tokens, encode_text, gen_arith
+from rspo_lab.tasks import MASK_ID, VOCAB_SIZE, decode_tokens, encode_text, gen_arith
 
 
 def main():
     rng = np.random.default_rng(7)
-    vocab = char_vocab()
     inst = gen_arith(rng, modulus=10)
-    prompt = encode_text(inst.prompt_text, vocab)
+    prompt = encode_text(inst.prompt_text)
 
-    params = init_params(vocab.size, window=3, hidden=32, embed_dim=8,
+    params = init_params(VOCAB_SIZE, window=3, hidden=32, embed_dim=8,
                          n_positions=len(prompt) + 8, seed=0)
 
     print(f"prompt: {inst.prompt_text!r}  (answer: {inst.payload['answer']})")
@@ -29,23 +28,22 @@ def main():
     # the decoder hands it a stack holding the one completion
     class Narrator:
         def logprobs(self, seq, where):
-            print("  state:", decode_tokens(np.where(seq.masked[0], vocab.mask_id,
-                                                     seq.completion[0]), vocab))
+            print("  state:", decode_tokens(np.where(seq.masked[0], MASK_ID, seq.completion[0])))
             return params.logprobs(seq, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
     out = decode_semi_ar(Narrator(), prompt, cfg, rng)
-    print("  final:", decode_tokens(out.completion, vocab))
+    print("  final:", decode_tokens(out.completion))
     print()
 
     # the forward process is the mirror image: mask a clean sequence, then
     # take one big reverse step with the model
     clean = Sequence(prompt=prompt, completion=out.completion)
     noised = forward_mask(clean, t=0.6, rng=rng)
-    print(f"forward corruption at t=0.6: {decode_tokens(np.where(noised.masked, vocab.mask_id, noised.completion), vocab)}")
+    print(f"forward corruption at t=0.6: {decode_tokens(np.where(noised.masked, MASK_ID, noised.completion))}")
     denoised = reverse_step(params, noised, t=0.6, s=0.0, rng=rng)
-    print(f"one reverse step to s=0:     {decode_tokens(denoised.completion, vocab)}")
+    print(f"one reverse step to s=0:     {decode_tokens(denoised.completion)}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ scoring, feedback objectives with brute-force oracles, verifiable toy
 reward tasks, and a reproducible training harness.
 """
 
-from .sequences import MASKED_TOKEN, Sequence, Vocab
+from .sequences import MASKED_TOKEN, Sequence
 from .denoiser import DenoiserParams, init_params
 from .mdm import (
     DecodeConfig,
@@ -49,7 +49,6 @@ __all__ = [
     "RunConfig",
     "Sequence",
     "StepMetrics",
-    "Vocab",
     "adam_update",
     "alpha_linear",
     "aw_loss",

@@ -214,10 +214,9 @@ class TrainState:
 
 
 def init_state(cfg: RunConfig) -> TrainState:
-    vocab = tasks.char_vocab()
     n_positions = _max_prompt_len(cfg) + cfg.gen_len
     params = init_params(
-        vocab.size,
+        tasks.VOCAB_SIZE,
         window=cfg.window,
         hidden=cfg.hidden,
         embed_dim=cfg.embed_dim,
@@ -236,7 +235,9 @@ def _max_prompt_len(cfg: RunConfig) -> int:
     if cfg.task == "arith":
         return 2 * len(str(cfg.modulus - 1)) + 3
     if cfg.task == "countdown":
-        return 4 * 2 + 3 + 3  # four 1-digit numbers, separators, 2-digit target
+        # four 1-digit numbers and a 2-digit target, though prompts have three
+        # numbers: kept, as it sets n_positions and so theta's size
+        return 4 * 2 + 3 + 3
     return 17  # sudoku4: 16 givens + '='
 
 
@@ -279,13 +280,18 @@ def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstanc
 def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
     """The micro-batch's prompt instances, drawn from ``prompt_rng``, and a
     group of completions per prompt, decoded from ``rollout_rng``."""
-    vocab = tasks.char_vocab()
     insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
     groups = mdm.sample_completion_groups(
-        params, [tasks.encode_text(inst.prompt_text, vocab) for inst in insts],
+        params, [tasks.encode_text(inst.prompt_text) for inst in insts],
         cfg.group_size, cfg.decode_config(), rollout_rng,
     )
     return insts, groups
+
+
+def _grade(insts, groups) -> list[list[float]]:
+    """Each group's rewards, one per completion, from its prompt's verifier."""
+    return [[tasks.reward(inst, tasks.decode_tokens(c.completion)) for c in group]
+            for inst, group in zip(insts, groups)]
 
 
 def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetrics]:
@@ -294,21 +300,14 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     stacked forward per model."""
     t0 = time.perf_counter()
     marks = [t0]
-    vocab = tasks.char_vocab()
     prompt_rng, rollout_rng, mask_rng = _step_rngs(cfg, state.step)
 
     insts, groups = _rollout(state.params, cfg, prompt_rng, rollout_rng)
     marks.append(time.perf_counter())
 
-    rewards_all: list[float] = []
-    advantages: list[float] = []
-    zero_std = 0
-    for inst, group in zip(insts, groups):
-        rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab)) for c in group]
-        if np.std(rewards) == 0.0:
-            zero_std += 1
-        advantages.extend(objectives.group_advantages(rewards, cfg.normalize_adv))
-        rewards_all.extend(rewards)
+    rewards = _grade(insts, groups)
+    zero_std = sum(1 for r in rewards if np.std(r) == 0.0)
+    adv = np.concatenate([objectives.group_advantages(r, cfg.normalize_adv) for r in rewards])
     marks.append(time.perf_counter())
 
     completions = [c for group in groups for c in group]
@@ -323,7 +322,6 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     else:
         batch = score.uncentered_scores(deltas)
 
-    adv = np.asarray(advantages)
     loss_out = objectives.rspo_loss(batch, adv, cfg.lam)
     grad = objectives.rspo_gradient(batch, adv, cfg.lam, grads)
 
@@ -351,7 +349,7 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     )
     metrics = StepMetrics(
         step=state.step,
-        mean_reward=float(np.mean(rewards_all)),
+        mean_reward=float(np.mean(rewards)),
         loss=loss_out.loss,
         grad_norm=float(np.linalg.norm(grad)),
         var_delta=score.var_delta(batch),
@@ -464,11 +462,7 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
         # the untouched initialization; one generator for prompts and rollouts,
         # as recorded steps=0 summaries were drawn
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
-        insts, groups = _rollout(state.params, cfg, rng, rng)
-        vocab = tasks.char_vocab()
-        final_reward = float(np.mean([
-            tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
-            for inst, group in zip(insts, groups) for c in group]))
+        final_reward = float(np.mean(_grade(*_rollout(state.params, cfg, rng, rng))))
         var_tail = 0.0
         offset_tail = 0.0
 

@@ -165,13 +165,13 @@ def sample_completion_groups(
 ) -> list[list[Sequence]]:
     """Decode ``group_size`` completions per prompt, all groups in lockstep
     over one stack whose prompts are left-padded to one width.  Each prompt's
-    completions draw from ``rng.spawn(group_size)``, spawned in prompt order,
-    so each group equals this call on that prompt alone."""
+    completions draw from the next ``group_size`` children of ``rng``, in
+    prompt order, so each group equals this call on that prompt alone."""
     if group_size < 2:
         raise ValueError("group size must be >= 2 for a relative signal")
     if not prompts:
         raise ValueError("need at least one prompt")
-    rngs = [child for _ in prompts for child in rng.spawn(group_size)]
+    rngs = rng.spawn(len(prompts) * group_size)
     stack = _unmask(params, np.repeat(left_pad(prompts), group_size, axis=0), cfg, rngs)
     rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
     return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]

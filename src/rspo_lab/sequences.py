@@ -1,4 +1,4 @@
-"""Token vocabularies and prompt/completion sequences.
+"""Prompt/completion token sequences.
 
 A Sequence always carries the prompt (never corrupted) and the completion
 together with per-position masked flags.  Masked positions keep a sentinel
@@ -29,24 +29,6 @@ def left_pad(prompts) -> np.ndarray:
     for row, p in zip(padded, prompts):
         row[width - p.size:] = p
     return padded
-
-
-@dataclass(frozen=True)
-class Vocab:
-    """Ordered token alphabet with a distinguished mask token."""
-
-    tokens: tuple[str, ...]
-    mask_id: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask_id < len(self.tokens):
-            raise ValueError(f"mask_id {self.mask_id} out of range for {len(self.tokens)} tokens")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise ValueError("vocab tokens must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass

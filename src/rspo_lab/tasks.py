@@ -16,43 +16,42 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .sequences import Sequence, Vocab
+from .sequences import Sequence
 
+#: The lab alphabet: token ``i`` is ``LAB_CHARS[i]``.  Token ids index the
+#: denoiser's embedding rows, so this order is part of every checkpoint.
 LAB_CHARS = "0123456789+-*/()=? \n"
 
+#: The mask token's id, one past the characters; the denoiser's output covers
+#: all ``VOCAB_SIZE`` ids.
+MASK_ID = len(LAB_CHARS)
+VOCAB_SIZE = MASK_ID + 1
+
 #: Printed in place of the mask token when decoding model output; not a
-#: vocab character, so encode/decode round trips are unaffected.
+#: lab character, so encode/decode round trips are unaffected.
 MASK_CHAR = "~"
 
-
-def char_vocab() -> Vocab:
-    """The lab alphabet: digits, operators, separators, and a trailing mask."""
-    return Vocab(tokens=tuple(LAB_CHARS) + ("<mask>",), mask_id=len(LAB_CHARS))
+_CHAR_IDS = {ch: i for i, ch in enumerate(LAB_CHARS)}
+_ID_CHARS = dict(enumerate(LAB_CHARS))
 
 
-def encode_text(text: str, vocab: Vocab) -> np.ndarray:
-    ids = dict(zip(vocab.tokens, range(vocab.size)))
-    del ids[vocab.tokens[vocab.mask_id]]
+def encode_text(text: str) -> np.ndarray:
     try:
-        return np.array([ids[ch] for ch in text], dtype=np.int64)
+        return np.array([_CHAR_IDS[ch] for ch in text], dtype=np.int64)
     except KeyError as exc:
-        if exc.args[0] == vocab.tokens[vocab.mask_id]:
-            raise KeyError("mask token cannot appear in clean text") from None
-        raise KeyError(f"character {exc.args[0]!r} not in vocab") from None
+        raise KeyError(f"{exc.args[0]!r} is not a lab character") from None
 
 
-def decode_tokens(tokens, vocab: Vocab) -> str:
+def decode_tokens(tokens) -> str:
     # one lookup per token in a plain dict: the mask id and ids outside the
-    # vocab miss it and print as MASK_CHAR (numpy's per-call overhead exceeds
-    # the whole lookup for completions this short)
-    chars = dict(enumerate(vocab.tokens))
-    del chars[vocab.mask_id]
-    return "".join([chars.get(t, MASK_CHAR) for t in np.asarray(tokens, dtype=np.int64).tolist()])
+    # alphabet miss it and print as MASK_CHAR (numpy's per-call overhead
+    # exceeds the whole lookup for completions this short)
+    return "".join([_ID_CHARS.get(t, MASK_CHAR) for t in np.asarray(tokens, dtype=np.int64).tolist()])
 
 
 @dataclass
@@ -77,15 +76,11 @@ class TaskInstance:
 # ---------------------------------------------------------------------------
 
 
-def gen_countdown(rng: np.random.Generator, num_count: int = 3,
-                  value_range: tuple[int, int] = (1, 9)) -> TaskInstance:
-    """Sample numbers and an achievable target by evaluating a random
-    expression over all of them."""
-    if not 3 <= num_count <= 4:
-        raise ValueError("num_count must be 3 or 4")
-    lo, hi = value_range
+def gen_countdown(rng: np.random.Generator) -> TaskInstance:
+    """Sample three numbers from 1..9 and an achievable target by evaluating
+    a random expression over all of them."""
     while True:
-        numbers = [int(v) for v in rng.integers(lo, hi + 1, size=num_count)]
+        numbers = [int(v) for v in rng.integers(1, 10, size=3)]
         target = _random_expression_value(list(numbers), rng)
         if target is not None and 1 <= target <= 99:
             prompt = " ".join(str(n) for n in numbers) + "=" + str(target) + "?"
@@ -369,9 +364,9 @@ def reward(instance: TaskInstance, completion_text: str,
     raise ValueError(f"unknown task kind {instance.kind!r}")
 
 
-def clean_sequence(instance: TaskInstance, completion_text: str, vocab: Vocab) -> Sequence:
+def clean_sequence(instance: TaskInstance, completion_text: str) -> Sequence:
     return Sequence(
-        prompt=encode_text(instance.prompt_text, vocab),
-        completion=encode_text(completion_text, vocab),
+        prompt=encode_text(instance.prompt_text),
+        completion=encode_text(completion_text),
     )
 

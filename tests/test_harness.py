@@ -248,15 +248,14 @@ class TestMovingPolicyStep:
         state = TrainState(params, ref, start.m, start.v, step=2)
         new_state, metrics = train_step(state, cfg)
 
-        vocab = tasks.char_vocab()
         prompt_rng, rollout_rng, mask_rng = harness._step_rngs(cfg, state.step)
         insts = [harness._gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
         advantages, deltas, grads = [], [], []
         for inst in insts:
             group = mdm.sample_completion_groups(
-                params, [tasks.encode_text(inst.prompt_text, vocab)], cfg.group_size,
+                params, [tasks.encode_text(inst.prompt_text)], cfg.group_size,
                 cfg.decode_config(), rollout_rng)[0]
-            rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion, vocab))
+            rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion))
                        for c in group]
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:

@@ -11,7 +11,6 @@ from rspo_lab import harness
 from rspo_lab.denoiser import init_params, params_from_bytes, params_to_bytes
 from rspo_lab.tasks import (
     LAB_CHARS,
-    char_vocab,
     decode_tokens,
     encode_text,
     gen_arith,
@@ -41,8 +40,7 @@ def test_long_digit_runs_score(run, lead):
 
 @given(text=st.text(alphabet=LAB_CHARS))
 def test_encode_decode_round_trip(text):
-    vocab = char_vocab()
-    assert decode_tokens(encode_text(text, vocab), vocab) == text
+    assert decode_tokens(encode_text(text)) == text
 
 
 @st.composite

@@ -10,7 +10,7 @@ from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
-from rspo_lab.tasks import char_vocab
+from rspo_lab.tasks import MASK_ID
 from rspo_lab.score import (
     MaskBatch,
     _MaskStack,
@@ -298,9 +298,8 @@ class TestProductionSize:
         # gradient bit for bit as when it is scored alone
         rng = np.random.default_rng(7)
         cur, ref = default_model(task, rng)
-        mask_id = char_vocab().mask_id
         for prompt in task_prompts(task, 5, rng):
-            group = [Sequence(prompt, rng.integers(0, mask_id, size=16)) for _ in range(6)]
+            group = [Sequence(prompt, rng.integers(0, MASK_ID, size=16)) for _ in range(6)]
             masks_per = [sample_mask_sets(16, k_masks, rng) for _ in group]
             deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks_per)
             for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
@@ -313,10 +312,9 @@ class TestProductionSize:
         # prompts of widths 8 and 9, scored in one call
         rng = np.random.default_rng(7)
         cur, ref = default_model("countdown", rng)
-        mask_id = char_vocab().mask_id
         prompts = task_prompts("countdown", 4, rng)
         assert {p.size for p in prompts} == {8, 9}
-        batch = [Sequence(p, rng.integers(0, mask_id, size=16)) for p in prompts for _ in range(6)]
+        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16)) for p in prompts for _ in range(6)]
         masks_per = [sample_mask_sets(16, 2, rng) for _ in batch]
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks_per)
@@ -334,8 +332,7 @@ class TestProductionSize:
         # reaches about 2.3)
         rng = np.random.default_rng(9)
         cur, ref = default_model("sudoku4", rng)
-        mask_id = char_vocab().mask_id
-        batch = [Sequence(p, rng.integers(0, mask_id, size=16))
+        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
                  for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
         masks_per = [sample_mask_sets(16, 8, rng) for _ in batch]
         stack = _MaskStack(batch, masks_per)

@@ -5,9 +5,12 @@ import pytest
 
 from rspo_lab.oracle import countdown_solvable, sudoku4_solutions_by_enumeration
 from rspo_lab.tasks import (
+    LAB_CHARS,
+    MASK_CHAR,
+    MASK_ID,
+    VOCAB_SIZE,
     RewardSpec,
     TaskInstance,
-    char_vocab,
     clean_sequence,
     count_sudoku4_solutions,
     decode_tokens,
@@ -26,27 +29,40 @@ from rspo_lab.tasks import (
 
 class TestVocab:
     def test_size_and_mask(self):
-        v = char_vocab()
-        assert v.size == 21
-        assert v.mask_id == 20
-        assert v.tokens[v.mask_id] == "<mask>"
+        assert VOCAB_SIZE == 21
+        assert MASK_ID == 20
+
+    def test_token_order(self):
+        # token ids index every checkpoint's embedding rows: a reordered
+        # alphabet would still round-trip, so pin the ids themselves
+        assert np.array_equal(encode_text(LAB_CHARS), np.arange(MASK_ID))
+        assert decode_tokens(np.arange(VOCAB_SIZE)) == LAB_CHARS + MASK_CHAR
 
     def test_round_trip(self):
-        v = char_vocab()
         text = "12+3*(4-5)/6=?\n "
-        assert decode_tokens(encode_text(text, v), v) == text
+        assert decode_tokens(encode_text(text)) == text
 
     def test_mask_never_encodes(self):
-        v = char_vocab()
         with pytest.raises(KeyError):
-            encode_text("<mask>", v)  # '<' is not a lab character either
+            encode_text("<mask>")  # '<' is not a lab character either
 
     def test_decode_handles_mask_and_garbage(self):
-        v = char_vocab()
-        assert decode_tokens([0, v.mask_id, 99], v) == "0~~"
+        assert decode_tokens([0, MASK_ID, 99]) == "0~~"
 
 
 class TestCountdown:
+    def test_instances_match_recorded_digest(self):
+        # prompts and payloads of 200 draws from one generator: the draws,
+        # their order and the prompts never drift
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            inst = gen_countdown(rng)
+            numbers, target = inst.payload["numbers"], inst.payload["target"]
+            digest.update(f"{inst.prompt_text}{numbers}{target}\n".encode())
+        assert digest.hexdigest() == (
+            "c53a7ec2827c322c3afac4472a1a3f467d27ed72575d6bff1157fe7cadba1f2f")
+
     def test_generated_targets_are_solvable(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -202,9 +218,8 @@ class TestPlumbing:
             reward(TaskInstance("mystery", "", {}), "x")
 
     def test_clean_sequence_round_trip(self):
-        v = char_vocab()
         inst = TaskInstance("arith", "1+1=?", {"a": 1, "b": 1, "modulus": 10, "answer": 2})
-        seq = clean_sequence(inst, "2", v)
-        assert decode_tokens(seq.prompt, v) == "1+1=?"
-        assert decode_tokens(seq.completion, v) == "2"
+        seq = clean_sequence(inst, "2")
+        assert decode_tokens(seq.prompt) == "1+1=?"
+        assert decode_tokens(seq.completion) == "2"
         assert seq.is_clean()
