@@ -8,7 +8,7 @@ commits the highest-confidence positions inside the active block.
 import numpy as np
 
 from rspo_lab.denoiser import init_params
-from rspo_lab.mdm import DecodeConfig, decode_semi_ar, forward_mask, reverse_step
+from rspo_lab.mdm import DecodeConfig, decode, forward_mask, reverse_step
 from rspo_lab.sequences import Sequence
 from rspo_lab.tasks import MASK_ID, VOCAB_SIZE, decode_tokens, encode_text, gen_arith
 
@@ -33,13 +33,13 @@ def main():
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
-    out = decode_semi_ar(Narrator(), prompt, cfg, rng)
-    print("  final:", decode_tokens(out.completion))
+    out = decode(Narrator(), [prompt], cfg, [rng]).completion[0]
+    print("  final:", decode_tokens(out))
     print()
 
     # the forward process is the mirror image: mask a clean sequence, then
     # take one big reverse step with the model
-    clean = Sequence(prompt=prompt, completion=out.completion)
+    clean = Sequence(prompt=prompt, completion=out)
     noised = forward_mask(clean, t=0.6, rng=rng)
     print(f"forward corruption at t=0.6: {decode_tokens(np.where(noised.masked, MASK_ID, noised.completion))}")
     denoised = reverse_step(params, noised, t=0.6, s=0.0, rng=rng)

@@ -9,7 +9,7 @@ from .denoiser import DenoiserParams, init_params
 from .mdm import (
     DecodeConfig,
     alpha_linear,
-    decode_semi_ar,
+    decode,
     forward_mask,
     reverse_step,
     sample_completion_groups,
@@ -27,7 +27,6 @@ from .score import (
 )
 from .objectives import (
     LossOutput,
-    aw_loss,
     fixed_point_residual,
     group_advantages,
     quad_loss,
@@ -51,11 +50,10 @@ __all__ = [
     "StepMetrics",
     "adam_update",
     "alpha_linear",
-    "aw_loss",
     "batch_mean_offset",
     "center_scores",
     "coupled_deltas_and_grads",
-    "decode_semi_ar",
+    "decode",
     "elbo_terms",
     "fixed_point_residual",
     "forward_mask",

@@ -46,11 +46,7 @@ def forward_mask(y: Sequence, t: float, rng: np.random.Generator) -> Sequence:
     if not y.is_clean():
         raise ValueError("forward_mask expects a clean sequence")
     p_mask = 1.0 - alpha_linear(t)
-    hit = rng.random(y.completion_len) < p_mask
-    z = y.copy()
-    z.masked[:] = hit
-    z.completion[hit] = MASKED_TOKEN
-    return z
+    return y.with_masked(np.flatnonzero(rng.random(y.completion_len) < p_mask))
 
 
 def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray) -> np.ndarray:
@@ -98,18 +94,31 @@ def reverse_step(
     return z_s
 
 
-def _unmask(params, prompt: np.ndarray, cfg: DecodeConfig, rngs) -> Sequence:
-    """Confidence-decode a (len(rngs), gen_len) stack of fully masked
-    completions in lockstep; completion ``b`` draws from ``rngs[b]``.
-    ``prompt`` is shared, or one left-padded row per completion.
+def decode(
+    params: DenoiserParams,
+    prompts: list[np.ndarray],
+    cfg: DecodeConfig,
+    rngs,
+) -> Sequence:
+    """Block-wise confidence decoding of one completion per prompt.
+
+    The prompts are left-padded to one width and their completions decoded
+    in lockstep as one stack; completion ``b`` draws from ``rngs[b]``.  Each
+    starts fully masked and proceeds block by block.  Each step samples
+    candidate tokens at the masked positions of the active block (temperature
+    0 means argmax) and commits the ``unmask_per_step`` positions whose
+    sampled token has the highest denoiser probability, breaking ties by
+    lowest position index.
 
     Every step commits ``min(unmask_per_step, still masked)`` positions of
     the active block in every completion, so all completions keep the same
     number of masked positions and share one stacked forward per step, which
     evaluates only those still-masked positions of the block.
     """
+    if not prompts:
+        raise ValueError("need at least one prompt")
     shape = (len(rngs), cfg.gen_len)
-    seq = Sequence(prompt, np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
+    seq = Sequence(left_pad(prompts), np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
     completion, masked = seq.completion, seq.masked
     rows = np.arange(len(rngs))[:, None]
     # masked positions left in the active block at each step of a block
@@ -138,24 +147,6 @@ def _unmask(params, prompt: np.ndarray, cfg: DecodeConfig, rngs) -> Sequence:
     return seq
 
 
-def decode_semi_ar(
-    params: DenoiserParams,
-    prompt: np.ndarray,
-    cfg: DecodeConfig,
-    rng: np.random.Generator,
-) -> Sequence:
-    """Block-wise confidence decoding.
-
-    Starts fully masked and proceeds block by block.  Each step samples
-    candidate tokens at the masked positions of the active block (temperature
-    0 means argmax) and commits the ``unmask_per_step`` positions whose
-    sampled token has the highest denoiser probability, breaking ties by
-    lowest position index.
-    """
-    stack = _unmask(params, prompt, cfg, [rng])
-    return Sequence(prompt, stack.completion[0])
-
-
 def sample_completion_groups(
     params: DenoiserParams,
     prompts: list[np.ndarray],
@@ -169,10 +160,8 @@ def sample_completion_groups(
     prompt order, so each group equals this call on that prompt alone."""
     if group_size < 2:
         raise ValueError("group size must be >= 2 for a relative signal")
-    if not prompts:
-        raise ValueError("need at least one prompt")
     rngs = rng.spawn(len(prompts) * group_size)
-    stack = _unmask(params, np.repeat(left_pad(prompts), group_size, axis=0), cfg, rngs)
+    stack = decode(params, [p for p in prompts for _ in range(group_size)], cfg, rngs)
     rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
     return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]
 

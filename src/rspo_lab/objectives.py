@@ -1,6 +1,6 @@
 """Objective layer: group-relative advantages, relative-score feedback
-weights and loss, the advantage-weighted ablation, the matched quadratic
-comparison objective, and analytic gradient assembly.
+weights and loss (at lam = 0, the advantage-weighted ablation), the matched
+quadratic comparison objective, and analytic gradient assembly.
 
 Convention: feedback weights are detached quantities.  Differentiation
 passes only through the per-sample score factor, which is why the analytic
@@ -63,11 +63,6 @@ def rspo_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
     w = rspo_weights(advantages, batch.centered, lam)
     loss = -float(np.mean(w * batch.centered))
     return LossOutput(loss=loss, weights=w)
-
-
-def aw_loss(batch: RelativeScoreBatch, advantages) -> LossOutput:
-    """Advantage-weighted ablation; identical to rspo_loss with lam=0."""
-    return rspo_loss(batch, advantages, 0.0)
 
 
 def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:

@@ -21,12 +21,12 @@ import numpy as np
 
 from .sequences import Sequence
 
-MAX_ENUM_LC = 3
+MAX_ENUM_LC = 4
 MAX_ENUM_STEPS = 4
 
 
 def _check_tiny(l_c: int, steps: int | None = None) -> None:
-    if l_c > MAX_ENUM_LC + 1:  # elbo enumeration tolerates L_c=4, DP does not
+    if l_c > MAX_ENUM_LC:
         raise ValueError(f"completion length {l_c} exceeds enumeration limits")
     if steps is not None and steps > MAX_ENUM_STEPS:
         raise ValueError(f"step count {steps} exceeds enumeration limits")

@@ -152,8 +152,8 @@ def test_criterion_03_reference_point_equality(rng):
     for _ in range(50):
         d = rng.normal(size=6) + rng.normal()
         adv = zero_sum_adv(rng, 6)
-        on = objectives.aw_loss(score.center_scores(d), adv).loss
-        off = objectives.aw_loss(score.uncentered_scores(d), adv).loss
+        on = objectives.rspo_loss(score.center_scores(d), adv, 0.0).loss
+        off = objectives.rspo_loss(score.uncentered_scores(d), adv, 0.0).loss
         worst = max(worst, abs(on - off))
     assert worst <= 1e-12
     print(f"PASS criterion-03 reference-point-equality (forward gap {worst:.2e})")

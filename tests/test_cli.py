@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rspo_lab
-from rspo_lab import oracle, tasks
+from rspo_lab import cli, oracle, tasks
 from rspo_lab.cli import build_parser, main
 
 
@@ -131,6 +131,35 @@ class TestTrain:
             main(["train", "--config", str(cfg_path), "--steps", "0"])
             assert json.loads(capsys.readouterr().out)["centering"] is want
 
+    # a valid non-default value for every config key: its variable's text and
+    # the value the config must then hold
+    ENV_VALUES = {
+        "task": ("sudoku4", "sudoku4"), "lambda": ("0.5", 0.5), "group_size": ("3", 3),
+        "k_masks": ("4", 4), "groups_per_batch": ("2", 2), "steps": ("7", 7),
+        "lr": ("0.01", 0.01), "beta1": ("0.8", 0.8), "beta2": ("0.95", 0.95),
+        "adam_eps": ("1e-6", 1e-6), "weight_decay": ("0.1", 0.1), "gen_len": ("24", 24),
+        "block_size": ("4", 4), "unmask_per_step": ("3", 3), "temperature": ("0.5", 0.5),
+        "centering": ("false", False), "reference": ("off", False),
+        "normalize_adv": ("yes", True), "modulus": ("7", 7), "hidden": ("16", 16),
+        "embed_dim": ("4", 4), "window": ("2", 2), "seed": ("5", 5),
+        "out_dir": ("runs/elsewhere", "runs/elsewhere"),
+        "checkpoint_every": ("10", 10), "debug_checks": ("1", True),
+    }
+
+    def test_every_config_key_has_a_variable(self, monkeypatch):
+        keys = rspo_lab.RunConfig.field_keys()
+        assert sorted(self.ENV_VALUES) == sorted(keys)
+        default = rspo_lab.RunConfig().to_dict()
+        args = build_parser().parse_args(["train"])
+        for key in keys:
+            raw, want = self.ENV_VALUES[key]
+            assert want != default[key], key
+            monkeypatch.setenv("RSPO_" + key.upper(), raw)
+            got = cli._build_config(args).to_dict()
+            monkeypatch.delenv("RSPO_" + key.upper())
+            assert got == {**default, key: want}, key
+            assert type(got[key]) is type(default[key]), key
+
     def test_ablation_toggles(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         main(["train", "--config", str(cfg_path), "--no-centering",
@@ -149,10 +178,11 @@ class TestAudit:
         assert len(lines) == 5
         assert all(ln.startswith("PASS ") for ln in lines)
 
-    def test_known_tail_seed_fails_only_the_elbo_check(self, capsys):
+    @pytest.mark.parametrize("seed", [124, 1683, 5087, 8246])
+    def test_known_tail_seed_fails_only_the_elbo_check(self, capsys, seed):
         # the ELBO check is a 4-standard-error test, so a correct estimator
-        # fails it on about one seed in 3000; 5087 is one such seed
-        assert main(["audit", "--seed", "5087"]) == 1
+        # fails it on about one seed in 3000; these are the known such seeds
+        assert main(["audit", "--seed", str(seed)]) == 1
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert len(lines) == 5
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")

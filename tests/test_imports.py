@@ -1,9 +1,11 @@
-"""Every name a library module imports is read somewhere in that module.
+"""Every name a library module imports, and every private name (``_x``) it
+defines at module level, is read somewhere in that module.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
-an import binds names, and a name counts as read when it appears in a load
-context (``np`` in ``np.zeros``, ``Sequence`` in an annotation).  The package
-``__init__`` re-exports its imports and is not checked.
+an import binds names, and so does a module-level def, class or assignment;
+a name counts as read when it appears in a load context (``np`` in
+``np.zeros``, ``Sequence`` in an annotation).  The package ``__init__``
+re-exports its imports and is not checked for them.
 """
 
 import ast
@@ -15,6 +17,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rspo_lab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _loaded(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = []
@@ -23,9 +30,22 @@ def unused_imports(source: str) -> list[str]:
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = _loaded(tree)
     return [name for name in bound if name not in read]
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = _loaded(tree)
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")
+            and name not in read]
 
 
 def test_finds_an_unused_import():
@@ -38,3 +58,16 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_an_unread_private_name():
+    source = ("_USED, _SPARE = 1, 2\n_ALSO: int = 3\nPUBLIC = 4\n__all__ = []\n"
+              "def _helper():\n    _local = 5\n    return _USED\n"
+              "def _caller():\n    return _helper()\n"
+              "class _Unused:\n    _attr = _ALSO\n")
+    assert unread_private_names(source) == ["_SPARE", "_caller", "_Unused"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -10,7 +11,7 @@ from rspo_lab.harness import RunConfig
 from rspo_lab.mdm import (
     DecodeConfig,
     alpha_linear,
-    decode_semi_ar,
+    decode,
     forward_mask,
     reverse_step,
     sample_completion_groups,
@@ -157,9 +158,9 @@ class TestDecode:
 
     def test_fully_unmasked_output(self, rng):
         params = tiny_params(seed=5)
-        out = decode_semi_ar(params, np.array([1]), self.cfg(gen_len=4, block_size=4), rng)
+        out = decode(params, [np.array([1])], self.cfg(gen_len=4, block_size=4), [rng])
         assert not out.masked.any()
-        assert (out.completion >= 0).all()
+        assert (out.completion[0] >= 0).all()
 
     def test_blocks_fill_in_order(self, rng):
         # instrument the denoiser to watch the mask pattern at each call
@@ -172,7 +173,7 @@ class TestDecode:
                 snapshots.append(seq.masked.copy())
                 return real(seq, where)
 
-        decode_semi_ar(Spy(), np.array([1]), self.cfg(), rng)
+        decode(Spy(), [np.array([1])], self.cfg(), [rng])
         for masked in snapshots:
             # later blocks must stay fully masked until earlier ones finish
             if masked[..., :4].any():
@@ -190,21 +191,45 @@ class TestDecode:
                 return real(seq, where)
 
         cfg = self.cfg(gen_len=8, block_size=4, unmask_per_step=2)
-        decode_semi_ar(Spy(), np.array([1]), cfg, rng)
+        decode(Spy(), [np.array([1])], cfg, [rng])
         assert calls == cfg.gen_len // cfg.unmask_per_step
 
     def test_seeded_determinism(self):
         params = wide_params()
         cfg = self.cfg()
-        a = decode_semi_ar(params, np.array([1]), cfg, np.random.default_rng(9))
-        b = decode_semi_ar(params, np.array([1]), cfg, np.random.default_rng(9))
-        assert np.array_equal(a.completion, b.completion)
+        a = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
+        b = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
+        assert np.array_equal(a.completion[0], b.completion[0])
 
     def test_prompt_not_touched(self, rng):
         params = tiny_params(seed=5)
         prompt = np.array([1, 2])
-        out = decode_semi_ar(params, prompt, self.cfg(gen_len=4, block_size=4), rng)
-        assert np.array_equal(out.prompt, prompt)
+        out = decode(params, [prompt], self.cfg(gen_len=4, block_size=4), [rng])
+        assert np.array_equal(out.prompt[0], prompt)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    def test_ragged_prompts_one_stream_each_equal_each_alone(self, temperature):
+        # one completion per prompt, the evaluation shape: each row of the
+        # left-padded stack decodes as its prompt alone on a copy of its stream;
+        # the model is far from uniform, so a misplaced prompt token changes
+        # the decoded tokens (at the default init scale it rarely does)
+        params = init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5,
+                             scale=1.0)
+        cfg = self.cfg(unmask_per_step=3, temperature=temperature)
+        prompts = [np.array([], dtype=np.int64), np.array([2]), np.array([3, 1]),
+                   np.array([1, 3, 0])]
+        for seed in range(5):
+            rngs = np.random.default_rng(seed).spawn(len(prompts))
+            copies = copy.deepcopy(rngs)
+            stack = decode(params, prompts, cfg, rngs)
+            assert not stack.masked.any()
+            for b, (prompt, rng) in enumerate(zip(prompts, copies)):
+                alone = decode(params, [prompt], cfg, [rng])
+                assert np.array_equal(stack.completion[b], alone.completion[0])
+
+    def test_no_prompts_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one prompt$"):
+            decode(tiny_params(seed=5), [], self.cfg(), [])
 
 
 class TestCompletionGroups:
@@ -252,8 +277,8 @@ class TestCompletionGroups:
                                              np.random.default_rng(seed))[0]
             children = np.random.default_rng(seed).spawn(5)
             for comp, child in zip(group, children):
-                alone = decode_semi_ar(params, np.array([1, 3]), cfg, child)
-                assert np.array_equal(comp.completion, alone.completion)
+                alone = decode(params, [np.array([1, 3])], cfg, [child])
+                assert np.array_equal(comp.completion, alone.completion[0])
                 assert not comp.masked.any()
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rspo_lab.objectives import (
-    aw_loss,
     fixed_point_residual,
     group_advantages,
     quad_gradient,
@@ -62,10 +61,6 @@ class TestFeedbackLoss:
         batch, adv = random_batch(rng)
         with pytest.raises(ValueError):
             rspo_loss(batch, adv, -0.1)
-
-    def test_aw_is_lam_zero(self, rng):
-        batch, adv = random_batch(rng)
-        assert aw_loss(batch, adv).loss == rspo_loss(batch, adv, 0.0).loss
 
     def test_fixed_point(self):
         # scores pinned at A/lam zero both the weights and the residual

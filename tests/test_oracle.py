@@ -70,6 +70,19 @@ class TestSequenceLikelihood:
         with pytest.raises(ValueError, match="enumeration"):
             exact_sequence_loglik(params, small, steps=9)
 
+    def test_size_limit_boundary(self):
+        # L_c = 4 is the largest completion both oracles enumerate
+        params = init_params(3, window=2, hidden=6, embed_dim=3, n_positions=6, seed=1)
+        prompt = np.array([0])
+        ok = Sequence(prompt=prompt, completion=np.array([0, 1, 2, 1]))
+        assert math.isfinite(exact_elbo_expectation(params, ok))
+        assert math.isfinite(exact_sequence_loglik(params, ok, steps=4))
+        big = Sequence(prompt=prompt, completion=np.zeros(5, dtype=np.int64))
+        with pytest.raises(ValueError, match="enumeration"):
+            exact_elbo_expectation(params, big)
+        with pytest.raises(ValueError, match="enumeration"):
+            exact_sequence_loglik(params, big, steps=4)
+
 
 class TestMaskWeights:
     def test_uniform_over_sizes_then_sets(self):
