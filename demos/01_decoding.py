@@ -10,7 +10,7 @@ import numpy as np
 from rspo_lab.denoiser import init_params
 from rspo_lab.mdm import DecodeConfig, decode, forward_mask, reverse_step
 from rspo_lab.sequences import Sequence
-from rspo_lab.tasks import MASK_ID, VOCAB_SIZE, decode_tokens, encode_text, gen_arith
+from rspo_lab.tasks import VOCAB_SIZE, decode_tokens, encode_text, gen_arith
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
     # the decoder hands it a stack holding the one completion
     class Narrator:
         def logprobs(self, seq, where):
-            print("  state:", decode_tokens(np.where(seq.masked[0], MASK_ID, seq.completion[0])))
+            print("  state:", decode_tokens(seq.completion[0]))
             return params.logprobs(seq, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
@@ -41,7 +41,7 @@ def main():
     # take one big reverse step with the model
     clean = Sequence(prompt=prompt, completion=out)
     noised = forward_mask(clean, t=0.6, rng=rng)
-    print(f"forward corruption at t=0.6: {decode_tokens(np.where(noised.masked, MASK_ID, noised.completion))}")
+    print(f"forward corruption at t=0.6: {decode_tokens(noised.completion)}")
     denoised = reverse_step(params, noised, t=0.6, s=0.0, rng=rng)
     print(f"one reverse step to s=0:     {decode_tokens(denoised.completion)}")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, oracle, score, tasks
-from .denoiser import init_params, write_atomic
+from .denoiser import init_params
 from .harness import ConfigError
 from .sequences import Sequence
 
@@ -202,7 +202,7 @@ def cmd_ablate(args) -> int:
         summary["run"] = tag
         summaries.append(summary)
         print(f"done {tag}: final_reward={summary['final_reward']:.4f}")
-    write_atomic(base_out / "ablation_summaries.json", harness._json_bytes(summaries))
+    harness.write_json(base_out / "ablation_summaries.json", summaries)
     return 0
 
 

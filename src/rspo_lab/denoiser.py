@@ -10,24 +10,20 @@ completion position of a corrupted sequence.  Features at position ``i`` are
 The feature vector passes through one tanh hidden layer and a linear-softmax
 readout.  Everything is small enough that the analytic backward pass can be
 checked coordinate-wise against finite differences.
+
+A masked completion position and a prompt's left padding both hold -1, and
+the features read either as no token.  This module is the model only; its
+checkpoint format lives in ``harness``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .sequences import Sequence
-
-CHECKPOINT_MAGIC = b"MDMC"
-CHECKPOINT_VERSION = 1
-# magic, version, vocab_size, window, hidden, embed_dim, n_positions, seed, theta size
-CHECKPOINT_HEADER = struct.Struct("<4sIIIIIIQQ")
+from .sequences import MASKED_TOKEN, Sequence
 
 
 def _section_shapes(vocab_size, window, hidden, embed_dim, n_positions) -> list[tuple[int, ...]]:
@@ -130,7 +126,6 @@ def _features(params: DenoiserParams, seq: Sequence,
     rows = seq.completion.size // lc
     prompt = np.broadcast_to(seq.prompt, lead + (pl,)).reshape(rows, pl)
     completion = seq.completion.reshape(rows, lc)
-    masked = seq.masked.reshape(rows, lc)
     starts = (prompt >= 0).sum(axis=1)
     if starts.max() + lc > params.n_positions:
         raise ValueError(
@@ -141,7 +136,7 @@ def _features(params: DenoiserParams, seq: Sequence,
     width = seq.total_len + 2 * w
     padded = np.full((rows, width), -1, dtype=np.int64)
     padded[:, w:w + pl] = prompt
-    padded[:, w + pl:w + seq.total_len] = np.where(masked, -1, completion)
+    padded[:, w + pl:w + seq.total_len] = completion
     offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
     # flat offsets (row start + position + window offset); cheaper than a 2-D gather
     ctx = padded.ravel()[(b * width + w + pl + i)[:, None] + offsets]
@@ -152,7 +147,7 @@ def _features(params: DenoiserParams, seq: Sequence,
     # the position one-hot, written through flat offsets (row start + position)
     x.reshape(-1)[np.arange(b.size) * params.feature_dim + starts[b] + i] = 1.0
     x[:b.size, params.n_positions:-1] = np.take(table, ctx, axis=0).reshape(b.size, 2 * w * e)
-    x[:b.size, -1] = (masked.sum(axis=1) / lc)[b]
+    x[:b.size, -1] = ((completion == MASKED_TOKEN).sum(axis=1) / lc)[b]
     return x, ctx
 
 
@@ -199,54 +194,3 @@ def backward(params: DenoiserParams, fwd, rows, tokens, weights) -> np.ndarray:
     return np.concatenate(
         [d_table[:v * e], d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
     )
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over
-    ``path``: a write that fails midway leaves the previous file untouched."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def params_to_bytes(params: DenoiserParams) -> bytes:
-    header = CHECKPOINT_HEADER.pack(
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        params.vocab_size,
-        params.window,
-        params.hidden,
-        params.embed_dim,
-        params.n_positions,
-        params.seed,
-        params.theta.size,
-    )
-    return header + params.theta.astype("<f8").tobytes()
-
-
-def read_section(data: bytes, offset: int, size: int, section: str) -> tuple[bytes, int]:
-    """The ``size`` bytes at ``offset`` and their end offset; raises naming
-    ``section`` when the data stops short."""
-    end = offset + size
-    if end > len(data):
-        raise ValueError(f"truncated {section}: need {size} bytes, {len(data) - offset} left")
-    return data[offset:end], end
-
-
-def params_from_bytes(data: bytes, offset: int = 0) -> tuple[DenoiserParams, int]:
-    """Parse a checkpoint section, returning the params and the end offset."""
-    head, start = read_section(data, offset, CHECKPOINT_HEADER.size, "params header")
-    magic, version, vocab, window, hidden, embed, npos, seed, count = CHECKPOINT_HEADER.unpack(head)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError("not a denoiser checkpoint (bad magic)")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    raw, end = read_section(data, start, 8 * count, "params theta")
-    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return DenoiserParams(theta, vocab, window, hidden, embed, npos, seed), end

@@ -1,4 +1,5 @@
-"""Training loop, optimizer, configuration, and metric persistence.
+"""Training loop, optimizer, configuration, and every run file: metrics,
+JSON config and summaries, and the checkpoint codec.
 
 One training step: sample prompt instances, roll out a group of completions
 per prompt, grade them, convert rewards to zero-sum group advantages, score
@@ -18,6 +19,7 @@ import difflib
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -26,14 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mdm, objectives, score, tasks
-from .denoiser import (
-    DenoiserParams,
-    init_params,
-    params_from_bytes,
-    params_to_bytes,
-    read_section,
-    write_atomic,
-)
+from .denoiser import DenoiserParams, init_params
 
 METRICS_FILE = "metrics.jsonl"
 TIMINGS_FILE = "timings.jsonl"
@@ -170,12 +165,8 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(read_json_object(path))
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def save_config(path, cfg: RunConfig) -> None:
-    write_atomic(path, _json_bytes(cfg.to_dict()))
+    write_json(path, cfg.to_dict())
 
 
 #: The consecutive parts of a training step whose wall times ``timings.jsonl``
@@ -362,8 +353,71 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# run files: atomic writes, JSON, checkpoints
 # ---------------------------------------------------------------------------
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``: a write that fails midway leaves the previous file untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` atomically as JSON with sorted keys, indented by two and
+    ending in a newline: the layout of the config and summary files."""
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+CHECKPOINT_MAGIC = b"MDMC"
+CHECKPOINT_VERSION = 1
+# magic, version, vocab_size, window, hidden, embed_dim, n_positions, seed, theta size
+CHECKPOINT_HEADER = struct.Struct("<4sIIIIIIQQ")
+
+
+def params_to_bytes(params: DenoiserParams) -> bytes:
+    header = CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        params.vocab_size,
+        params.window,
+        params.hidden,
+        params.embed_dim,
+        params.n_positions,
+        params.seed,
+        params.theta.size,
+    )
+    return header + params.theta.astype("<f8").tobytes()
+
+
+def read_section(data: bytes, offset: int, size: int, section: str) -> tuple[bytes, int]:
+    """The ``size`` bytes at ``offset`` and their end offset; raises naming
+    ``section`` when the data stops short."""
+    end = offset + size
+    if end > len(data):
+        raise ValueError(f"truncated {section}: need {size} bytes, {len(data) - offset} left")
+    return data[offset:end], end
+
+
+def params_from_bytes(data: bytes, offset: int = 0) -> tuple[DenoiserParams, int]:
+    """Parse a checkpoint section, returning the params and the end offset."""
+    head, start = read_section(data, offset, CHECKPOINT_HEADER.size, "params header")
+    magic, version, vocab, window, hidden, embed, npos, seed, count = CHECKPOINT_HEADER.unpack(head)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError("not a denoiser checkpoint (bad magic)")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    raw, end = read_section(data, start, 8 * count, "params theta")
+    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return DenoiserParams(theta, vocab, window, hidden, embed, npos, seed), end
 
 
 def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
@@ -479,7 +533,7 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
         "mean_abs_batch_offset": offset_tail,
         "config_hash": cfg.config_hash(),
     }
-    write_atomic(out / SUMMARY_FILE, _json_bytes(summary))
+    write_json(out / SUMMARY_FILE, summary)
     save_checkpoint(out / "checkpoint_final.bin", state, cfg)
     return state, summary
 

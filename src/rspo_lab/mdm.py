@@ -43,8 +43,6 @@ def forward_mask(y: Sequence, t: float, rng: np.random.Generator) -> Sequence:
     """Corrupt a clean sequence: each completion token is independently
     replaced by the mask with probability 1 - alpha(t).  The prompt is never
     masked."""
-    if not y.is_clean():
-        raise ValueError("forward_mask expects a clean sequence")
     p_mask = 1.0 - alpha_linear(t)
     return y.with_masked(np.flatnonzero(rng.random(y.completion_len) < p_mask))
 
@@ -90,7 +88,6 @@ def reverse_step(
     fill = masked[moves]
     z_s = z_t.copy()
     z_s.completion[fill] = _sample_categorical(logprobs[moves], 1.0, np.asarray(us))
-    z_s.masked[fill] = False
     return z_s
 
 
@@ -117,9 +114,8 @@ def decode(
     """
     if not prompts:
         raise ValueError("need at least one prompt")
-    shape = (len(rngs), cfg.gen_len)
-    seq = Sequence(left_pad(prompts), np.full(shape, MASKED_TOKEN), np.ones(shape, dtype=bool))
-    completion, masked = seq.completion, seq.masked
+    seq = Sequence(left_pad(prompts), np.full((len(rngs), cfg.gen_len), MASKED_TOKEN))
+    completion = seq.completion
     rows = np.arange(len(rngs))[:, None]
     # masked positions left in the active block at each step of a block
     lefts = range(cfg.block_size, 0, -cfg.unmask_per_step)
@@ -132,8 +128,9 @@ def decode(
     for start in range(0, cfg.gen_len, cfg.block_size):
         for left in lefts:
             # the still-masked positions of the block, ascending, per completion
-            where = np.zeros_like(masked)
-            where[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
+            where = np.zeros(completion.shape, dtype=bool)
+            where[:, start:start + cfg.block_size] = (
+                completion[:, start:start + cfg.block_size] == MASKED_TOKEN)
             cand = params.logprobs(seq, where).reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
             tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
@@ -143,7 +140,6 @@ def decode(
             best = np.lexsort((active, -conf))[:, :cfg.unmask_per_step]
             commit = active[rows, best]
             completion[rows, commit] = tok[rows, best]
-            masked[rows, commit] = False
     return seq
 
 

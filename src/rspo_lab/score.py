@@ -122,7 +122,7 @@ class _MaskStack:
         n_rows = [len(span) for span in self.spans]  # stack rows per completion
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
         prompts = np.repeat(left_pad([seq.prompt for seq in group]), n_rows, axis=0)
-        self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows), masked)
+        self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows))
         self.tokens = clean_rows[masked]  # the clean token at each forward row
         self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
         self.by_size = []  # per set size s: its stack rows and their (rows, s) forward rows

@@ -1,22 +1,22 @@
 """Prompt/completion token sequences.
 
-A Sequence always carries the prompt (never corrupted) and the completion
-together with per-position masked flags.  Masked positions keep a sentinel
-token value; the flags are the authoritative record of corruption.  A
-completion array with leading axes holds a stack of completions of one
-length: ``completion[b]`` and ``masked[b]`` are completion ``b``.  The stack
-shares a one-dimensional prompt, or has one prompt per completion when the
-prompt carries the same leading axes; such prompts are left-padded to one
-width with -1.
+A Sequence carries the prompt (never corrupted) and the completion.  A
+completion position is masked exactly when it holds ``MASKED_TOKEN`` (-1),
+the value that also left-pads prompts; ``masked`` is derived from the
+tokens.  A completion array with leading axes holds a stack of completions
+of one length: ``completion[b]`` is completion ``b``.  The stack shares a
+one-dimensional prompt, or has one prompt per completion when the prompt
+carries the same leading axes; such prompts are left-padded to one width
+with -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-#: Sentinel stored in the token array at masked completion positions.
+#: Token value of a masked completion position, and of prompt left padding.
 MASKED_TOKEN = -1
 
 
@@ -37,21 +37,23 @@ class Sequence:
 
     prompt: np.ndarray
     completion: np.ndarray
-    masked: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.prompt = np.asarray(self.prompt, dtype=np.int64)
         self.completion = np.asarray(self.completion, dtype=np.int64)
-        if self.masked is None:
-            self.masked = np.zeros(self.completion.shape, dtype=bool)
-        else:
-            self.masked = np.asarray(self.masked, dtype=bool)
-        if self.masked.shape != self.completion.shape:
-            raise ValueError("masked flags must match completion length")
         if self.completion.ndim < 1 or self.completion.shape[-1] < 1:
             raise ValueError("completion must have at least one token")
         if self.prompt.ndim != 1 and self.prompt.shape[:-1] != self.completion.shape[:-1]:
             raise ValueError("a prompt with leading axes must match the completion's")
+        if min(self.completion.min(initial=0), self.prompt.min(initial=0)) < MASKED_TOKEN:
+            raise ValueError(f"token ids must be >= {MASKED_TOKEN}")
+
+    @property
+    def masked(self) -> np.ndarray:
+        """Read-only flags, True at the completion's masked positions."""
+        flags = self.completion == MASKED_TOKEN
+        flags.flags.writeable = False
+        return flags
 
     @property
     def prompt_len(self) -> int:
@@ -67,19 +69,19 @@ class Sequence:
         return self.prompt_len + self.completion_len
 
     def is_clean(self) -> bool:
-        return not self.masked.any()
+        return bool(self.completion.min(initial=0) >= 0)
 
     def copy(self) -> "Sequence":
-        return Sequence(self.prompt.copy(), self.completion.copy(), self.masked.copy())
+        return Sequence(self.prompt.copy(), self.completion.copy())
 
     def with_masked(self, positions) -> "Sequence":
-        """Return a copy masked exactly at the given completion positions."""
-        out = self.copy()
-        out.masked[:] = False
+        """Return a copy of a clean sequence masked exactly at the given
+        completion positions, in every completion of a stack."""
+        if not self.is_clean():
+            raise ValueError("with_masked expects a clean sequence")
         idx = np.asarray(list(positions), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.completion_len:
-                raise ValueError("mask positions outside completion range")
-            out.masked[idx] = True
-            out.completion[idx] = MASKED_TOKEN
+        if idx.size and (idx.min() < 0 or idx.max() >= self.completion_len):
+            raise ValueError("mask positions outside completion range")
+        out = self.copy()
+        out.completion[..., idx] = MASKED_TOKEN
         return out

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, tiny_params, tiny_sequence
-from rspo_lab.denoiser import (
-    _features,
-    backward,
-    forward,
-    init_params,
-    params_from_bytes,
-    params_to_bytes,
-)
+from rspo_lab.denoiser import _features, backward, forward, init_params
+from rspo_lab.harness import params_from_bytes, params_to_bytes
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
 
@@ -125,7 +119,7 @@ def random_stack(rng, trial: int, b: int):
     masked[0::3] = False
     masked[1::3] = True
     return params, Sequence(prompt=rng.integers(0, vocab, size=prompt_len),
-                            completion=np.where(masked, -1, completion), masked=masked)
+                            completion=np.where(masked, -1, completion))
 
 
 class TestStack:
@@ -138,7 +132,7 @@ class TestStack:
             lp = params.logprobs(stack)
             assert lp.shape == (b, stack.completion_len, params.vocab_size)
             for i in range(b):
-                one = Sequence(stack.prompt, stack.completion[i], stack.masked[i])
+                one = Sequence(stack.prompt, stack.completion[i])
                 worst = max(worst, float(np.max(np.abs(lp[i] - loop_logprobs(params, one)))))
             cases += params.window >= stack.total_len == params.n_positions
         assert worst <= 1e-12
@@ -150,10 +144,11 @@ class TestStack:
         # single-position gradients
         for trial in range(20):
             params, stack = random_stack(rng, trial, 5)
-            stack.masked[0] = True
-            stack.masked[1:] |= rng.random(stack.masked[1:].shape) < 0.5
-            stack.masked[1] = stack.masked[2]
-            stack.completion[stack.masked] = -1
+            masked = stack.masked.copy()
+            masked[0] = True
+            masked[1:] |= rng.random(masked[1:].shape) < 0.5
+            stack.completion[masked] = -1
+            stack.completion[1] = stack.completion[2]
             items, positions = np.nonzero(stack.masked)
             tokens = rng.integers(0, params.vocab_size, size=items.size)
             weights = rng.uniform(-2.0, 2.0, size=items.size)
@@ -161,7 +156,7 @@ class TestStack:
                              items * stack.completion_len + positions, tokens, weights)
             singles = sum(
                 w * logprob_grad(
-                    params, Sequence(stack.prompt, stack.completion[i], stack.masked[i]),
+                    params, Sequence(stack.prompt, stack.completion[i]),
                     [p], [t])
                 for i, p, t, w in zip(items, positions, tokens, weights))
             np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
@@ -188,13 +183,13 @@ class TestRaggedPrompts:
             masked = rng.random((lengths.size, completion_len)) < 0.5
             masked[0] = True
             completion = np.where(masked, -1, rng.integers(0, vocab, size=masked.shape))
-            stack = Sequence(prompts, completion, masked)
+            stack = Sequence(prompts, completion)
             x, ctx = _features(params, stack)
             x = x.reshape(lengths.size, completion_len, -1)
             ctx = ctx.reshape(lengths.size, completion_len, -1)
             lp = params.logprobs(stack)
             for b, n in enumerate(lengths):
-                one = Sequence(prompts[b, width - n:], completion[b], masked[b])
+                one = Sequence(prompts[b, width - n:], completion[b])
                 x_one, ctx_one = _features(params, one)
                 assert np.array_equal(x[b], x_one)
                 assert np.array_equal(ctx[b], ctx_one)

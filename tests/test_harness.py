@@ -6,8 +6,8 @@ import pytest
 
 from conftest import default_model
 from rspo_lab import denoiser, harness, mdm, objectives, score, tasks
-from rspo_lab.denoiser import CHECKPOINT_HEADER
 from rspo_lab.harness import (
+    CHECKPOINT_HEADER,
     RunAborted,
     RunConfig,
     StepMetrics,
@@ -424,7 +424,7 @@ class TestAtomicWrites:
                 self.fh.flush()
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(denoiser, "open",
+        monkeypatch.setattr(harness, "open",
                             lambda *a, **kw: Torn(real_open(*a, **kw)), raising=False)
 
     def test_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Every name a library module imports, and every private name (``_x``) it
-defines at module level, is read somewhere in that module.
+defines at module level, is read somewhere in that module; README's Public
+API section names exactly the package's exports.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
 an import binds names, and so does a module-level def, class or assignment;
@@ -9,6 +10,7 @@ re-exports its imports and is not checked for them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,19 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def public_api_section() -> str:
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_public_api_matches_the_exports():
+    # every export is named in the section, and every call it shows is an export
+    import rspo_lab
+
+    section = public_api_section()
+    assert [name for name in rspo_lab.__all__ if f"`{name}`" not in section
+            and f"`{name}(" not in section] == []
+    assert [name for name in re.findall(r"`(\w+)\(", section)
+            if name not in rspo_lab.__all__] == []

@@ -19,8 +19,9 @@ from rspo_lab.mdm import (
 from rspo_lab.sequences import MASKED_TOKEN, Sequence
 
 
-def wide_params():
-    return init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5)
+def wide_params(scale: float = 0.05):
+    return init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5,
+                       scale=scale)
 
 
 def binomial_central_interval(n: int, p: float, coverage: float = 0.99):
@@ -213,8 +214,7 @@ class TestDecode:
         # left-padded stack decodes as its prompt alone on a copy of its stream;
         # the model is far from uniform, so a misplaced prompt token changes
         # the decoded tokens (at the default init scale it rarely does)
-        params = init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5,
-                             scale=1.0)
+        params = wide_params(scale=1.0)
         cfg = self.cfg(unmask_per_step=3, temperature=temperature)
         prompts = [np.array([], dtype=np.int64), np.array([2]), np.array([3, 1]),
                    np.array([1, 3, 0])]
@@ -285,8 +285,9 @@ class TestCompletionGroups:
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
     def test_ragged_groups_equal_one_group_at_a_time(self, temperature):
         # prompts of different lengths, the empty one included, decode in one
-        # lockstep stack exactly as one group per prompt on the same RNG
-        params = wide_params()
+        # lockstep stack exactly as one group per prompt on the same RNG; at
+        # init scale 1.0 a misplaced prompt token changes the decoded tokens
+        params = wide_params(scale=1.0)
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3,
                            temperature=temperature)
         prompts = [np.array([1, 3, 0]), np.array([2]), np.array([], dtype=np.int64),

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspo_lab import harness
-from rspo_lab.denoiser import init_params, params_from_bytes, params_to_bytes
+from rspo_lab.denoiser import init_params
+from rspo_lab.harness import params_from_bytes, params_to_bytes
 from rspo_lab.tasks import (
     LAB_CHARS,
     decode_tokens,
