@@ -115,10 +115,14 @@ def _features(params: DenoiserParams, seq: Sequence,
 
     A completion's absolute positions start after its own prompt tokens, the
     entries >= 0; its -1 left padding reads as outside the sequence, so every
-    row gets the features of its unpadded sequence.
+    row gets the features of its unpadded sequence.  A token id at or past
+    ``vocab_size`` in either array raises ``ValueError`` naming the array.
     """
     lc, pl = seq.completion_len, seq.prompt_len
     w, e = params.window, params.embed_dim
+    for name, ids in (("prompt", seq.prompt), ("completion", seq.completion)):
+        if ids.size and ids.max() >= params.vocab_size:
+            raise ValueError(f"{name} token ids must be < vocab_size {params.vocab_size}")
     lead = seq.completion.shape[:-1]
     if where is None:
         where = np.ones(seq.completion.shape, dtype=bool)
@@ -170,27 +174,34 @@ def forward(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = No
     return logits - logz, (x, ctx, h)
 
 
-def backward(params: DenoiserParams, fwd, rows, tokens, weights) -> np.ndarray:
-    """Gradient w.r.t. theta of sum_r weights[r] * log p(tokens[r]) at the
-    ``forward`` rows ``rows``: a slice, which reads the forward's arrays
-    without copying them, or an index array."""
+def backward(params: DenoiserParams, fwd, tokens, weights, bounds) -> list[np.ndarray]:
+    """Gradients w.r.t. theta of sum_r weights[r] * log p(tokens[r]) over
+    the ``forward`` rows r of each segment ``[bounds[s], bounds[s+1])``, one
+    flat gradient per segment; ``tokens`` and ``weights`` have one entry per
+    forward row.
+
+    The softmax, one-hot and weight terms run once over every row.  Each
+    segment then runs its own gemms, ``1 - h**2``, embedding cells and bias
+    sums over just its rows, so its gradient's bits equal a call on that
+    segment alone, whichever segments share the call."""
     logprobs, (x, ctx, h) = fwd
-    x, ctx, h = x[rows], ctx[rows], h[rows]
-    n, v, e = len(x), params.vocab_size, params.embed_dim
-
-    dlogits = -np.exp(logprobs[rows])
-    dlogits[np.arange(n), tokens] += 1.0
+    v, e = params.vocab_size, params.embed_dim
+    dlogits = -np.exp(logprobs)
+    dlogits[np.arange(len(dlogits)), tokens] += 1.0
     dlogits *= weights[:, None]
-    d_w2 = dlogits.T @ h
-    da = (dlogits @ params.w2) * (1.0 - h ** 2)
-    d_w1 = da.T @ x
-    dx = da @ params.w1
-    # one (token, embedding column) cell per slot entry, added in row order;
-    # token v, for ctx -1 (masked or outside), collects what no embedding gets
-    cells = (np.where(ctx < 0, v, ctx)[:, :, None] * e + np.arange(e)).ravel()
-    d_table = np.bincount(cells, dx[:, params.n_positions:-1].ravel(),
-                          minlength=(v + 1) * e)
-
-    return np.concatenate(
-        [d_table[:v * e], d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dlogits.sum(axis=0)]
-    )
+    grads = []
+    for a, b in zip(bounds, bounds[1:]):
+        dl, hs, xs = dlogits[a:b], h[a:b], x[a:b]
+        d_w2 = dl.T @ hs
+        da = (dl @ params.w2) * (1.0 - hs ** 2)
+        d_w1 = da.T @ xs
+        dx = da @ params.w1
+        # one (token, embedding column) cell per slot entry, added in row
+        # order; token v, for ctx -1 (masked or outside), collects what no
+        # embedding gets
+        cells = (np.where(ctx[a:b] < 0, v, ctx[a:b])[:, :, None] * e + np.arange(e)).ravel()
+        d_table = np.bincount(cells, dx[:, params.n_positions:-1].ravel(),
+                              minlength=(v + 1) * e)
+        grads.append(np.concatenate(
+            [d_table[:v * e], d_w1.ravel(), da.sum(axis=0), d_w2.ravel(), dl.sum(axis=0)]))
+    return grads

@@ -89,55 +89,73 @@ class _MaskStack:
     def __init__(self, group: list[Sequence], masks_per: list[MaskBatch]):
         if not group or len(group) != len(masks_per):
             raise ValueError("need one mask list per completion, and a completion")
-        for seq, masks in zip(group, masks_per):
+        for masks in masks_per:
             if not masks:
                 raise ValueError("need at least one mask sample")
             if not isinstance(masks, MaskBatch):
                 raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
-            if not seq.is_clean():
-                raise ValueError("scoring expects a clean sequence")
         self.clean = np.array([seq.completion for seq in group])
+        if self.clean.min() < 0:
+            raise ValueError("scoring expects a clean sequence")
         l_c = self.clean.shape[1]
-        offsets = [0, *itertools.accumulate(len(masks) for masks in masks_per)]
-        hits = np.zeros((offsets[-1], l_c), dtype=bool)
-        for masks, a, b in zip(masks_per, offsets, offsets[1:]):
-            if masks.hits.shape[1] > l_c:
-                raise ValueError("a mask position lies past the completion")
+        self.offsets = np.array([0, *itertools.accumulate(len(masks) for masks in masks_per)])
+        if max(masks.hits.shape[1] for masks in masks_per) > l_c:
+            raise ValueError("a mask position lies past the completion")
+        hits = np.zeros((self.offsets[-1], l_c), dtype=bool)
+        for masks, a, b in zip(masks_per, self.offsets, self.offsets[1:]):
             hits[a:b, :masks.hits.shape[1]] = masks.hits
-        # each completion's dict over the raw row bytes numbers its distinct
-        # sets in first-occurrence order; unlike np.unique this works at any
-        # l_c and imports no numpy.ma
-        keys = hits.view(f"V{l_c}").ravel().tolist()
-        sets: list[bytes] = []  # per stack row, its hits row
-        self.spans: list[range] = []  # per completion, its stack rows
-        self.which: list[np.ndarray] = []  # per completion, the stack row of each mask
-        for a, b in zip(offsets, offsets[1:]):
-            first, index = len(sets), {}
-            self.which.append(np.array([index.setdefault(key, first + len(index))
-                                        for key in keys[a:b]]))
-            sets.extend(index)
-            self.spans.append(range(first, len(sets)))
-        masked = np.frombuffer(b"".join(sets), dtype=bool).reshape(len(sets), l_c)
+        # a stable sort by (completion, hits row) heads each run of equal
+        # masks with its first occurrence; numbering the runs by that mask
+        # gives each completion's distinct sets in first-occurrence order.
+        # Unlike np.unique this imports no numpy.ma
+        owner = np.repeat(np.arange(len(group)), np.diff(self.offsets))
+        order = np.lexsort((*hits.T, owner))
+        runs = hits[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (np.diff(owner[order]) != 0) | (runs[1:] != runs[:-1]).any(axis=1)
+        firsts = order[head]
+        number = np.empty(firsts.size, dtype=np.intp)
+        number[np.argsort(firsts)] = np.arange(firsts.size)
+        self.mask_row = np.empty(order.size, dtype=np.intp)  # the stack row of each mask
+        self.mask_row[order] = number[np.cumsum(head) - 1]
+        firsts.sort()
+        masked = hits[firsts]
+        n_rows = np.bincount(owner[firsts], minlength=len(group))  # stack rows per completion
+        self.row_offsets = np.concatenate([[0], np.cumsum(n_rows)])  # completion -> stack rows
         self.sizes = masked.sum(axis=1)
-        n_rows = [len(span) for span in self.spans]  # stack rows per completion
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
         prompts = np.repeat(left_pad([seq.prompt for seq in group]), n_rows, axis=0)
         self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows))
         self.tokens = clean_rows[masked]  # the clean token at each forward row
         self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
-        self.by_size = []  # per set size s: its stack rows and their (rows, s) forward rows
-        for s in set(self.sizes.tolist()):  # np.unique would import numpy.ma, +1.7 MiB
-            rows = np.flatnonzero(self.sizes == s)
+        # per set size s: its stack rows and their (rows, s) forward rows, from
+        # one stable sort by size (np.unique would import numpy.ma, +1.7 MiB)
+        by_size = np.argsort(self.sizes, kind="stable")
+        per_size = np.bincount(self.sizes)
+        ends = np.cumsum(per_size).tolist()
+        self.by_size = []
+        for s in np.flatnonzero(per_size).tolist():
+            rows = by_size[ends[s - 1]:ends[s]]
             self.by_size.append((rows, self.starts[rows, None] + np.arange(s)))
+
+    @property
+    def spans(self) -> list[range]:
+        """Per completion, its stack rows."""
+        return [range(a, b) for a, b in itertools.pairwise(self.row_offsets.tolist())]
+
+    @property
+    def which(self) -> list[np.ndarray]:
+        """Per completion, the stack row of each of its masks."""
+        return [self.mask_row[a:b] for a, b in itertools.pairwise(self.offsets)]
 
     def logprobs(self, params: DenoiserParams) -> np.ndarray:
         """The denoiser's log-probability rows at the stack's masked positions."""
         return params.logprobs(self.stack, self.stack.masked)
 
-    def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
-        """Per completion, the per-mask terms from the log-probability rows
-        at the stack's masked positions: the mask-size reweighted
-        log-probability sum of the clean tokens."""
+    def mask_terms(self, logprobs: np.ndarray) -> np.ndarray:
+        """Every mask's term, flat completion by completion, from the
+        log-probability rows at the stack's masked positions: the mask-size
+        reweighted log-probability sum of the clean tokens."""
         l_c = self.clean.shape[1]
         picked = logprobs[np.arange(len(self.tokens)), self.tokens]
         by_row = np.empty(len(self.sizes))
@@ -145,22 +163,31 @@ class _MaskStack:
             # a sum along the contiguous last axis adds each row in the order
             # of that row's own 1-D sum; np.add.reduceat does not
             by_row[rows] = (l_c / cells.shape[1]) * picked[cells].sum(axis=1)
-        return [by_row[which] for which in self.which]
+        return by_row[self.mask_row]
+
+    def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
+        """Per completion, its per-mask terms."""
+        flat = self.mask_terms(logprobs)
+        return [flat[a:b] for a, b in itertools.pairwise(self.offsets)]
 
     def means(self, logprobs: np.ndarray) -> list[float]:
-        """Per completion, the mean of its per-mask terms."""
+        """Per completion, the mean of its per-mask terms.  With equal mask
+        counts, one mean along the rows of a (completions, masks) view, each
+        row's own 1-D mean."""
+        counts = np.diff(self.offsets)
+        if (counts == counts[0]).all():
+            return self.mask_terms(logprobs).reshape(counts.size, -1).mean(axis=1).tolist()
         return [float(t.mean()) for t in self.terms(logprobs)]
 
-    def grad(self, params: DenoiserParams, fwd, c: int, scale: float) -> np.ndarray:
-        """Gradient of ``scale`` times completion ``c``'s mean term, by one
-        backward through the forward ``fwd`` at the stack's masked
-        positions."""
-        l_c, span, which = self.clean.shape[1], self.spans[c], self.which[c]
-        counts = np.bincount(which - span.start, minlength=len(span))
-        sizes = self.sizes[span.start:span.stop]
-        weights = np.repeat(scale * counts * (l_c / sizes) / which.size, sizes)
-        rows = slice(self.starts[span.start], self.starts[span.stop])
-        return denoiser.backward(params, fwd, rows, self.tokens[rows], weights)
+    def grads(self, params: DenoiserParams, fwd, scale: float) -> list[np.ndarray]:
+        """Per completion, the gradient of ``scale`` times its mean term, by
+        one backward through the forward ``fwd`` at the stack's masked
+        positions, segmented at each completion's rows."""
+        l_c = self.clean.shape[1]
+        counts = np.bincount(self.mask_row, minlength=len(self.sizes))
+        n_masks = np.repeat(np.diff(self.offsets), np.diff(self.row_offsets))
+        weights = np.repeat(scale * counts * (l_c / self.sizes) / n_masks, self.sizes)
+        return denoiser.backward(params, fwd, self.tokens, weights, self.starts[self.row_offsets])
 
     def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
         """Per completion, the per-token current-reference score difference,
@@ -202,12 +229,11 @@ def coupled_deltas_and_grads(
     exactly zero.  Without a reference (``params_ref`` None) the delta is
     the per-token current score.  Only the current side depends on theta.
     One reference and one current forward over the whole stack, each at its
-    masked positions only, then one backward per completion through its
-    slice of the current forward."""
+    masked positions only, then one backward through the current forward
+    that returns each completion's gradient from its own rows."""
     stack = _MaskStack(group, masks_per)
     deltas, fwd = stack.deltas(params_cur, params_ref)
-    scale = 1.0 / stack.clean.shape[1]
-    return deltas, [stack.grad(params_cur, fwd, c, scale) for c in range(len(group))]
+    return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 
 
 def center_scores(deltas) -> RelativeScoreBatch:

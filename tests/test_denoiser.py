@@ -12,10 +12,12 @@ from rspo_lab.sequences import Sequence
 
 def logprob_grad(params, seq, positions, tokens):
     """Gradient of sum_j log p(tokens[j] | seq) at positions[j] of one
-    completion, by one backward through its forward at every position."""
-    positions = np.asarray(positions)
-    return backward(params, forward(params, seq), positions, np.asarray(tokens),
-                    np.ones(positions.size))
+    completion, distinct and increasing, by one backward through its forward
+    at those positions."""
+    where = np.zeros(seq.completion.shape, dtype=bool)
+    where[positions] = True
+    return backward(params, forward(params, seq, where), np.asarray(tokens),
+                    np.ones(len(tokens)), [0, len(tokens)])[0]
 
 
 class TestLogprobs:
@@ -47,6 +49,17 @@ class TestLogprobs:
         seq = tiny_sequence(rng, prompt_len=5, completion_len=3)
         with pytest.raises(ValueError, match="position table"):
             params.logprobs(seq)
+
+    @pytest.mark.parametrize("field", ["prompt", "completion"])
+    @pytest.mark.parametrize("token", [4, 5])
+    def test_token_id_past_vocab_rejected(self, field, token):
+        # an id equal to vocab_size once read as a zero embedding; larger
+        # ids raised a bare IndexError
+        params = init_params(4, window=1, hidden=3, embed_dim=2, n_positions=6)
+        ids = {"prompt": [1], "completion": [2, 1, 3]}
+        ids[field][-1] = token
+        with pytest.raises(ValueError, match=f"{field} token ids must be < vocab_size 4"):
+            params.logprobs(Sequence(ids["prompt"], ids["completion"]))
 
     def test_positive_gradient_coordinate_raises_logprob(self, rng):
         # perturbing a weight along its positive gradient direction must
@@ -152,8 +165,8 @@ class TestStack:
             items, positions = np.nonzero(stack.masked)
             tokens = rng.integers(0, params.vocab_size, size=items.size)
             weights = rng.uniform(-2.0, 2.0, size=items.size)
-            total = backward(params, forward(params, stack),
-                             items * stack.completion_len + positions, tokens, weights)
+            total, = backward(params, forward(params, stack, stack.masked),
+                              tokens, weights, [0, items.size])
             singles = sum(
                 w * logprob_grad(
                     params, Sequence(stack.prompt, stack.completion[i]),
@@ -264,6 +277,53 @@ class TestGradients:
         )
         np.testing.assert_array_equal(embed_grad[2], 0.0)
         np.testing.assert_array_equal(embed_grad[3], 0.0)
+
+
+class TestSegmentedBackward:
+    def test_each_segment_equals_its_own_call(self, rng):
+        # one ragged-prompt forward with a repeated row, cut into random
+        # segments (some empty); each gradient of one call equals a call
+        # on that segment's rows alone, bit for bit, and they sum to the
+        # weighted single-position gradients
+        for trial in range(20):
+            vocab = int(rng.integers(2, 7))
+            width = int(rng.integers(0, 5))
+            completion_len = int(rng.integers(1, 7))
+            params = init_params(vocab, window=int(rng.integers(1, 6)),
+                                 hidden=int(rng.integers(1, 9)),
+                                 embed_dim=int(rng.integers(1, 5)),
+                                 n_positions=width + completion_len + int(rng.integers(0, 2)),
+                                 seed=trial, scale=1.0)
+            lengths = rng.integers(0, width + 1, size=6)
+            prompts = np.full((lengths.size, width), -1)
+            for row, n in zip(prompts, lengths):
+                row[width - n:] = rng.integers(0, vocab, size=n)
+            masked = rng.random((lengths.size, completion_len)) < 0.5
+            masked[0] = True
+            completion = np.where(masked, -1, rng.integers(0, vocab, size=masked.shape))
+            prompts[1], completion[1] = prompts[2], completion[2]
+            stack = Sequence(prompts, completion)
+            where = rng.random(completion.shape) < 0.7
+            where[1], where[2] = True, True
+            items, positions = np.nonzero(where)
+            tokens = rng.integers(0, vocab, size=items.size)
+            weights = rng.uniform(-2.0, 2.0, size=items.size)
+            weights[rng.random(items.size) < 0.3] = 0.0
+            bounds = np.sort(np.concatenate(
+                [[0, items.size], rng.integers(0, items.size + 1, size=3)]))
+            logprobs, (x, ctx, h) = fwd = forward(params, stack, where)
+            grads = backward(params, fwd, tokens, weights, bounds)
+            assert len(grads) == bounds.size - 1
+            for grad, a, b in zip(grads, bounds, bounds[1:]):
+                alone = (logprobs[a:b], (x[a:b], ctx[a:b], h[a:b]))
+                one, = backward(params, alone, tokens[a:b], weights[a:b], [0, b - a])
+                assert np.array_equal(grad, one)
+            singles = sum(
+                w * logprob_grad(
+                    params, Sequence(prompts[i][prompts[i] >= 0], stack.completion[i]),
+                    [p], [t])
+                for i, p, t, w in zip(items, positions, tokens, weights))
+            np.testing.assert_allclose(sum(grads), singles, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpoints:
