@@ -8,8 +8,7 @@ commits the highest-confidence positions inside the active block.
 import numpy as np
 
 from rspo_lab.denoiser import init_params
-from rspo_lab.mdm import DecodeConfig, decode, forward_mask, reverse_step
-from rspo_lab.sequences import Sequence
+from rspo_lab.mdm import DecodeConfig, decode
 from rspo_lab.tasks import VOCAB_SIZE, decode_tokens, encode_text, gen_arith
 
 
@@ -35,15 +34,6 @@ def main():
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
     out = decode(Narrator(), [prompt], cfg, [rng]).completion[0]
     print("  final:", decode_tokens(out))
-    print()
-
-    # the forward process is the mirror image: mask a clean sequence, then
-    # take one big reverse step with the model
-    clean = Sequence(prompt=prompt, completion=out)
-    noised = forward_mask(clean, t=0.6, rng=rng)
-    print(f"forward corruption at t=0.6: {decode_tokens(noised.completion)}")
-    denoised = reverse_step(params, noised, t=0.6, s=0.0, rng=rng)
-    print(f"one reverse step to s=0:     {decode_tokens(denoised.completion)}")
 
 
 if __name__ == "__main__":

@@ -6,14 +6,7 @@ reward tasks, and a reproducible training harness.
 
 from .sequences import MASKED_TOKEN, Sequence
 from .denoiser import DenoiserParams, init_params
-from .mdm import (
-    DecodeConfig,
-    alpha_linear,
-    decode,
-    forward_mask,
-    reverse_step,
-    sample_completion_groups,
-)
+from .mdm import DecodeConfig, decode, sample_completion_groups
 from .score import (
     MaskBatch,
     RelativeScoreBatch,
@@ -49,18 +42,15 @@ __all__ = [
     "Sequence",
     "StepMetrics",
     "adam_update",
-    "alpha_linear",
     "batch_mean_offset",
     "center_scores",
     "coupled_deltas_and_grads",
     "decode",
     "elbo_terms",
     "fixed_point_residual",
-    "forward_mask",
     "group_advantages",
     "init_params",
     "quad_loss",
-    "reverse_step",
     "rspo_gradient",
     "rspo_loss",
     "rspo_weights",

@@ -1,23 +1,19 @@
-"""Masked diffusion core: noise schedule, corruption, reverse-step sampling,
-and semi-autoregressive confidence decoding.
+"""Masked diffusion decoding: ``DecodeConfig``, the temperature-adjusted
+categorical draw ``_sample_categorical``, the semi-autoregressive confidence
+decoder ``decode``, and ``sample_completion_groups``, which decodes a group
+of completions per prompt in one lockstep stack.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import DenoiserParams
 from .sequences import MASKED_TOKEN, Sequence, left_pad
-
-
-def alpha_linear(t: float) -> float:
-    """Linear noise schedule: alpha(0)=1, alpha(1)=0."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    return 1.0 - t
 
 
 @dataclass(frozen=True)
@@ -28,23 +24,21 @@ class DecodeConfig:
     temperature: float = 0.9
 
     def __post_init__(self):
+        # bool is an Integral and a Real, so it is rejected by name
         for name in ("gen_len", "block_size", "unmask_per_step"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.gen_len % self.block_size != 0:
             raise ValueError("block_size must divide gen_len")
+        if not isinstance(self.temperature, numbers.Real) or isinstance(self.temperature, bool):
+            raise ValueError(f"temperature must be a real number, got {self.temperature!r}")
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
-
-
-def forward_mask(y: Sequence, t: float, rng: np.random.Generator) -> Sequence:
-    """Corrupt a clean sequence: each completion token is independently
-    replaced by the mask with probability 1 - alpha(t).  The prompt is never
-    masked."""
-    p_mask = 1.0 - alpha_linear(t)
-    return y.with_masked(np.flatnonzero(rng.random(y.completion_len) < p_mask))
 
 
 def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray) -> np.ndarray:
@@ -58,37 +52,6 @@ def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray)
     # the count of cumulative masses <= u is searchsorted(cdf, u, side="right")
     draws = (np.cumsum(p, axis=-1) <= u[..., None]).sum(axis=-1)
     return np.minimum(draws, p.shape[-1] - 1)
-
-
-def reverse_step(
-    params: DenoiserParams,
-    z_t: Sequence,
-    t: float,
-    s: float,
-    rng: np.random.Generator,
-) -> Sequence:
-    """One reverse transition z_t -> z_s.
-
-    Unmasked positions are copied.  A masked position stays masked with
-    probability (1-alpha_s)/(1-alpha_t) and otherwise draws a token from the
-    denoiser distribution.
-    """
-    if not (0.0 <= s < t <= 1.0):
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    stay = (1.0 - alpha_linear(s)) / (1.0 - alpha_linear(t))
-    masked = np.flatnonzero(z_t.masked)
-    logprobs = params.logprobs(z_t, z_t.masked)  # one row per masked position
-    # per masked position in order: the stay draw, then the token draw if it moves
-    moves, us = [], []
-    for row in range(masked.size):
-        if rng.random() >= stay:
-            moves.append(row)
-            us.append(rng.random())
-    moves = np.asarray(moves, dtype=np.int64)
-    fill = masked[moves]
-    z_s = z_t.copy()
-    z_s.completion[fill] = _sample_categorical(logprobs[moves], 1.0, np.asarray(us))
-    return z_s
 
 
 def decode(

@@ -149,7 +149,10 @@ def _eval_countdown_expr(text: str) -> tuple[int, list[int]] | None:
             return a // b
         return None
 
-    value = walk(tree.body)
+    try:
+        value = walk(tree.body)
+    except RecursionError:  # a chain too deep to walk, though ast.parse took it
+        return None
     if value is None:
         return None
     return value, leaves

@@ -5,136 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_model, task_prompts, tiny_params, tiny_sequence
+from conftest import default_model, task_prompts, tiny_params
 from rspo_lab.denoiser import init_params
 from rspo_lab.harness import RunConfig
-from rspo_lab.mdm import (
-    DecodeConfig,
-    alpha_linear,
-    decode,
-    forward_mask,
-    reverse_step,
-    sample_completion_groups,
-)
-from rspo_lab.sequences import MASKED_TOKEN, Sequence
+from rspo_lab.mdm import DecodeConfig, decode, sample_completion_groups
 
 
 def wide_params(scale: float = 0.05):
     return init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5,
                        scale=scale)
-
-
-def binomial_central_interval(n: int, p: float, coverage: float = 0.99):
-    """Quantile oracle from the exact CDF (log-space pmf)."""
-    logs = [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log(1 - p)
-        for k in range(n + 1)
-    ]
-    pmf = np.exp(logs)
-    cdf = np.cumsum(pmf)
-    tail = (1.0 - coverage) / 2.0
-    lo = int(np.searchsorted(cdf, tail))
-    hi = int(np.searchsorted(cdf, 1.0 - tail))
-    return lo, hi
-
-
-class TestSchedule:
-    def test_endpoints(self):
-        assert alpha_linear(0.0) == 1.0
-        assert alpha_linear(1.0) == 0.0
-
-    def test_interior(self):
-        assert alpha_linear(0.25) == 0.75
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_linear(-0.1)
-        with pytest.raises(ValueError):
-            alpha_linear(1.5)
-
-
-class TestForwardMask:
-    def test_t_zero_identity(self, rng):
-        y = tiny_sequence(rng)
-        z = forward_mask(y, 0.0, rng)
-        assert np.array_equal(z.completion, y.completion)
-        assert not z.masked.any()
-
-    def test_t_one_all_masked(self, rng):
-        y = tiny_sequence(rng)
-        z = forward_mask(y, 1.0, rng)
-        assert z.masked.all()
-        assert (z.completion == MASKED_TOKEN).all()
-
-    def test_prompt_untouched(self, rng):
-        y = tiny_sequence(rng)
-        z = forward_mask(y, 0.7, rng)
-        assert np.array_equal(z.prompt, y.prompt)
-
-    def test_mask_count_within_binomial_interval(self):
-        n = 1000
-        lo, hi = binomial_central_interval(n, 0.5)
-        y = Sequence(prompt=np.array([0]), completion=np.zeros(n, dtype=np.int64))
-        for seed in range(5):
-            z = forward_mask(y, 0.5, np.random.default_rng(seed))
-            assert lo <= int(z.masked.sum()) <= hi
-
-    def test_corrupted_input_rejected(self, rng):
-        z = tiny_sequence(rng).with_masked([0])
-        with pytest.raises(ValueError, match="clean"):
-            forward_mask(z, 0.5, rng)
-
-
-class PerfectDenoiser:
-    """Oracle denoiser: probability one on the clean completion tokens."""
-
-    def __init__(self, clean: Sequence, vocab_size: int):
-        self.clean = clean
-        self.vocab_size = vocab_size
-
-    def logprobs(self, seq: Sequence, where: np.ndarray) -> np.ndarray:
-        lp = np.full((seq.completion_len, self.vocab_size), -np.inf)
-        for i in range(seq.completion_len):
-            lp[i, self.clean.completion[i]] = 0.0
-        return lp[where]
-
-
-class TestReverseStep:
-    def test_unmasked_positions_copied(self, rng):
-        params = tiny_params(seed=1)
-        z = tiny_sequence(rng).with_masked([1])
-        kept = z.completion[[0, 2]].copy()
-        out = reverse_step(params, z, 0.8, 0.3, rng)
-        assert np.array_equal(out.completion[[0, 2]], kept)
-
-    def test_s_close_to_t_stays_masked(self, rng):
-        params = tiny_params(seed=1)
-        z = tiny_sequence(rng).with_masked([0, 1, 2])
-        out = reverse_step(params, z, 0.8, 0.8 - 1e-12, rng)
-        assert out.masked.all()
-
-    def test_s_zero_fills_everything(self, rng):
-        params = tiny_params(seed=1)
-        z = tiny_sequence(rng).with_masked([0, 1, 2])
-        out = reverse_step(params, z, 0.8, 0.0, rng)
-        assert not out.masked.any()
-
-    def test_invalid_times_rejected(self, rng):
-        params = tiny_params(seed=1)
-        z = tiny_sequence(rng).with_masked([0])
-        with pytest.raises(ValueError):
-            reverse_step(params, z, 0.5, 0.5, rng)
-        with pytest.raises(ValueError):
-            reverse_step(params, z, 0.3, 0.5, rng)
-
-    def test_perfect_denoiser_reconstructs(self, rng):
-        for _ in range(10):
-            y = tiny_sequence(rng)
-            oracle_model = PerfectDenoiser(y, 4)
-            z = forward_mask(y, float(rng.uniform(0.2, 1.0)), rng)
-            out = reverse_step(oracle_model, z, 1.0, 0.0, rng)
-            assert np.array_equal(out.completion, y.completion)
 
 
 class TestDecode:
@@ -151,6 +30,7 @@ class TestDecode:
         ("gen_len", 0), ("gen_len", -8), ("block_size", 0), ("block_size", -4),
         ("unmask_per_step", 0), ("temperature", float("nan")),
         ("temperature", float("inf")), ("temperature", -0.5),
+        ("gen_len", 16.0), ("block_size", True), ("temperature", "0.5"),
     ])
     def test_invalid_config_names_field(self, field, value):
         # block_size 0 is rejected before gen_len % block_size can divide by it

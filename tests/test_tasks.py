@@ -108,7 +108,8 @@ class TestCountdown:
     def test_malformed_text_scores_zero(self):
         inst = TaskInstance("countdown", "2 3 4=14?",
                             {"numbers": [2, 3, 4], "target": 14})
-        for bad in ("", "2+", "import os", "2**3", "((((", "abc", "2 3"):
+        # a chain of 1500 operators parses but is too deep to walk recursively
+        for bad in ("", "2+", "import os", "2**3", "((((", "abc", "2 3", "1+" * 1500 + "1"):
             assert reward_countdown(inst, bad) == 0.0
 
 
