@@ -94,10 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    """Run the oracle suite against fresh random tiny instances.  The ELBO
-    check is a 4-standard-error test, so a correct estimator fails it on
-    about one seed in 3000: seeds 124, 1683, 5087, 6532, 8246 and 10551
-    print that FAIL, exit 1."""
+    """Run the oracle suite against fresh random tiny instances.  Every check
+    is an exact identity or bound, so exit 1 means a fault, never chance."""
     # the seed passes RunConfig's range rule, so a bad one is a usage error
     rng = np.random.default_rng(_run_config({"seed": args.seed}).seed)
     failures = 0
@@ -112,6 +110,10 @@ def cmd_audit(args) -> int:
             print(f"FAIL {name}: {exc}")
 
     def elbo_exactness():
+        # the exact expectation: each nonempty set of 3 positions once, at its mask-law weight
+        hits = ((np.arange(1, 8)[:, None] >> np.arange(3)) & 1).astype(bool)
+        every_set = score.MaskBatch(hits.mean(axis=1), hits)
+        weights = [oracle.mask_set_weight(tuple(np.flatnonzero(row)), 3) for row in hits]
         for _ in range(5):
             params = init_params(4, window=2, hidden=8, embed_dim=4,
                                  n_positions=6, seed=int(rng.integers(2**31)),
@@ -119,12 +121,10 @@ def cmd_audit(args) -> int:
             seq = Sequence(prompt=rng.integers(0, 4, size=2),
                            completion=rng.integers(0, 4, size=3))
             exact = oracle.exact_elbo_expectation(params, seq)
-            masks = score.sample_mask_sets(3, 20000, rng)
-            (terms,) = score.elbo_terms(params, [seq], [masks])
-            value = float(terms.mean())
-            se = float(terms.std(ddof=1)) / np.sqrt(terms.size)
-            if not (abs(value - exact) <= 4 * se):  # NaN fails too
-                raise AssertionError(f"MC estimate {value} vs exact {exact} (se {se})")
+            (terms,) = score.elbo_terms(params, [seq], [every_set])
+            value = float(np.dot(weights, terms))
+            if not (abs(value - exact) <= 1e-12 * max(1.0, abs(exact))):  # NaN fails too
+                raise AssertionError(f"weighted terms {value} vs exact {exact}")
 
     def centered_target():
         for _ in range(20):

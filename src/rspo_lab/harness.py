@@ -238,6 +238,8 @@ def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8,
 
     ``step`` is the 1-based update count.
     """
+    if step < 1:  # bias correction divides by 1 - beta1**step
+        raise ValueError(f"step must be >= 1, got {step!r}")
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")

@@ -46,8 +46,8 @@ def rspo_weights(advantages, centered, lam: float) -> np.ndarray:
     centered = np.asarray(centered, dtype=np.float64)
     if advantages.shape != centered.shape:
         raise ValueError("advantages and centered scores must align")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     return advantages - lam * centered
 
 
@@ -74,8 +74,8 @@ def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != batch.deltas.shape:
         raise ValueError("advantages must align with the score batch")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     linear = -float(np.mean(advantages * batch.deltas))
     penalty = 0.5 * lam * float(np.mean(batch.centered**2))
     value = linear + penalty
@@ -124,6 +124,8 @@ def quad_gradient(
 ) -> np.ndarray:
     """Gradient of the matched quadratic objective, assembled term by term
     (linear part plus penalty part) from the same score gradients."""
+    if not 0.0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     advantages = np.asarray(advantages, dtype=np.float64)
     grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
     n = advantages.size
@@ -139,7 +141,7 @@ def quad_gradient(
 
 def fixed_point_residual(batch: RelativeScoreBatch, advantages, lam: float) -> float:
     """max_i |A_i - lam * centered_i|; zero iff the feedback weights vanish."""
-    if lam <= 0:
-        raise ValueError("fixed-point residual requires lam > 0")
+    if not 0.0 < lam < np.inf:  # NaN fails too
+        raise ValueError(f"fixed-point residual requires finite lam > 0, got {lam!r}")
     advantages = np.asarray(advantages, dtype=np.float64)
     return float(np.max(np.abs(advantages - lam * batch.centered)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rspo_lab
-from rspo_lab import cli, oracle, tasks
+from rspo_lab import cli, oracle, score, tasks
 from rspo_lab.cli import build_parser, main
 
 
@@ -178,13 +178,26 @@ class TestAudit:
         assert len(lines) == 5
         assert all(ln.startswith("PASS ") for ln in lines)
 
-    @pytest.mark.parametrize("seed", [124, 1683, 5087, 6532, 8246, 10551])
-    def test_known_tail_seed_fails_only_the_elbo_check(self, capsys, seed):
-        # the ELBO check is a 4-standard-error test, so a correct estimator
-        # fails it on about one seed in 3000; these are the known such seeds
-        assert main(["audit", "--seed", str(seed)]) == 1
+    @pytest.mark.parametrize("bench_seed,op", [(0, 124), (1, 683), (5, 87), (6, 532),
+                                               (8, 246), (10, 551)])
+    def test_former_tail_seeds_pass(self, capsys, bench_seed, op):
+        # audit seed 1000 * bench_seed + op is the pass the benchmark runs at
+        # op `op` of `--seed bench_seed`; a Monte Carlo ELBO check once failed
+        # these by chance, the exact one cannot
+        assert main(["audit", "--seed", str(1000 * bench_seed + op)]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert len(lines) == 5
+        assert all(ln.startswith("PASS ") for ln in lines)
+
+    def test_biased_elbo_terms_fail(self, capsys, monkeypatch):
+        elbo_terms = score.elbo_terms
+
+        def biased(params, group, masks_per):
+            return [terms + 1e-9 for terms in elbo_terms(params, group, masks_per)]
+
+        monkeypatch.setattr(score, "elbo_terms", biased)
+        assert main(["audit", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
         assert all(ln.startswith("PASS ") for ln in lines[1:])
 
@@ -214,12 +227,12 @@ class TestAudit:
         assert main(["audit"]) == 0
         assert calls == [(2000, 6)]
 
-    # sha256 of the countdown payloads one pass generates, recorded before the
-    # surrogate-error trials were stacked: the RNG stream every check sees
+    # sha256 of the countdown payloads one pass generates, recorded once the
+    # ELBO check stopped drawing masks: the RNG stream every check sees
     PAYLOAD_DIGESTS = {
-        0: "3895afd48d154d0f8f7d1e2c3ac5ad880ea2c9ae62953c6e3feb16a4d64209ad",
-        1: "c9ee6f74824d83f804b500bd6a9efe95b392c6d5ecb0d9e8639409c1c184265e",
-        2: "da51f9fe8f85188f5b2b5e601b8f9ae29e3217521acbcd4aebb87bfd8b99327a",
+        0: "5f74c6cf0b081a805dab75414dd33041ffd5b6de88f7efd88658be033a405eae",
+        1: "557d1dedc81cd1127dded48d02ca22f28ceb3d8e53eef46865985ea0b1161aea",
+        2: "73a915b73b7e4690e74bccced80cec092e2dbd671b5aecdef211ca3a72038959",
     }
 
     def test_rng_stream_matches_recorded_digest(self, capsys, monkeypatch):

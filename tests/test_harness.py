@@ -163,6 +163,9 @@ class TestAdam:
             adam_update(z, np.array([np.nan, 0.0]), z, z, 1, 0.1)
         with pytest.raises(ValueError):
             adam_update(z, np.zeros(3), z, z, 1, 0.1)
+        for step in (0, -1):  # no bias correction below step 1
+            with pytest.raises(ValueError, match="step"):
+                adam_update(z, z, z, z, step, 0.1)
 
 
 class TestTrainStep:

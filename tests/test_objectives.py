@@ -62,6 +62,19 @@ class TestFeedbackLoss:
         with pytest.raises(ValueError):
             rspo_loss(batch, adv, -0.1)
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_lam_rejected_everywhere(self, rng, lam):
+        batch, adv = random_batch(rng)
+        grads = [np.ones(3)] * adv.size
+        calls = (lambda: rspo_weights(adv, batch.centered, lam),
+                 lambda: rspo_loss(batch, adv, lam),
+                 lambda: quad_loss(batch, adv, lam),
+                 lambda: quad_gradient(batch, adv, lam, grads),
+                 lambda: fixed_point_residual(batch, adv, lam))
+        for call in calls:
+            with pytest.raises(ValueError, match="lam"):
+                call()
+
     def test_fixed_point(self):
         # scores pinned at A/lam zero both the weights and the residual
         lam = 0.25
