@@ -142,13 +142,14 @@ def cmd_audit(args) -> int:
             raise AssertionError("KL and half-variance diverge on nearby pair")
 
     def surrogate_bound():
-        # per-trial draws keep the RNG order; the bound checks all trials at once
+        # per-trial draws keep the RNG order (the ziggurat's draw count varies per
+        # sample); one call fills a trial's a and r rows; one bound check for all
         trials, n = 2000, 6
-        a, r, xi = (np.empty((trials, n)) for _ in range(3))
+        ar, xi = np.empty((trials, 2, n)), np.empty((trials, n))
         for i in range(trials):
-            a[i] = rng.normal(size=n)
-            r[i] = rng.normal(size=n)
+            rng.standard_normal(out=ar[i])
             xi[i] = rng.uniform(-0.1, 0.1, size=n)
+        a, r = ar[:, 0], ar[:, 1]
         a -= a.mean(axis=1, keepdims=True)
         oracle.perturbation_bound_check(a, r, xi, 0.01)
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -262,13 +261,18 @@ def perturbation_bound_check(a_tilde, r_hat, xi, lam: float) -> PerturbationBoun
 
 def countdown_solvable(numbers, target: int) -> bool:
     """Exhaustive search: can any expression over a nonempty sub-multiset of
-    the numbers reach the target (exact division only)?"""
-    target_f = Fraction(target)
+    the numbers reach the target (exact division only)?  Every value reached
+    is an int; each sub-multiset's reachable set is built once per call."""
+    if target != int(target):  # 2.5 is never reached; NaN and inf raise
+        return False
+    memo: dict[tuple[int, ...], set[int]] = {}
 
-    def reachable(values: tuple[Fraction, ...]) -> set[Fraction]:
+    def reachable(values: tuple[int, ...]) -> set[int]:
+        if values in memo:
+            return memo[values]
         if len(values) == 1:
             return {values[0]}
-        out: set[Fraction] = set()
+        out: set[int] = set()
         n = len(values)
         seen_splits = set()
         for r in range(1, n):
@@ -279,22 +283,24 @@ def countdown_solvable(numbers, target: int) -> bool:
                 if key in seen_splits:
                     continue
                 seen_splits.add(key)
+                right_values = reachable(right)
                 for x in reachable(left):
-                    for y in reachable(right):
+                    for y in right_values:
                         out.add(x + y)
                         out.add(x - y)
                         out.add(y - x)
                         out.add(x * y)
-                        if y != 0 and (x % y) == 0:
-                            out.add(x / y)
-                        if x != 0 and (y % x) == 0:
-                            out.add(y / x)
+                        if y != 0 and x % y == 0:
+                            out.add(x // y)
+                        if x != 0 and y % x == 0:
+                            out.add(y // x)
+        memo[values] = out
         return out
 
-    nums = [Fraction(int(v)) for v in numbers]
+    nums = [int(v) for v in numbers]
     for r in range(1, len(nums) + 1):
         for combo in set(itertools.combinations(sorted(nums), r)):
-            if target_f in reachable(tuple(combo)):
+            if target in reachable(combo):
                 return True
     return False
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,7 +92,7 @@ def gen_countdown(rng: np.random.Generator) -> TaskInstance:
 
 def _random_expression_value(values: list[int], rng: np.random.Generator) -> int | None:
     """Combine all values pairwise with random ops; None if a draw goes bad."""
-    vals = [Fraction(v) for v in values]
+    vals = [int(v) for v in values]
     while len(vals) > 1:
         i, j = rng.choice(len(vals), size=2, replace=False)
         a, b = vals[int(i)], vals[int(j)]
@@ -105,12 +104,11 @@ def _random_expression_value(values: list[int], rng: np.random.Generator) -> int
         elif op == 2:
             c = a * b
         else:
-            if b == 0 or (a % b) != 0:
+            if b == 0 or a % b != 0:
                 return None
-            c = a / b
+            c = a // b
         vals = [v for k, v in enumerate(vals) if k not in (int(i), int(j))] + [c]
-    v = vals[0]
-    return int(v) if v.denominator == 1 else None
+    return vals[0]
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)

@@ -201,6 +201,18 @@ class TestAudit:
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
         assert all(ln.startswith("PASS ") for ln in lines[1:])
 
+    def test_unsolvable_countdown_instance_fails(self, capsys, monkeypatch):
+        def unreachable(rng):
+            return tasks.TaskInstance(kind="countdown", prompt_text="1 1 1=97?",
+                                      payload={"numbers": [1, 1, 1], "target": 97})
+
+        monkeypatch.setattr(tasks, "gen_countdown", unreachable)
+        assert main(["audit", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[4].startswith("FAIL countdown-generator-solvable: ")
+        assert all(ln.startswith("PASS ") for ln in lines[:4])
+
     def test_bad_seed_is_usage_error(self, capsys):
         for seed in ("-1", str(2**64)):
             assert_usage_error(capsys, "seed must be in 0..2**64-1", ["audit", "--seed", seed])

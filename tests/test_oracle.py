@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -287,6 +288,32 @@ class TestTaskOracles:
         assert countdown_solvable([8, 2], 4)     # exact division
         assert not countdown_solvable([2, 2], 5)
         assert not countdown_solvable([1, 1, 1], 4)
+
+    # sha256 of the countdown_solvable answers (one byte each) over every
+    # 3-number multiset from 1..9 and every target 1..99, recorded from the
+    # exact-rational search the integer one replaced
+    TABLE_DIGEST = "55f5d90a1c5720bfdf48f3b59a9bf4c07384297c0b53fe88bcafc602e4104fdb"
+
+    def test_countdown_table_matches_recorded_digest(self):
+        table = bytes(countdown_solvable(list(m), t)
+                      for m in itertools.combinations_with_replacement(range(1, 10), 3)
+                      for t in range(1, 100))
+        assert len(table) == 165 * 99
+        assert hashlib.sha256(table).hexdigest() == self.TABLE_DIGEST
+
+    def test_countdown_input_types_and_signs(self):
+        assert not countdown_solvable([2, 3], 2.5)   # non-integral target
+        assert countdown_solvable([2, 3], 2.0)       # integral float target
+        assert countdown_solvable(np.array([2, 3, 4], dtype=np.int64), np.int64(14))
+        assert countdown_solvable([0, 5], 0) and countdown_solvable([0, 5], -5)
+        assert not countdown_solvable([0, 0], 1)
+        assert countdown_solvable([-6, 3], -2)       # exact division of a negative
+        assert not countdown_solvable([7, -2], -4)   # 7 // -2 is not exact
+        assert not countdown_solvable([-7, 2], -4)
+        with pytest.raises(ValueError):
+            countdown_solvable([2, 3], float("nan"))
+        with pytest.raises(OverflowError):
+            countdown_solvable([2, 3], float("inf"))
 
     def test_grid_catalogue_size(self):
         assert len(all_sudoku4_grids()) == 288
