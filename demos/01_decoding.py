@@ -7,6 +7,7 @@ commits the highest-confidence positions inside the active block.
 
 import numpy as np
 
+from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.mdm import DecodeConfig, decode
 from rspo_lab.tasks import VOCAB_SIZE, decode_tokens, encode_text, gen_arith
@@ -23,16 +24,22 @@ def main():
     print(f"prompt: {inst.prompt_text!r}  (answer: {inst.payload['answer']})")
     print()
 
-    # instrument the model to show the mask pattern before every denoiser call;
-    # the decoder hands it a stack holding the one completion
-    class Narrator:
-        def logprobs(self, seq, where):
-            print("  state:", decode_tokens(seq.completion[0]))
-            return params.logprobs(seq, where)
+    # instrument the forward to show the mask pattern before every denoiser
+    # call; the decoder's forwards share one layout of a stack holding the
+    # one completion
+    forward = denoiser.forward
+
+    def narrated(params, layout, where):
+        print("  state:", decode_tokens(layout.completion[0]))
+        return forward(params, layout, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
-    out = decode(Narrator(), [prompt], cfg, [rng]).completion[0]
+    denoiser.forward = narrated
+    try:
+        out = decode(params, [prompt], cfg, [rng]).completion[0]
+    finally:
+        denoiser.forward = forward
     print("  final:", decode_tokens(out))
 
 

@@ -99,79 +99,95 @@ def init_params(
                           embed_dim=embed_dim, n_positions=n_positions, seed=seed)
 
 
-def _features(params: DenoiserParams, seq: Sequence,
-              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows ``x`` and context index rows ``ctx`` (n, 2*window) at
-    the n True entries of ``where`` (shape of ``seq.completion``; every
-    position when None), flat in C order over the leading axes and the
-    positions of one completion or of a stack of them.  ``x`` is (n + pad, F),
-    zero rows appended up to a multiple of L_c, the layout ``forward``'s
-    gemms read.
-
-    ``ctx[r, slot]`` is the token whose embedding fills feature slot
-    ``slot`` of row ``r`` (neighbour offsets -window..-1, 1..window), or -1
-    when that neighbour is outside the sequence or masked.  The backward
-    pass routes embedding gradients through the same array.
+class Layout:
+    """What a stack's features keep across forwards, built once per stack:
+    the checks, each row's first completion position ``starts``, the token
+    buffer ``padded`` the window gathers from (-1 for masked, padding and
+    off-sequence), the gather offsets and the embedding table with a zero
+    row for ctx -1.  ``prompt`` and ``completion`` are views into
+    ``padded``, one row per completion; a token written into ``completion``
+    is what the next forward on the layout reads.
 
     A completion's absolute positions start after its own prompt tokens, the
     entries >= 0; its -1 left padding reads as outside the sequence, so every
     row gets the features of its unpadded sequence.  A token id at or past
     ``vocab_size`` in either array raises ``ValueError`` naming the array.
     """
-    lc, pl = seq.completion_len, seq.prompt_len
-    w, e = params.window, params.embed_dim
-    for name, ids in (("prompt", seq.prompt), ("completion", seq.completion)):
-        if ids.size and ids.max() >= params.vocab_size:
-            raise ValueError(f"{name} token ids must be < vocab_size {params.vocab_size}")
-    lead = seq.completion.shape[:-1]
-    if where is None:
-        where = np.ones(seq.completion.shape, dtype=bool)
-    # one row per completion
-    rows = seq.completion.size // lc
-    prompt = np.broadcast_to(seq.prompt, lead + (pl,)).reshape(rows, pl)
-    completion = seq.completion.reshape(rows, lc)
-    starts = (prompt >= 0).sum(axis=1)
-    if starts.max() + lc > params.n_positions:
-        raise ValueError(
-            f"sequence length {starts.max() + lc} exceeds position table {params.n_positions}"
-        )
-    b, i = np.nonzero(where.reshape(rows, lc))
-    # every token the window can reach, with -1 for masked and off-sequence
-    width = seq.total_len + 2 * w
-    padded = np.full((rows, width), -1, dtype=np.int64)
-    padded[:, w:w + pl] = prompt
-    padded[:, w + pl:w + seq.total_len] = completion
-    offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
-    # flat offsets (row start + position + window offset); cheaper than a 2-D gather
-    ctx = padded.ravel()[(b * width + w + pl + i)[:, None] + offsets]
 
-    # ctx -1 picks the zero row appended to the embedding table
-    table = np.vstack([params.embed, np.zeros((1, e))])
-    x = np.zeros((b.size + -b.size % lc, params.feature_dim), dtype=np.float64)
+    def __init__(self, params: DenoiserParams, seq: Sequence):
+        lc, pl, w = seq.completion_len, seq.prompt_len, params.window
+        for name, ids in (("prompt", seq.prompt), ("completion", seq.completion)):
+            if ids.size and ids.max() >= params.vocab_size:
+                raise ValueError(f"{name} token ids must be < vocab_size {params.vocab_size}")
+        rows, self.completion_len = seq.completion.size // lc, lc
+        prompt = np.broadcast_to(seq.prompt, seq.completion.shape[:-1] + (pl,)).reshape(rows, pl)
+        self.starts = starts = (prompt >= 0).sum(axis=1)
+        if starts.max() + lc > params.n_positions:
+            raise ValueError(
+                f"sequence length {starts.max() + lc} exceeds position table {params.n_positions}"
+            )
+        self.width = seq.total_len + 2 * w
+        self.padded = np.full((rows, self.width), -1, dtype=np.int64)
+        self.prompt = self.padded[:, w:w + pl]
+        self.completion = self.padded[:, w + pl:w + seq.total_len]
+        self.prompt[...], self.completion[...] = prompt, seq.completion.reshape(rows, lc)
+        # a row's flat offset of position i's neighbours is row start + i + these
+        self.offsets = w + pl + np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+        self.table = np.zeros((params.vocab_size + 1, params.embed_dim))
+
+
+def _features(params: DenoiserParams, seq: Sequence | Layout,
+              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows ``x`` and context index rows ``ctx`` (n, 2*window) at
+    the n True entries of ``where`` (shape of ``seq.completion``; every
+    position when None), flat in C order over the leading axes and the
+    positions of one completion or of a stack of them, read through the
+    stack's ``Layout`` (built here for a ``Sequence``).  ``x`` is
+    (n + pad, F), zero rows appended up to a multiple of L_c, the layout
+    ``forward``'s gemms read.
+
+    ``ctx[r, slot]`` is the token whose embedding fills feature slot
+    ``slot`` of row ``r`` (neighbour offsets -window..-1, 1..window), or -1
+    when that neighbour is outside the sequence or masked.  The backward
+    pass routes embedding gradients through the same array.
+    """
+    layout = seq if isinstance(seq, Layout) else Layout(params, seq)
+    rows, lc = layout.completion.shape
+    b, i = np.nonzero(np.ones((rows, lc), bool) if where is None else where.reshape(rows, lc))
+    # flat offsets (row start + position + window offset); cheaper than a 2-D gather
+    ctx = layout.padded.ravel()[(b * layout.width + i)[:, None] + layout.offsets]
+    layout.table[:-1] = params.embed  # ctx -1 picks the zero row after it
+    f, npos = params.feature_dim, params.n_positions
+    x = np.zeros((b.size + -b.size % lc, f), dtype=np.float64)
     # the position one-hot, written through flat offsets (row start + position)
-    x.reshape(-1)[np.arange(b.size) * params.feature_dim + starts[b] + i] = 1.0
-    x[:b.size, params.n_positions:-1] = np.take(table, ctx, axis=0).reshape(b.size, 2 * w * e)
-    x[:b.size, -1] = ((completion == MASKED_TOKEN).sum(axis=1) / lc)[b]
+    x.reshape(-1)[np.arange(b.size) * f + layout.starts[b] + i] = 1.0
+    x[:b.size, npos:-1] = np.take(layout.table, ctx, axis=0).reshape(b.size, f - npos - 1)
+    x[:b.size, -1] = ((layout.completion == MASKED_TOKEN).sum(axis=1) / lc)[b]
     return x, ctx
 
 
-def forward(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = None):
+def forward(params: DenoiserParams, seq: Sequence | Layout, where: np.ndarray | None = None):
     """Log-probability rows (n, size) at the True entries of ``where``
     (shape of ``seq.completion``; every position when None), flat in C order
     as ``_features`` numbers them, and the activations ``backward`` reuses.
+    ``seq`` may be the ``Layout`` that several forwards of a stack share.
 
     Both matmuls run as gemms of exactly L_c rows, the shape of one
     completion's forward, over ``x``'s zero-padded rows: a row's bits then
-    do not depend on which rows share the call or where the row sits.
+    do not depend on which rows share the call or where the row sits.  The
+    bias adds, ``tanh`` and the log-softmax write in place.
     """
     x, ctx = _features(params, seq, where)
     n, lc = len(ctx), seq.completion_len
-    h = np.tanh(x.reshape(-1, lc, x.shape[1]) @ params.w1.T + params.b1)
-    logits = (h @ params.w2.T + params.b2).reshape(-1, params.vocab_size)[:n]
+    h = x.reshape(-1, lc, x.shape[1]) @ params.w1.T
+    np.tanh(np.add(h, params.b1, out=h), out=h)
+    logits = h @ params.w2.T
+    logits = np.add(logits, params.b2, out=logits).reshape(-1, params.vocab_size)[:n]
     h = h.reshape(-1, params.hidden)[:n]
     m = logits.max(axis=-1, keepdims=True)
-    logz = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-    return logits - logz, (x, ctx, h)
+    e = logits - m
+    logits -= m + np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
+    return logits, (x, ctx, h)
 
 
 def backward(params: DenoiserParams, fwd, tokens, weights, bounds) -> list[np.ndarray]:

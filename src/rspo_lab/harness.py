@@ -22,6 +22,7 @@ import math
 import os
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -304,10 +305,9 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     marks.append(time.perf_counter())
 
     completions = [c for group in groups for c in group]
-    masks_per = [score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
-                 for c in completions]
+    masks = score.sample_mask_sets(cfg.gen_len, cfg.k_masks, mask_rng, len(completions))
     deltas, grads = score.coupled_deltas_and_grads(
-        state.params, state.ref_params if cfg.reference else None, completions, masks_per)
+        state.params, state.ref_params if cfg.reference else None, completions, masks)
     marks.append(time.perf_counter())
 
     if cfg.centering:
@@ -482,7 +482,9 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
 
     state = init_state(cfg)
     ref_hash_start = hashlib.sha256(state.ref_params.theta.tobytes()).hexdigest()
-    history: list[StepMetrics] = []
+    # only what the summary reads besides the last step's reward, in step order
+    var_deltas: deque[float] = deque(maxlen=10)
+    abs_offsets: list[float] = []
 
     metrics_path = out / METRICS_FILE
     timings_path = out / TIMINGS_FILE
@@ -496,7 +498,9 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
                 mfh.write(json.dumps(record, sort_keys=True) + "\n")
                 mfh.flush()
                 raise
-            history.append(metrics)
+            final_reward = metrics.mean_reward
+            var_deltas.append(metrics.var_delta)
+            abs_offsets.append(abs(metrics.batch_mean_offset))
             mfh.write(metrics.to_json_line() + "\n")
             mfh.flush()
             tfh.write(json.dumps({"step": metrics.step, "wall_time": metrics.wall_time,
@@ -509,11 +513,9 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
     if ref_hash_start != ref_hash_end:
         raise RuntimeError("reference parameters changed during the run")
 
-    if history:
-        final_reward = history[-1].mean_reward
-        tail = history[-10:]
-        var_tail = float(np.mean([h.var_delta for h in tail]))
-        offset_tail = float(np.mean([abs(h.batch_mean_offset) for h in history]))
+    if abs_offsets:
+        var_tail = float(np.mean(var_deltas))
+        offset_tail = float(np.mean(abs_offsets))
     else:
         # the untouched initialization; one generator for prompts and rollouts,
         # as recorded steps=0 summaries were drawn

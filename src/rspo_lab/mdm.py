@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import denoiser
 from .denoiser import DenoiserParams
 from .sequences import MASKED_TOKEN, Sequence, left_pad
 
@@ -46,8 +47,15 @@ def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray)
     axis of ``logprobs``, one per entry of ``u``; temperature 0 is argmax."""
     if temperature == 0.0:
         return logprobs.argmax(axis=-1)
-    scaled = logprobs / temperature
-    p = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):
+        scaled = logprobs / temperature
+    top = scaled.max(axis=-1, keepdims=True)
+    # a row that overflows to -inf whole draws its temperature-0 limit, the argmax
+    if top.min() == -np.inf:
+        over = top == -np.inf
+        return np.where(over[..., 0], logprobs.argmax(axis=-1),
+                        _sample_categorical(np.where(over, 0.0, logprobs), temperature, u))
+    p = np.exp(scaled - top)
     p /= p.sum(axis=-1, keepdims=True)
     # the count of cumulative masses <= u is searchsorted(cdf, u, side="right")
     draws = (np.cumsum(p, axis=-1) <= u[..., None]).sum(axis=-1)
@@ -73,12 +81,17 @@ def decode(
     Every step commits ``min(unmask_per_step, still masked)`` positions of
     the active block in every completion, so all completions keep the same
     number of masked positions and share one stacked forward per step, which
-    evaluates only those still-masked positions of the block.
+    evaluates only those still-masked positions of the block.  The steps
+    share one ``denoiser.Layout`` of the stack and commit into it.
     """
     if not prompts:
         raise ValueError("need at least one prompt")
+    if len(rngs) != len(prompts):
+        raise ValueError(f"need one rng per prompt, got {len(prompts)} prompts "
+                         f"and {len(rngs)} rngs")
     seq = Sequence(left_pad(prompts), np.full((len(rngs), cfg.gen_len), MASKED_TOKEN))
-    completion = seq.completion
+    layout = denoiser.Layout(params, seq)
+    completion = layout.completion
     rows = np.arange(len(rngs))[:, None]
     # masked positions left in the active block at each step of a block
     lefts = range(cfg.block_size, 0, -cfg.unmask_per_step)
@@ -94,7 +107,7 @@ def decode(
             where = np.zeros(completion.shape, dtype=bool)
             where[:, start:start + cfg.block_size] = (
                 completion[:, start:start + cfg.block_size] == MASKED_TOKEN)
-            cand = params.logprobs(seq, where).reshape(len(rngs), left, -1)
+            cand = denoiser.forward(params, layout, where)[0].reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
             tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
             drawn += left
@@ -103,7 +116,7 @@ def decode(
             best = np.lexsort((active, -conf))[:, :cfg.unmask_per_step]
             commit = active[rows, best]
             completion[rows, commit] = tok[rows, best]
-    return seq
+    return Sequence(seq.prompt, completion.copy())
 
 
 def sample_completion_groups(

@@ -51,29 +51,43 @@ class RelativeScoreBatch:
     centered: np.ndarray
 
 
-def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator) -> MaskBatch:
-    """Draw ``k`` masks: each takes t ~ U(0,1] and an independent Bernoulli(t)
+def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> MaskBatch:
+    """Draw ``k`` masks for each of ``n`` completions in turn, as one batch
+    of n*k rows.  Each mask takes t ~ U(0,1] and an independent Bernoulli(t)
     mask over completion positions, resampling both until the set is
     nonempty.  Each round draws the missing rows' times, then their
-    (rows, l_c) Bernoulli matrix, and keeps its nonempty rows in order."""
+    (rows, l_c) Bernoulli matrix, and keeps its nonempty rows in order; a
+    completion's rounds end before the next one's begin.
+
+    ``rng.random`` is split-invariant, so the draws and the state ``rng`` is
+    left in equal ``n`` calls of one completion each: the stream is read only
+    as far as the rounds known to be due, the remaining first rounds and the
+    retry of a round with an empty set."""
     if l_c < 1:
         raise ValueError("completion length must be >= 1")
     if k < 1:
         raise ValueError("need k >= 1 mask samples")
-    ts: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    kept = 0
-    while kept < k:
-        t = 1.0 - rng.random(k - kept)
-        hits = rng.random((t.size, l_c)) < t[:, None]
-        keep = hits.any(axis=1)
-        if not keep.all():
-            t, hits = t[keep], hits[keep]
-        ts.append(t)
-        rows.append(hits)
-        kept += t.size
-    if len(ts) == 1:
-        return MaskBatch(ts[0], rows[0])
+    if n < 1:
+        raise ValueError("need n >= 1 completions")
+    step = 1 + l_c  # doubles per row: its time, then its Bernoulli draws
+    ts, rows = [], []  # each round's kept times and position sets
+    missing, u = k, rng.random(n * k * step)
+    while missing:
+        # the stream ahead: a round of `missing` rows, then first rounds of k
+        rest = u[missing * step:].reshape(-1, k * step)
+        t = 1.0 - np.concatenate([u[:missing], rest[:, :k].ravel()])
+        hits = np.concatenate([u[missing:missing * step].reshape(missing, l_c),
+                               rest[:, k:].reshape(-1, l_c)]) < t[:, None]
+        # keep the rows up to the end of the first round with an empty set
+        # (all of them without one); that round is retried next
+        empty = np.flatnonzero(~hits.any(axis=1))
+        ends = np.arange(missing, len(t) + 1, k)  # where each round's rows end
+        end = ends[np.searchsorted(ends, empty[0], side="right")] if empty.size else len(t)
+        keep = hits[:end].any(axis=1)
+        ts.append(t[:end][keep])
+        rows.append(hits[:end][keep])
+        missing = end - int(keep.sum())
+        u = np.concatenate([u[end * step:], rng.random(missing * step)])
     return MaskBatch(np.concatenate(ts), np.concatenate(rows))
 
 
@@ -84,25 +98,36 @@ class _MaskStack:
     row carries its completion's prompt, left-padded with -1 to the widest
     prompt.  Stack rows keep first-occurrence order, completion by
     completion.  That forward's rows are flat in C order, so each stack
-    row's masked positions, and each completion's rows, are contiguous."""
+    row's masked positions, and each completion's rows, are contiguous.
 
-    def __init__(self, group: list[Sequence], masks_per: list[MaskBatch]):
-        if not group or len(group) != len(masks_per):
-            raise ValueError("need one mask list per completion, and a completion")
-        for masks in masks_per:
+    ``masks_per`` holds one ``MaskBatch`` per completion, or is one batch
+    whose rows split evenly among the completions, in order, as
+    ``sample_mask_sets(l_c, k, rng, len(group))`` draws them."""
+
+    def __init__(self, group: list[Sequence], masks_per: list[MaskBatch] | MaskBatch):
+        one = isinstance(masks_per, MaskBatch)
+        if not group or (len(masks_per) % len(group) if one else len(masks_per) != len(group)):
+            raise ValueError(f"need one mask list per completion, or one batch that splits "
+                             f"evenly among them: {len(masks_per)} for {len(group)} completions")
+        parts = [masks_per] if one else masks_per
+        for masks in parts:
             if not masks:
                 raise ValueError("need at least one mask sample")
             if not isinstance(masks, MaskBatch):
                 raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
+        if len(lengths := sorted({seq.completion_len for seq in group})) > 1:
+            raise ValueError(f"completions of a group must share one length, got {lengths}")
         self.clean = np.array([seq.completion for seq in group])
         if self.clean.min() < 0:
             raise ValueError("scoring expects a clean sequence")
         l_c = self.clean.shape[1]
-        self.offsets = np.array([0, *itertools.accumulate(len(masks) for masks in masks_per)])
-        if max(masks.hits.shape[1] for masks in masks_per) > l_c:
+        counts = [len(masks_per) // len(group)] * len(group) if one else map(len, masks_per)
+        self.offsets = np.array([0, *itertools.accumulate(counts)])
+        if max(masks.hits.shape[1] for masks in parts) > l_c:
             raise ValueError("a mask position lies past the completion")
         hits = np.zeros((self.offsets[-1], l_c), dtype=bool)
-        for masks, a, b in zip(masks_per, self.offsets, self.offsets[1:]):
+        bounds = [0, *itertools.accumulate(map(len, parts))]
+        for masks, a, b in zip(parts, bounds, bounds[1:]):
             hits[a:b, :masks.hits.shape[1]] = masks.hits
         # a stable sort by (completion, hits row) heads each run of equal
         # masks with its first occurrence; numbering the runs by that mask
@@ -191,12 +216,15 @@ class _MaskStack:
 
     def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
         """Per completion, the per-token current-reference score difference,
-        and the current forward.  The reference forward runs first and is
-        reduced to its means before the current forward is built, so the two
-        are never alive together."""
+        and the current forward.  Both forwards share one layout of the
+        stack.  The reference forward runs first and is reduced to its means
+        before the current forward is built, so the two are never alive
+        together."""
         l_c = self.clean.shape[1]
-        ref = None if params_ref is None else self.means(self.logprobs(params_ref))
-        fwd = denoiser.forward(params_cur, self.stack, self.stack.masked)
+        layout, where = denoiser.Layout(params_cur, self.stack), self.stack.masked
+        ref = (None if params_ref is None
+               else self.means(denoiser.forward(params_ref, layout, where)[0]))
+        fwd = denoiser.forward(params_cur, layout, where)
         cur = self.means(fwd[0])
         if ref is None:
             return [value / l_c for value in cur], fwd
@@ -204,9 +232,10 @@ class _MaskStack:
 
 
 def elbo_terms(params: DenoiserParams, group: list[Sequence],
-               masks_per: list[MaskBatch]) -> list[np.ndarray]:
+               masks_per: list[MaskBatch] | MaskBatch) -> list[np.ndarray]:
     """Per completion of ``group``, whose prompts may differ, its Monte Carlo
-    sequence score terms under ``masks_per[c]``, one per mask: the mask-size
+    sequence score terms under its masks (``masks_per[c]``, or its share of
+    one batch, as ``_MaskStack`` reads them), one per mask: the mask-size
     reweighted sum of denoising log-probabilities at the masked positions.
     Their mean is the score estimate.  One forward over the whole stack, at
     its masked positions only."""
@@ -218,10 +247,10 @@ def coupled_deltas_and_grads(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
     group: list[Sequence],
-    masks_per: list[MaskBatch],
+    masks_per: list[MaskBatch] | MaskBatch,
 ) -> tuple[list[float], list[np.ndarray]]:
-    """Per completion of ``group``, whose prompts may differ, completion ``c``
-    under ``masks_per[c]``: the per-token current-reference score difference
+    """Per completion of ``group``, whose prompts may differ, under its masks
+    as ``elbo_terms`` reads them: the per-token current-reference score difference
     (the difference of the mean ``elbo_terms`` of the two models, divided by
     the completion length) and its gradient w.r.t. the current theta.
 

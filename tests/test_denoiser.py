@@ -212,6 +212,12 @@ class TestRaggedPrompts:
         assert worst <= 1e-12
         assert cases > 0  # windows past both ends of a full position table
 
+    def test_no_positions_give_no_rows(self, rng):
+        params, stack = random_stack(rng, 1, 4)
+        logprobs, (x, ctx, h) = forward(params, stack, np.zeros(stack.completion.shape, bool))
+        assert logprobs.shape == (0, params.vocab_size) and ctx.shape == (0, 2 * params.window)
+        assert x.shape == (0, params.feature_dim) and h.shape == (0, params.hidden)
+
     def test_position_table_checks_unpadded_length(self):
         params = init_params(3, window=1, hidden=2, embed_dim=2, n_positions=4)
         fits = Sequence([[-1, -1, 0], [-1, 1, 2]], [[0, 1], [1, 0]])

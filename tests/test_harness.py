@@ -365,6 +365,20 @@ class TestRunExperiment:
             assert min(phases) >= 0.0
             assert sum(phases) <= r["wall_time"]
 
+    def test_summary_means_equal_metrics_stream(self, tmp_path):
+        # the summary's figures are np.mean over the metrics.jsonl values, so
+        # that file alone rebuilds them; with no reference and no centering
+        # the offsets are the mean raw scores, away from zero
+        _, summary = run_experiment(smoke_config(tmp_path, steps=13, reference=False,
+                                                 centering=False))
+        rows = read_metrics(tmp_path / "run" / harness.METRICS_FILE)
+        offsets = [abs(r["batch_mean_offset"]) for r in rows]
+        assert len(rows) == 13 and min(offsets) > 0.0
+        assert summary["mean_abs_batch_offset"] == float(np.mean(offsets))
+        var_tail = [r["var_delta"] for r in rows[-10:]]
+        assert summary["mean_last10_var_delta"] == float(np.mean(var_tail))
+        assert summary["final_reward"] == rows[-1]["mean_reward"]
+
     def test_periodic_checkpoints(self, tmp_path):
         cfg = smoke_config(tmp_path, steps=4, checkpoint_every=2)
         run_experiment(cfg)

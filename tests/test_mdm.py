@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import default_model, task_prompts, tiny_params
+from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.harness import RunConfig
-from rspo_lab.mdm import DecodeConfig, decode, sample_completion_groups
+from rspo_lab.mdm import DecodeConfig, _sample_categorical, decode, sample_completion_groups
+from rspo_lab.sequences import MASKED_TOKEN, Sequence
 
 
 def wide_params(scale: float = 0.05):
@@ -43,36 +45,37 @@ class TestDecode:
         assert not out.masked.any()
         assert (out.completion[0] >= 0).all()
 
-    def test_blocks_fill_in_order(self, rng):
+    def test_blocks_fill_in_order(self, rng, monkeypatch):
         # instrument the denoiser to watch the mask pattern at each call
         params = wide_params()
         snapshots = []
-        real = params.logprobs
+        real = denoiser.forward
 
-        class Spy:
-            def logprobs(self, seq, where):
-                snapshots.append(seq.masked.copy())
-                return real(seq, where)
+        def spy(params, layout, where):
+            snapshots.append(layout.completion == MASKED_TOKEN)
+            return real(params, layout, where)
 
-        decode(Spy(), [np.array([1])], self.cfg(), [rng])
+        monkeypatch.setattr(denoiser, "forward", spy)
+        decode(params, [np.array([1])], self.cfg(), [rng])
+        assert snapshots
         for masked in snapshots:
             # later blocks must stay fully masked until earlier ones finish
             if masked[..., :4].any():
                 assert masked[..., 4:].all()
 
-    def test_step_count(self, rng):
+    def test_step_count(self, rng, monkeypatch):
         params = wide_params()
         calls = 0
-        real = params.logprobs
+        real = denoiser.forward
 
-        class Spy:
-            def logprobs(self, seq, where):
-                nonlocal calls
-                calls += 1
-                return real(seq, where)
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
 
+        monkeypatch.setattr(denoiser, "forward", spy)
         cfg = self.cfg(gen_len=8, block_size=4, unmask_per_step=2)
-        decode(Spy(), [np.array([1])], cfg, [rng])
+        decode(params, [np.array([1])], cfg, [rng])
         assert calls == cfg.gen_len // cfg.unmask_per_step
 
     def test_seeded_determinism(self):
@@ -110,6 +113,55 @@ class TestDecode:
     def test_no_prompts_rejected(self):
         with pytest.raises(ValueError, match="^need at least one prompt$"):
             decode(tiny_params(seed=5), [], self.cfg(), [])
+
+    def test_one_rng_per_prompt(self):
+        with pytest.raises(ValueError, match="got 2 prompts and 1 rngs$"):
+            decode(wide_params(), [np.array([1]), np.array([2])], self.cfg(),
+                   [np.random.default_rng(0)])
+
+    def test_each_step_equals_a_fresh_forward(self, monkeypatch):
+        # every step's forward on the decode's one layout, into which earlier
+        # steps committed, equals bit for bit a forward that builds its
+        # features afresh from the stack's tokens, on countdown's ragged
+        # prompts (widths 8 and 9)
+        rng = np.random.default_rng(21)
+        params, _ = default_model("countdown", rng)
+        prompts = task_prompts("countdown", 4, rng)
+        assert {p.size for p in prompts} == {8, 9}
+        real = denoiser.forward
+        steps = []
+
+        def spy(params, layout, where):
+            fwd = real(params, layout, where)
+            fresh = real(params, Sequence(layout.prompt.copy(), layout.completion.copy()), where)
+            for got, want in zip((fwd[0], *fwd[1]), (fresh[0], *fresh[1])):
+                assert np.array_equal(got, want)
+            steps.append(int(where.sum()))
+            return fwd
+
+        monkeypatch.setattr(denoiser, "forward", spy)
+        cfg = RunConfig(task="countdown").decode_config()
+        sample_completion_groups(params, prompts, 6, cfg, rng)
+        assert steps == [24 * left for left in (8, 6, 4, 2)] * 2
+
+
+class TestTinyTemperature:
+    # logprobs / temperature overflows to -inf across a whole row; such a row
+    # draws its temperature-0 limit, the argmax, not token 0 from a NaN cdf
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_overflowing_rows_draw_the_argmax(self, temperature):
+        logprobs = np.log(np.array([[0.1, 0.6, 0.3]] * 3))
+        draws = _sample_categorical(logprobs, temperature, np.array([0.0, 0.5, 0.999]))
+        assert draws.tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_decode_equals_temperature_zero(self, temperature):
+        params = wide_params(scale=1.0)
+        prompts = [np.array([1, 3]), np.array([2])]
+        got, want = (decode(params, prompts, DecodeConfig(gen_len=8, block_size=4, temperature=t),
+                            np.random.default_rng(0).spawn(2))
+                     for t in (temperature, 0.0))
+        assert np.array_equal(got.completion, want.completion)
 
 
 class TestCompletionGroups:
@@ -202,7 +254,7 @@ class TestProductionSize:
                     for comp, want in zip(group, alone):
                         assert np.array_equal(comp.completion, want.completion)
 
-    def test_decode_reads_only_the_active_masked_positions(self):
+    def test_decode_reads_only_the_active_masked_positions(self, monkeypatch):
         # each step asks for the still-masked positions of the active block,
         # 8 + 6 + 4 + 2 per block and completion at the defaults, and gets
         # exactly those rows of the full tables
@@ -210,15 +262,18 @@ class TestProductionSize:
         params, _ = default_model("arith", rng)
         cfg = RunConfig().decode_config()
         calls = []
+        real = denoiser.forward
 
-        class Spy:
-            def logprobs(self, seq, where):
-                rows = params.logprobs(seq, where)
-                assert np.array_equal(rows, params.logprobs(seq)[where])
-                calls.append((seq.masked.copy(), where.copy()))
-                return rows
+        def spy(params, layout, where):
+            fwd = real(params, layout, where)
+            seq = Sequence(layout.prompt, layout.completion.copy())
+            full = real(params, seq)[0].reshape(where.shape + (-1,))
+            assert np.array_equal(fwd[0], full[where])
+            calls.append((seq.masked, where.copy()))
+            return fwd
 
-        sample_completion_groups(Spy(), task_prompts("arith", 4, rng), 6, cfg, rng)
+        monkeypatch.setattr(denoiser, "forward", spy)
+        sample_completion_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
         assert len(calls) == cfg.gen_len // cfg.unmask_per_step
         for masked, where in calls:
             start = np.flatnonzero(masked.any(axis=0))[0] // cfg.block_size * cfg.block_size
@@ -250,17 +305,22 @@ def test_sample_completion_groups_match_recorded_digest(block_size, unmask, temp
 
 
 class TestTies:
-    def test_equal_confidences_commit_lowest_positions_first(self, rng):
-        # a uniform model gives every candidate the same confidence
+    def test_equal_confidences_commit_lowest_positions_first(self, rng, monkeypatch):
+        # a zero-theta model is uniform: every candidate the same confidence
+        params = wide_params()
+        params = params.replace_theta(np.zeros_like(params.theta))
         snapshots = []
+        real = denoiser.forward
 
-        class Uniform:
-            def logprobs(self, seq, where):
-                snapshots.append(seq.masked.copy())
-                return np.full((int(where.sum()), 4), -math.log(4))
+        def spy(params, layout, where):
+            snapshots.append(layout.completion == MASKED_TOKEN)
+            fwd = real(params, layout, where)
+            assert (fwd[0] == -math.log(4)).all()
+            return fwd
 
+        monkeypatch.setattr(denoiser, "forward", spy)
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
-        sample_completion_groups(Uniform(), [np.array([1])], 3, cfg, rng)
+        sample_completion_groups(params, [np.array([1])], 3, cfg, rng)
         before = [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1],
                   [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
         assert len(snapshots) == len(before)

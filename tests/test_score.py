@@ -65,6 +65,24 @@ class TestMaskLaw:
         assert masks.hits.shape == (64, l_c)
         assert hashlib.sha256(masks.t.tobytes() + masks.hits.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("l_c,k,n", itertools.product([1, 3, 16], [1, 2, 8], [1, 7, 24]))
+    def test_one_call_equals_a_call_per_completion(self, l_c, k, n):
+        # n completions' masks from one call: the rows of n calls of one
+        # completion each, in order, with the generator left where they leave
+        # it; l_c 1 resamples about half of each round's rows
+        for seed in range(4):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            masks = sample_mask_sets(l_c, k, one, n)
+            parts = [sample_mask_sets(l_c, k, each) for _ in range(n)]
+            assert np.array_equal(masks.t, np.concatenate([m.t for m in parts]))
+            assert np.array_equal(masks.hits, np.concatenate([m.hits for m in parts]))
+            assert one.bit_generator.state == each.bit_generator.state
+
+    @pytest.mark.parametrize("l_c,k,n", [(0, 2, 1), (3, 0, 1), (3, 2, 0)])
+    def test_invalid_sizes_rejected(self, rng, l_c, k, n):
+        with pytest.raises(ValueError):
+            sample_mask_sets(l_c, k, rng, n)
+
     @pytest.mark.parametrize("l_c", [2, 3])
     def test_set_frequencies_match_closed_form(self, l_c):
         # empirical frequency of every nonempty subset of {0,..,l_c-1}
@@ -322,6 +340,37 @@ class TestProductionSize:
                 (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
+
+    def test_one_batch_scores_as_its_split(self):
+        # a micro-batch's masks drawn in one call score exactly as the same
+        # rows split into one batch per completion
+        rng = np.random.default_rng(8)
+        cur, ref = default_model("countdown", rng)
+        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
+                 for p in task_prompts("countdown", 4, rng) for _ in range(6)]
+        masks = sample_mask_sets(16, 3, rng, len(batch))
+        split = [MaskBatch(masks.t[i:i + 3], masks.hits[i:i + 3]) for i in range(0, len(masks), 3)]
+        for got, want in zip(elbo_terms(cur, batch, masks), elbo_terms(cur, batch, split)):
+            assert np.array_equal(got, want)
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks)
+            want_deltas, want_grads = coupled_deltas_and_grads(cur, params_ref, batch, split)
+            assert deltas == want_deltas
+            for got, want in zip(grads, want_grads):
+                assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="splits evenly among them: 71 for 24 completions"):
+            elbo_terms(cur, batch, MaskBatch(masks.t[1:], masks.hits[1:]))
+
+    @pytest.mark.parametrize("score", ["elbo_terms", "coupled_deltas_and_grads"])
+    def test_completions_of_different_lengths_rejected(self, rng, score):
+        params = tiny_params(seed=0)
+        group = [Sequence([1], [0, 1, 2]), Sequence([1], [0, 1])]
+        masks_per = [sample_mask_sets(3, 2, rng), sample_mask_sets(2, 2, rng)]
+        with pytest.raises(ValueError, match=r"share one length, got \[2, 3\]"):
+            if score == "elbo_terms":
+                elbo_terms(params, group, masks_per)
+            else:
+                coupled_deltas_and_grads(params, None, group, masks_per)
 
     def test_peak_memory_stays_below_two_forwards(self):
         # a score-heavy micro-batch: 24 sudoku4 completions, 8 masks each.
