@@ -26,6 +26,9 @@ import numpy as np
 from .sequences import MASKED_TOKEN, Sequence
 
 
+ARCHITECTURE = ("vocab_size", "window", "hidden", "embed_dim", "n_positions")
+
+
 def _section_shapes(vocab_size, window, hidden, embed_dim, n_positions) -> list[tuple[int, ...]]:
     """Shapes of the embed, w1, b1, w2, b2 sections of the flat parameter
     vector, in storage order; w1 is (hidden, feature dimension)."""
@@ -81,6 +84,13 @@ class DenoiserParams:
         return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
 
 
+def architecture_mismatch(params: DenoiserParams, other: DenoiserParams) -> str | None:
+    """The first ``ARCHITECTURE`` field where ``params`` differs from
+    ``other``, as ``"<field> <its value> differs from <other's>"``, or None."""
+    name = next((f for f in ARCHITECTURE if getattr(params, f) != getattr(other, f)), None)
+    return name and f"{name} {getattr(params, name)} differs from {getattr(other, name)}"
+
+
 def init_params(
     vocab_size: int,
     *,
@@ -103,10 +113,10 @@ class Layout:
     """What a stack's features keep across forwards, built once per stack:
     the checks, each row's first completion position ``starts``, the token
     buffer ``padded`` the window gathers from (-1 for masked, padding and
-    off-sequence), the gather offsets and the embedding table with a zero
-    row for ctx -1.  ``prompt`` and ``completion`` are views into
-    ``padded``, one row per completion; a token written into ``completion``
-    is what the next forward on the layout reads.
+    off-sequence), the gather offsets, the feature width and the embedding
+    table with a zero row for ctx -1.  ``prompt`` and ``completion`` are
+    views into ``padded``, one row per completion; a token written into
+    ``completion`` is what the next forward on the layout reads.
 
     A completion's absolute positions start after its own prompt tokens, the
     entries >= 0; its -1 left padding reads as outside the sequence, so every
@@ -134,43 +144,59 @@ class Layout:
         # a row's flat offset of position i's neighbours is row start + i + these
         self.offsets = w + pl + np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
         self.table = np.zeros((params.vocab_size + 1, params.embed_dim))
+        self.feature_dim = params.feature_dim
 
 
-def _features(params: DenoiserParams, seq: Sequence | Layout,
-              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows ``x`` and context index rows ``ctx`` (n, 2*window) at
-    the n True entries of ``where`` (shape of ``seq.completion``; every
-    position when None), flat in C order over the leading axes and the
-    positions of one completion or of a stack of them, read through the
-    stack's ``Layout`` (built here for a ``Sequence``).  ``x`` is
-    (n + pad, F), zero rows appended up to a multiple of L_c, the layout
-    ``forward``'s gemms read.
+class Rows:
+    """The model-independent feature rows of a ``Layout`` at the n True
+    entries of ``where`` (shape of its completions; every position when
+    None), flat in C order: the context index rows ``ctx`` (n, 2*window)
+    and ``x`` (n + pad, F), zero rows appended up to a multiple of L_c, the
+    layout ``forward``'s gemms read, with the position one-hot and masked
+    fraction written and the embedding block left for each forward to fill.
 
     ``ctx[r, slot]`` is the token whose embedding fills feature slot
     ``slot`` of row ``r`` (neighbour offsets -window..-1, 1..window), or -1
     when that neighbour is outside the sequence or masked.  The backward
     pass routes embedding gradients through the same array.
     """
-    layout = seq if isinstance(seq, Layout) else Layout(params, seq)
-    rows, lc = layout.completion.shape
-    b, i = np.nonzero(np.ones((rows, lc), bool) if where is None else where.reshape(rows, lc))
-    # flat offsets (row start + position + window offset); cheaper than a 2-D gather
-    ctx = layout.padded.ravel()[(b * layout.width + i)[:, None] + layout.offsets]
-    layout.table[:-1] = params.embed  # ctx -1 picks the zero row after it
-    f, npos = params.feature_dim, params.n_positions
-    x = np.zeros((b.size + -b.size % lc, f), dtype=np.float64)
-    # the position one-hot, written through flat offsets (row start + position)
-    x.reshape(-1)[np.arange(b.size) * f + layout.starts[b] + i] = 1.0
-    x[:b.size, npos:-1] = np.take(layout.table, ctx, axis=0).reshape(b.size, f - npos - 1)
-    x[:b.size, -1] = ((layout.completion == MASKED_TOKEN).sum(axis=1) / lc)[b]
+
+    def __init__(self, layout: Layout, where: np.ndarray | None = None):
+        rows, lc = layout.completion.shape
+        b, i = np.nonzero(np.ones((rows, lc), bool) if where is None else where.reshape(rows, lc))
+        # flat offsets (row start + position + window offset); cheaper than a 2-D gather
+        self.ctx = layout.padded.ravel()[(b * layout.width + i)[:, None] + layout.offsets]
+        self.x = x = np.zeros((b.size + -b.size % lc, layout.feature_dim), dtype=np.float64)
+        # the position one-hot, written through flat offsets (row start + position)
+        x.reshape(-1)[np.arange(b.size) * x.shape[1] + layout.starts[b] + i] = 1.0
+        x[:b.size, -1] = ((layout.completion == MASKED_TOKEN).sum(axis=1) / lc)[b]
+        self.completion_len, self.table = lc, layout.table
+
+
+def _features(params: DenoiserParams, seq: Sequence | Layout | Rows,
+              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``ctx`` of ``Rows`` (built here for a ``Sequence`` or a
+    ``Layout``) with ``params``' embeddings written into ``x``'s block."""
+    if not isinstance(seq, Rows):
+        seq = Rows(seq if isinstance(seq, Layout) else Layout(params, seq), where)
+    x, ctx, n, npos = seq.x, seq.ctx, len(seq.ctx), params.n_positions
+    seq.table[:-1] = params.embed  # ctx -1 picks the zero row after it
+    x[:n, npos:-1] = np.take(seq.table, ctx, axis=0).reshape(n, x.shape[1] - npos - 1)
     return x, ctx
 
 
-def forward(params: DenoiserParams, seq: Sequence | Layout, where: np.ndarray | None = None):
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, exact, from a vocab-major copy: ~3x faster on rows a vocab wide."""
+    return np.ascontiguousarray(a.T).max(axis=0).T
+
+
+def forward(params: DenoiserParams, seq: Sequence | Layout | Rows, where: np.ndarray | None = None):
     """Log-probability rows (n, size) at the True entries of ``where``
     (shape of ``seq.completion``; every position when None), flat in C order
-    as ``_features`` numbers them, and the activations ``backward`` reuses.
-    ``seq`` may be the ``Layout`` that several forwards of a stack share.
+    as ``Rows`` numbers them, and the activations ``backward`` reuses.
+    ``seq`` may be the ``Layout`` that several forwards of a stack share, or
+    ``Rows`` (``where`` unused) that forwards of models of one architecture
+    share; each writes its embeddings over the last one's.
 
     Both matmuls run as gemms of exactly L_c rows, the shape of one
     completion's forward, over ``x``'s zero-padded rows: a row's bits then
@@ -184,7 +210,7 @@ def forward(params: DenoiserParams, seq: Sequence | Layout, where: np.ndarray | 
     logits = h @ params.w2.T
     logits = np.add(logits, params.b2, out=logits).reshape(-1, params.vocab_size)[:n]
     h = h.reshape(-1, params.hidden)[:n]
-    m = logits.max(axis=-1, keepdims=True)
+    m = row_max(logits)[:, None]
     e = logits - m
     logits -= m + np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
     return logits, (x, ctx, h)
@@ -205,6 +231,9 @@ def backward(params: DenoiserParams, fwd, tokens, weights, bounds) -> list[np.nd
     dlogits = -np.exp(logprobs)
     dlogits[np.arange(len(dlogits)), tokens] += 1.0
     dlogits *= weights[:, None]
+    # one (token, embedding column) cell per slot entry, added in row order;
+    # token v, for ctx -1 (masked or outside), collects what no embedding gets
+    first_cells = np.where(ctx < 0, v, ctx)[:, :, None] * e
     grads = []
     for a, b in zip(bounds, bounds[1:]):
         dl, hs, xs = dlogits[a:b], h[a:b], x[a:b]
@@ -212,10 +241,7 @@ def backward(params: DenoiserParams, fwd, tokens, weights, bounds) -> list[np.nd
         da = (dl @ params.w2) * (1.0 - hs ** 2)
         d_w1 = da.T @ xs
         dx = da @ params.w1
-        # one (token, embedding column) cell per slot entry, added in row
-        # order; token v, for ctx -1 (masked or outside), collects what no
-        # embedding gets
-        cells = (np.where(ctx[a:b] < 0, v, ctx[a:b])[:, :, None] * e + np.arange(e)).ravel()
+        cells = (first_cells[a:b] + np.arange(e)).ravel()
         d_table = np.bincount(cells, dx[:, params.n_positions:-1].ravel(),
                               minlength=(v + 1) * e)
         grads.append(np.concatenate(

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mdm, objectives, score, tasks
-from .denoiser import DenoiserParams, init_params
+from .denoiser import DenoiserParams, architecture_mismatch, init_params
 
 METRICS_FILE = "metrics.jsonl"
 TIMINGS_FILE = "timings.jsonl"
@@ -434,8 +434,9 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
-    """Parse a checkpoint, rejecting truncated sections, moment vectors whose
-    length differs from theta's, and trailing bytes."""
+    """Parse a checkpoint, rejecting truncated sections, a reference whose
+    architecture metadata differ from the current params', moment vectors
+    whose length differs from theta's, and trailing bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -447,6 +448,8 @@ def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
             raise ValueError(f"{section}: {exc}") from exc
         models.append(model)
     params, ref = models
+    if diff := architecture_mismatch(ref, params):
+        raise ValueError(f"reference params: {diff} in the current params")
     raw, off = read_section(data, off, 8, "step counter")
     (step,) = struct.unpack("<Q", raw)
     vecs = []

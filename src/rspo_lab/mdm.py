@@ -49,7 +49,7 @@ def _sample_categorical(logprobs: np.ndarray, temperature: float, u: np.ndarray)
         return logprobs.argmax(axis=-1)
     with np.errstate(over="ignore"):
         scaled = logprobs / temperature
-    top = scaled.max(axis=-1, keepdims=True)
+    top = denoiser.row_max(scaled)[..., None]
     # a row that overflows to -inf whole draws its temperature-0 limit, the argmax
     if top.min() == -np.inf:
         over = top == -np.inf

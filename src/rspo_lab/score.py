@@ -62,7 +62,8 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
     ``rng.random`` is split-invariant, so the draws and the state ``rng`` is
     left in equal ``n`` calls of one completion each: the stream is read only
     as far as the rounds known to be due, the remaining first rounds and the
-    retry of a round with an empty set."""
+    retry of a round with an empty set.  One nonempty test per parse of
+    that stream gives both where the retried round ends and the kept rows."""
     if l_c < 1:
         raise ValueError("completion length must be >= 1")
     if k < 1:
@@ -80,10 +81,11 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
                                rest[:, k:].reshape(-1, l_c)]) < t[:, None]
         # keep the rows up to the end of the first round with an empty set
         # (all of them without one); that round is retried next
-        empty = np.flatnonzero(~hits.any(axis=1))
-        ends = np.arange(missing, len(t) + 1, k)  # where each round's rows end
-        end = ends[np.searchsorted(ends, empty[0], side="right")] if empty.size else len(t)
-        keep = hits[:end].any(axis=1)
+        nonempty = hits.any(axis=1)
+        first = int(nonempty.argmin())  # the first empty set, if any
+        # rounds end at missing, missing + k, ...; the first end past `first`
+        end = len(t) if nonempty[first] else max(missing, first + k - (first - missing) % k)
+        keep = nonempty[:end]
         ts.append(t[:end][keep])
         rows.append(hits[:end][keep])
         missing = end - int(keep.sum())
@@ -216,15 +218,14 @@ class _MaskStack:
 
     def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
         """Per completion, the per-token current-reference score difference,
-        and the current forward.  Both forwards share one layout of the
-        stack.  The reference forward runs first and is reduced to its means
-        before the current forward is built, so the two are never alive
-        together."""
+        and the current forward.  The stack's feature rows are built once:
+        the reference forward writes its embeddings into them and is reduced
+        to its means, then the current forward writes its own over the same
+        block, so the two forwards' activations are never alive together."""
         l_c = self.clean.shape[1]
-        layout, where = denoiser.Layout(params_cur, self.stack), self.stack.masked
-        ref = (None if params_ref is None
-               else self.means(denoiser.forward(params_ref, layout, where)[0]))
-        fwd = denoiser.forward(params_cur, layout, where)
+        rows = denoiser.Rows(denoiser.Layout(params_cur, self.stack), self.stack.masked)
+        ref = None if params_ref is None else self.means(denoiser.forward(params_ref, rows)[0])
+        fwd = denoiser.forward(params_cur, rows)
         cur = self.means(fwd[0])
         if ref is None:
             return [value / l_c for value in cur], fwd
@@ -259,7 +260,11 @@ def coupled_deltas_and_grads(
     the per-token current score.  Only the current side depends on theta.
     One reference and one current forward over the whole stack, each at its
     masked positions only, then one backward through the current forward
-    that returns each completion's gradient from its own rows."""
+    that returns each completion's gradient from its own rows.  A reference
+    whose architecture differs from the current model's raises
+    ``ValueError`` naming the first such field."""
+    if params_ref is not None and (diff := denoiser.architecture_mismatch(params_ref, params_cur)):
+        raise ValueError(f"params_ref {diff} in params_cur")
     stack = _MaskStack(group, masks_per)
     deltas, fwd = stack.deltas(params_cur, params_ref)
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, tiny_params, tiny_sequence
-from rspo_lab.denoiser import _features, backward, forward, init_params
+from rspo_lab.denoiser import Layout, Rows, _features, backward, forward, init_params, row_max
 from rspo_lab.harness import params_from_bytes, params_to_bytes
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
@@ -173,6 +173,51 @@ class TestStack:
                     [p], [t])
                 for i, p, t, w in zip(items, positions, tokens, weights))
             np.testing.assert_allclose(total, singles, rtol=1e-12, atol=1e-12)
+
+
+class TestSharedRows:
+    def test_rows_another_model_used_give_a_fresh_forward(self, rng):
+        # one model's forward on rows another model's forward has already
+        # written its embeddings into: logprobs, x, ctx, h and backward equal
+        # a fresh forward on the sequence, bit for bit
+        for trial in range(24):
+            params, stack = random_stack(rng, trial, 5)
+            other = params.replace_theta(rng.uniform(-1.0, 1.0, params.n_params))
+            where = None if trial % 4 == 0 else stack.masked | (rng.random(stack.masked.shape) < 0.3)
+            rows = Rows(Layout(params, stack), where)
+            forward(other, rows)
+            shared, fresh = forward(params, rows), forward(params, stack, where)
+            for got, want in zip((shared[0], *shared[1]), (fresh[0], *fresh[1])):
+                assert np.array_equal(got, want)
+            n = len(fresh[0])
+            tokens = rng.integers(0, params.vocab_size, size=n)
+            weights = rng.uniform(-2.0, 2.0, size=n)
+            bounds = [0, n // 2, n]
+            for got, want in zip(backward(params, shared, tokens, weights, bounds),
+                                 backward(params, fresh, tokens, weights, bounds)):
+                assert np.array_equal(got, want)
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("width", [1, 2, 21])
+    def test_equals_numpy_max(self, rng, width):
+        # ties, signed zeros, huge and -inf entries, in shapes of 1 to 3 axes
+        special = np.array([0.0, -0.0, 1e300, -1e300, -np.inf, 3.0, 3.0])
+        for shape in [(width,), (0, width), (40, width), (3, 5, width)]:
+            a = rng.normal(size=shape)
+            pick = rng.random(shape) < 0.5
+            a[pick] = rng.choice(special, size=int(pick.sum()))
+            assert np.array_equal(row_max(a), a.max(axis=-1))
+        zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-np.inf, -np.inf]])
+        assert np.array_equal(row_max(zeros), zeros.max(axis=-1))
+
+    def test_nan_row_stays_nan(self, rng):
+        a = rng.normal(size=(6, 21))
+        a[1, 0] = a[3, -1] = a[4, 7] = np.nan
+        a[4, 8] = np.inf
+        got = row_max(a)
+        assert np.isnan(got[[1, 3, 4]]).all()
+        assert np.array_equal(got[[0, 2, 5]], a[[0, 2, 5]].max(axis=-1))
 
 
 class TestRaggedPrompts:

@@ -333,6 +333,21 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"m has {n - 1} entries"):
             load_checkpoint(path, cfg)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "window", "hidden", "embed_dim", "n_positions"])
+    def test_reference_of_other_architecture_rejected(self, tmp_path, field):
+        # the checkpoint format holds each section's own metadata; a
+        # reference that disagrees with the current params is rejected
+        cfg = smoke_config(tmp_path)
+        state = init_state(cfg)
+        arch = {name: getattr(state.params, name) for name in denoiser.ARCHITECTURE}
+        arch[field] *= 2
+        ref = denoiser.init_params(arch.pop("vocab_size"), **arch)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, TrainState(state.params, ref, state.m, state.v), cfg)
+        with pytest.raises(ValueError, match=f"reference params: {field} {getattr(ref, field)} "
+                                             f"differs from {getattr(state.params, field)}"):
+            load_checkpoint(path, cfg)
+
 
 class TestRunExperiment:
     def test_artifacts_and_reproducibility(self, tmp_path):

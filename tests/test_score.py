@@ -247,6 +247,23 @@ class TestCoupledDelta:
         with pytest.raises(ValueError, match="at least one mask"):
             coupled_deltas_and_grads(params, params, [tiny_sequence(rng)], [empty])
 
+    @pytest.mark.parametrize("field,value", [
+        ("vocab_size", 5), ("window", 1), ("hidden", 16), ("embed_dim", 2), ("n_positions", 48),
+    ])
+    def test_reference_of_other_architecture_rejected(self, rng, field, value):
+        cur = tiny_params(seed=4)
+        arch = {name: getattr(cur, name) for name in denoiser.ARCHITECTURE} | {field: value}
+        ref = init_params(arch.pop("vocab_size"), **arch, seed=5)
+        seq = tiny_sequence(rng)
+        masks = sample_mask_sets(seq.completion_len, 2, rng)
+        with pytest.raises(ValueError, match=f"params_ref {field} {value} differs from "
+                                             f"{getattr(cur, field)} in params_cur"):
+            coupled_deltas_and_grads(cur, ref, [seq], [masks])
+        # the first differing field is named
+        two = init_params(cur.vocab_size, window=2, hidden=16, embed_dim=4, n_positions=48)
+        with pytest.raises(ValueError, match="params_ref hidden 16 differs from 8"):
+            coupled_deltas_and_grads(cur, two, [seq], [masks])
+
 
 class TestGroupScoring:
     def test_group_equals_each_member_alone(self, rng):
@@ -360,6 +377,23 @@ class TestProductionSize:
                 assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="splits evenly among them: 71 for 24 completions"):
             elbo_terms(cur, batch, MaskBatch(masks.t[1:], masks.hits[1:]))
+
+    @pytest.mark.parametrize("k_masks", [2, 8])
+    def test_deltas_equal_per_model_mean_terms(self, k_masks):
+        # a score-heavy micro-batch of a moved policy: 24 length-16
+        # completions, so sets of 8 and more positions take numpy's pairwise
+        # sum.  The deltas of the one stack both forwards share equal each
+        # model's own mean terms, bit for bit
+        rng = np.random.default_rng(10)
+        cur, ref = default_model("sudoku4", rng)
+        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
+                 for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
+        masks = sample_mask_sets(16, k_masks, rng, len(batch))
+        assert _MaskStack(batch, masks).sizes.max() >= 8
+        cur_terms, ref_terms = elbo_terms(cur, batch, masks), elbo_terms(ref, batch, masks)
+        deltas, _ = coupled_deltas_and_grads(cur, ref, batch, masks)
+        assert deltas == [(float(a.mean()) - float(b.mean())) / 16
+                          for a, b in zip(cur_terms, ref_terms)]
 
     @pytest.mark.parametrize("score", ["elbo_terms", "coupled_deltas_and_grads"])
     def test_completions_of_different_lengths_rejected(self, rng, score):
