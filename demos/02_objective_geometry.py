@@ -16,10 +16,17 @@ from rspo_lab.objectives import (
     fixed_point_residual,
     quad_gradient,
     quad_loss,
-    rspo_gradient,
     rspo_loss,
+    rspo_weights,
+    weighted_gradient,
 )
-from rspo_lab.score import center_scores, uncentered_scores
+from rspo_lab.score import center_scores
+
+
+def feedback_gradient(batch, adv, lam, grads):
+    """Each completion's detached coefficient A - lam * centered times its
+    score gradient, averaged with a minus sign."""
+    return weighted_gradient(rspo_weights(adv, batch.centered, lam), grads)
 
 
 def main():
@@ -35,36 +42,37 @@ def main():
     print(f"{'alpha':>6} {'loss':>10} {'quad':>10} {'|grad|':>10} {'residual':>10}")
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         batch = center_scores(alpha * target + (1 - alpha) * rng.normal(size=4) * 0.1)
-        loss = rspo_loss(batch, adv, lam).loss
-        quad = quad_loss(batch, adv, lam).loss
-        g = rspo_gradient(batch, adv, lam, grads)
+        loss, _ = rspo_loss(batch, adv, lam)
+        quad = quad_loss(batch, adv, lam)
+        g = feedback_gradient(batch, adv, lam, grads)
         res = fixed_point_residual(batch, adv, lam)
         print(f"{alpha:6.2f} {loss:10.4f} {quad:10.4f} {np.linalg.norm(g):10.2e} {res:10.2e}")
     batch = center_scores(target)
-    g = rspo_gradient(batch, adv, lam, grads)
+    g = feedback_gradient(batch, adv, lam, grads)
     print(f"  at the fixed point exactly: |grad| = {np.linalg.norm(g):.1e}")
     print()
 
     print("=== gradient agreement, forward disagreement ===")
     batch = center_scores(rng.normal(size=4))
-    g_feedback = rspo_gradient(batch, adv, lam, grads)
+    g_feedback = feedback_gradient(batch, adv, lam, grads)
     g_quad = quad_gradient(batch, adv, lam, grads)
     print(f"max |feedback grad - quad grad| = {np.max(np.abs(g_feedback - g_quad)):.2e}")
-    pen_feedback = rspo_loss(batch, np.zeros(4), lam).loss
-    pen_quad = quad_loss(batch, np.zeros(4), lam).loss
+    pen_feedback, _ = rspo_loss(batch, np.zeros(4), lam)
+    pen_quad = quad_loss(batch, np.zeros(4), lam)
     print(f"pure penalty terms: feedback {pen_feedback:.6f} vs quad {pen_quad:.6f} "
           f"(ratio {pen_feedback / pen_quad:.1f})")
     print()
 
     print("=== what centering does ===")
     shifted = rng.normal(size=4) + 3.0  # scores with a large common offset
-    on = rspo_loss(center_scores(shifted), adv, 0.0).loss
-    off = rspo_loss(uncentered_scores(shifted), adv, 0.0).loss
+    centered, raw = center_scores(shifted), center_scores(shifted, centering=False)
+    on, _ = rspo_loss(centered, adv, 0.0)
+    off, _ = rspo_loss(raw, adv, 0.0)
     print(f"advantage-weighted forward value, centered:   {on:.10f}")
     print(f"advantage-weighted forward value, uncentered: {off:.10f}")
     print("(identical: the offset is annihilated by zero-sum advantages)")
-    g_on = rspo_gradient(center_scores(shifted), adv, lam, grads)
-    g_off = rspo_gradient(uncentered_scores(shifted), adv, lam, grads)
+    g_on = feedback_gradient(centered, adv, lam, grads)
+    g_off = feedback_gradient(raw, adv, lam, grads)
     print(f"but with lambda > 0 the gradients differ: "
           f"max gap {np.max(np.abs(g_on - g_off)):.3f}")
 

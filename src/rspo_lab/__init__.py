@@ -15,17 +15,15 @@ from .score import (
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
-    uncentered_scores,
     var_delta,
 )
 from .objectives import (
-    LossOutput,
     fixed_point_residual,
     group_advantages,
     quad_loss,
-    rspo_gradient,
     rspo_loss,
     rspo_weights,
+    weighted_gradient,
 )
 from .harness import RunConfig, StepMetrics, adam_update, run_experiment, train_step
 
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DecodeConfig",
     "DenoiserParams",
-    "LossOutput",
     "MASKED_TOKEN",
     "MaskBatch",
     "RelativeScoreBatch",
@@ -51,13 +48,12 @@ __all__ = [
     "group_advantages",
     "init_params",
     "quad_loss",
-    "rspo_gradient",
     "rspo_loss",
     "rspo_weights",
     "run_experiment",
     "sample_completion_groups",
     "sample_mask_sets",
     "train_step",
-    "uncentered_scores",
     "var_delta",
+    "weighted_gradient",
 ]

@@ -162,10 +162,6 @@ def read_json_object(path) -> dict:
     return obj
 
 
-def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(read_json_object(path))
-
-
 def save_config(path, cfg: RunConfig) -> None:
     write_json(path, cfg.to_dict())
 
@@ -310,22 +306,16 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         state.params, state.ref_params if cfg.reference else None, completions, masks)
     marks.append(time.perf_counter())
 
-    if cfg.centering:
-        batch = score.center_scores(deltas)
-    else:
-        batch = score.uncentered_scores(deltas)
-
-    loss_out = objectives.rspo_loss(batch, adv, cfg.lam)
-    grad = objectives.rspo_gradient(batch, adv, cfg.lam, grads)
+    batch = score.center_scores(deltas, cfg.centering)
+    loss, coeffs = objectives.rspo_loss(batch, adv, cfg.lam)
+    grad = objectives.weighted_gradient(coeffs, grads)
 
     if cfg.debug_checks:
         assert abs(batch.centered.sum()) <= 1e-12 * max(1, len(deltas)) or not cfg.centering
-        assert abs(loss_out.weights.sum()) <= 1e-10 or not cfg.centering
+        assert abs(coeffs.sum()) <= 1e-10 or not cfg.centering
 
-    if not np.isfinite(loss_out.loss) or not np.all(np.isfinite(grad)):
-        raise RunAborted(
-            f"non-finite loss/gradient at step {state.step}: loss={loss_out.loss}"
-        )
+    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        raise RunAborted(f"non-finite loss/gradient at step {state.step}: loss={loss}")
     marks.append(time.perf_counter())
 
     theta, m, v = adam_update(
@@ -343,7 +333,7 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     metrics = StepMetrics(
         step=state.step,
         mean_reward=float(np.mean(rewards)),
-        loss=loss_out.loss,
+        loss=loss,
         grad_norm=float(np.linalg.norm(grad)),
         var_delta=score.var_delta(batch),
         batch_mean_offset=score.batch_mean_offset(batch),

@@ -2,14 +2,12 @@
 weights and loss (at lam = 0, the advantage-weighted ablation), the matched
 quadratic comparison objective, and analytic gradient assembly.
 
-Convention: feedback weights are detached quantities.  Differentiation
-passes only through the per-sample score factor, which is why the analytic
-gradient is assembled from externally supplied score gradients.
+Convention: every objective is a detached per-completion coefficient times
+the gradient of that completion's score, so one ``weighted_gradient``
+assembles the update from externally supplied score gradients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,13 +15,6 @@ from .score import RelativeScoreBatch
 
 
 ADV_EPSILON = 1e-4  # added to the group's reward std when normalizing
-
-
-@dataclass
-class LossOutput:
-    loss: float
-    weights: np.ndarray
-    decomposition: dict = field(default_factory=dict)
 
 
 def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
@@ -51,69 +42,40 @@ def rspo_weights(advantages, centered, lam: float) -> np.ndarray:
     return advantages - lam * centered
 
 
-def rspo_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
-    """Feedback loss: minus the batch mean of weight times centered score.
-
-    Weights are forward values of the residual, treated as constants in any
-    gradient computation.
-    """
+def rspo_loss(batch: RelativeScoreBatch, advantages, lam: float) -> tuple[float, np.ndarray]:
+    """Feedback loss, minus the batch mean of weight times centered score,
+    and its coefficients: the weights, forward values of the residual
+    treated as constants in any gradient computation."""
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != batch.centered.shape:
         raise ValueError("advantages must align with the score batch")
     w = rspo_weights(advantages, batch.centered, lam)
-    loss = -float(np.mean(w * batch.centered))
-    return LossOutput(loss=loss, weights=w)
+    return -float(np.mean(w * batch.centered)), w
 
 
-def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> LossOutput:
-    """Matched quadratic objective: -<A, delta>_B + (lam/2)||centered||^2_B.
-
-    For lam > 0 the completed-square decomposition is reported and the
-    identity is verified to 1e-12.
-    """
+def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> float:
+    """Matched quadratic objective: -<A, delta>_B + (lam/2)||centered||^2_B."""
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != batch.deltas.shape:
         raise ValueError("advantages must align with the score batch")
     if not 0.0 <= lam < np.inf:  # NaN fails too
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     linear = -float(np.mean(advantages * batch.deltas))
-    penalty = 0.5 * lam * float(np.mean(batch.centered**2))
-    value = linear + penalty
-    w = rspo_weights(advantages, batch.centered, lam)
-    out = LossOutput(loss=value, weights=w)
-    if lam > 0:
-        square = 0.5 * lam * float(np.mean((batch.centered - advantages / lam) ** 2))
-        const = -float(np.mean(advantages**2)) / (2.0 * lam)
-        cross = -batch.center * float(np.mean(advantages))
-        recon = square + const + cross
-        if abs(recon - value) > 1e-12 * max(1.0, abs(value)):
-            raise AssertionError(
-                f"completed-square identity violated: {recon} vs {value}"
-            )
-        out.decomposition = {"square": square, "const": const, "center_cross": cross}
-    return out
+    return linear + 0.5 * lam * float(np.mean(batch.centered**2))
 
 
-def rspo_gradient(
-    batch: RelativeScoreBatch,
-    advantages,
-    lam: float,
-    score_grads,
-) -> np.ndarray:
-    """Analytic gradient: -(1/N) sum_i (A_i - lam * centered_i) grad_delta_i.
-
-    Accumulated in sample-index order for bit-reproducibility.
-    """
-    advantages = np.asarray(advantages, dtype=np.float64)
+def weighted_gradient(coeffs, score_grads) -> np.ndarray:
+    """Analytic gradient of a detached-coefficient objective:
+    -(1/N) sum_i c_i grad_delta_i, accumulated in sample-index order for
+    bit-reproducibility.  RSPO's coefficients are ``rspo_weights``."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
-    n = advantages.size
-    if len(grads) != n:
+    if len(grads) != coeffs.size:
         raise ValueError("need one score gradient per sample")
-    coeffs = rspo_weights(advantages, batch.centered, lam)
     total = np.zeros_like(grads[0])
     for c, g in zip(coeffs, grads):
         total += c * g
-    return -total / n
+    return -total / coeffs.size
 
 
 def quad_gradient(

@@ -270,21 +270,16 @@ def coupled_deltas_and_grads(
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 
 
-def center_scores(deltas) -> RelativeScoreBatch:
+def center_scores(deltas, centering: bool = True) -> RelativeScoreBatch:
     """Subtract the detached micro-batch mean.  The center is a constant in
     any gradient computation; centered values sum to zero in the forward
-    pass."""
+    pass.  ``centering=False`` is the ablation: the center is fixed at zero
+    and the raw deltas pass through."""
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.size < 2:
+    if centering and deltas.size < 2:
         raise ValueError("centering needs a batch of at least 2 scores")
-    center = float(deltas.mean())
+    center = float(deltas.mean()) if centering else 0.0
     return RelativeScoreBatch(deltas=deltas, center=center, centered=deltas - center)
-
-
-def uncentered_scores(deltas) -> RelativeScoreBatch:
-    """Ablation constructor: raw deltas pass through (center fixed at zero)."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    return RelativeScoreBatch(deltas=deltas, center=0.0, centered=deltas.copy())
 
 
 def var_delta(batch: RelativeScoreBatch) -> float:

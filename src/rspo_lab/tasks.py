@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Sequence
-
 #: The lab alphabet: token ``i`` is ``LAB_CHARS[i]``.  Token ids index the
 #: denoiser's embedding rows, so this order is part of every checkpoint.
 LAB_CHARS = "0123456789+-*/()=? \n"
@@ -363,11 +361,3 @@ def reward(instance: TaskInstance, completion_text: str,
     if instance.kind == "arith":
         return reward_arith(instance, completion_text)
     raise ValueError(f"unknown task kind {instance.kind!r}")
-
-
-def clean_sequence(instance: TaskInstance, completion_text: str) -> Sequence:
-    return Sequence(
-        prompt=encode_text(instance.prompt_text),
-        completion=encode_text(completion_text),
-    )
-

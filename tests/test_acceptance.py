@@ -35,10 +35,10 @@ def run_steps(cfg, n_steps, collect_sums=False):
     real = objectives.rspo_loss
 
     def spy(batch, adv, lam):
-        out = real(batch, adv, lam)
+        loss, coeffs = real(batch, adv, lam)
         sums.append((abs(float(batch.centered.sum())),
-                     abs(float(out.weights.sum()))))
-        return out
+                     abs(float(coeffs.sum()))))
+        return loss, coeffs
 
     if collect_sums:
         harness.objectives.rspo_loss = spy
@@ -60,6 +60,11 @@ def trace_centering_on():
 @pytest.fixture(scope="session")
 def trace_centering_off():
     return run_steps(smoke_cfg(centering=False), 500)
+
+
+def feedback_gradient(batch, adv, lam, grads):
+    """The feedback gradient as train_step assembles it."""
+    return objectives.weighted_gradient(objectives.rspo_weights(adv, batch.centered, lam), grads)
 
 
 def zero_sum_adv(rng, n):
@@ -95,7 +100,7 @@ def test_criterion_01_gradient_identity(rng):
 
         batch = score.center_scores(deltas_at(params.theta))
         _, grads = score.coupled_deltas_and_grads(params, ref, seqs, mask_sets)
-        grad = objectives.rspo_gradient(batch, adv, lam, grads)
+        grad = feedback_gradient(batch, adv, lam, grads)
 
         w0 = objectives.rspo_weights(adv, batch.centered, lam)
         c0 = batch.center
@@ -123,7 +128,7 @@ def test_criterion_02_first_order_equivalence(rng):
         adv = zero_sum_adv(rng, n)
         lam = float(rng.uniform(0, 1))
         grads = [rng.normal(size=7) for _ in range(n)]
-        a = objectives.rspo_gradient(batch, adv, lam, grads)
+        a = feedback_gradient(batch, adv, lam, grads)
         b = objectives.quad_gradient(batch, adv, lam, grads)
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-12
@@ -142,8 +147,8 @@ def test_criterion_03_reference_point_equality(rng):
     assert all(d == 0.0 for d in deltas)
     batch = score.center_scores(deltas)
     adv = objectives.group_advantages([1.0, 0.0, 0.0, 1.0])
-    g_feedback = objectives.rspo_gradient(batch, adv, 0.01, grads)
-    g_aw = objectives.rspo_gradient(batch, adv, 0.0, grads)
+    g_feedback = feedback_gradient(batch, adv, 0.01, grads)
+    g_aw = feedback_gradient(batch, adv, 0.0, grads)
     assert np.array_equal(g_feedback, g_aw)
 
     # centering is a no-op in the advantage-weighted forward value when
@@ -152,8 +157,8 @@ def test_criterion_03_reference_point_equality(rng):
     for _ in range(50):
         d = rng.normal(size=6) + rng.normal()
         adv = zero_sum_adv(rng, 6)
-        on = objectives.rspo_loss(score.center_scores(d), adv, 0.0).loss
-        off = objectives.rspo_loss(score.uncentered_scores(d), adv, 0.0).loss
+        on, _ = objectives.rspo_loss(score.center_scores(d), adv, 0.0)
+        off, _ = objectives.rspo_loss(score.center_scores(d, centering=False), adv, 0.0)
         worst = max(worst, abs(on - off))
     assert worst <= 1e-12
     print(f"PASS criterion-03 reference-point-equality (forward gap {worst:.2e})")
@@ -167,7 +172,7 @@ def test_criterion_04_fixed_point(rng):
     adv = np.array([0.5, -0.5, 0.25, -0.25])  # dyadic, exactly zero-sum
     batch = score.center_scores(adv / lam)
     grads = [rng.normal(size=8) for _ in range(4)]
-    grad = objectives.rspo_gradient(batch, adv, lam, grads)
+    grad = feedback_gradient(batch, adv, lam, grads)
     assert float(np.linalg.norm(grad)) <= 1e-12
     assert objectives.fixed_point_residual(batch, adv, lam) <= 1e-12
 
@@ -183,7 +188,7 @@ def test_criterion_04_fixed_point(rng):
 
     def state_at(theta):
         batch = score.center_scores(g_mat @ theta)
-        grad = objectives.rspo_gradient(batch, adv, lam, row_grads)
+        grad = feedback_gradient(batch, adv, lam, row_grads)
         residual = objectives.fixed_point_residual(batch, adv, lam)
         return float(np.linalg.norm(grad)), residual
 

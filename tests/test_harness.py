@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -15,7 +16,7 @@ from rspo_lab.harness import (
     adam_update,
     init_state,
     load_checkpoint,
-    load_config,
+    read_json_object,
     read_metrics,
     run_experiment,
     save_checkpoint,
@@ -104,11 +105,23 @@ class TestRunConfig:
         assert RunConfig(seed=0).seed == 0
         assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    def test_default_config_bytes(self, tmp_path):
+        # the default config.json and its hash, recorded before any config
+        # change: a new, renamed or re-defaulted field changes both, and with
+        # them every run directory and checkpoint
+        path = tmp_path / "config.json"
+        save_config(path, RunConfig())
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            518, "4ea1ecf1f70e9483b0dcd7d45db52adc0ce2055f840d509320838ad61d83eee7")
+        assert RunConfig().config_hash() == (
+            "0932df6275f2406b7d946fbfda8abb029dbc4c2330cd0ee79e0df9efc227ccaf")
+
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
         path = tmp_path / "config.json"
         save_config(path, cfg)
-        assert load_config(path) == cfg
+        assert RunConfig.from_dict(read_json_object(path)) == cfg
         assert json.loads(path.read_text())["lambda"] == 0.25
 
     def test_unreadable_file_is_named(self, tmp_path):
@@ -117,7 +130,7 @@ class TestRunConfig:
             if text is not None:
                 path.write_text(text)
             with pytest.raises(harness.ConfigError, match=name):
-                load_config(path)
+                read_json_object(path)
 
 
 class TestMetricsSerialization:
@@ -194,12 +207,12 @@ class TestTrainStep:
     def test_non_finite_gradient_aborts(self, tmp_path, monkeypatch):
         cfg = smoke_config(tmp_path)
 
-        def poisoned(batch, adv, lam, grads):
+        def poisoned(coeffs, grads):
             out = np.zeros_like(grads[0])
             out[0] = np.nan
             return out
 
-        monkeypatch.setattr(harness.objectives, "rspo_gradient", poisoned)
+        monkeypatch.setattr(harness.objectives, "weighted_gradient", poisoned)
         with pytest.raises(RunAborted):
             train_step(init_state(cfg), cfg)
 
@@ -266,7 +279,9 @@ class TestMovingPolicyStep:
                 (delta,), (grad,) = score.coupled_deltas_and_grads(params, ref, [c], [masks])
                 deltas.append(delta)
                 grads.append(grad)
-        grad = objectives.rspo_gradient(score.center_scores(deltas), advantages, cfg.lam, grads)
+        batch = score.center_scores(deltas)
+        grad = objectives.weighted_gradient(
+            objectives.rspo_weights(advantages, batch.centered, cfg.lam), grads)
         theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1,
                                   cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
         assert metrics.grad_norm == float(np.linalg.norm(grad)) > 0

@@ -1,6 +1,7 @@
 """Every name a library module imports, and every private name (``_x``) it
-defines at module level, is read somewhere in that module; README's Public
-API section names exactly the package's exports.
+defines at module level, is read somewhere in that module; every public
+module-level name is exported or read by the library, the demos or the
+benchmark; README's Public API section names exactly the package's exports.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
 an import binds names, and so does a module-level def, class or assignment;
@@ -36,8 +37,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-def unread_private_names(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _module_level_names(tree: ast.Module) -> list[str]:
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -45,9 +45,14 @@ def unread_private_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return bound
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
     read = _loaded(tree)
-    return [name for name in bound if name.startswith("_") and not name.startswith("__")
-            and name not in read]
+    return [name for name in _module_level_names(tree) if name.startswith("_")
+            and not name.startswith("__") and name not in read]
 
 
 def test_finds_an_unused_import():
@@ -89,3 +94,49 @@ def test_readme_public_api_matches_the_exports():
             and f"`{name}(" not in section] == []
     assert [name for name in re.findall(r"`(\w+)\(", section)
             if name not in rspo_lab.__all__] == []
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str],
+                        exports: list[str]) -> list[str]:
+    """``module.name`` for each public module-level name of ``modules`` (name
+    to source) that is not in ``exports`` and is not read, as a name or as an
+    attribute (``harness.read_json_object``), in any of ``readers``."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in _module_level_names(ast.parse(source))
+            if not name.startswith("_") and name not in exports and name not in read]
+
+
+#: Public names that nothing outside the tests reads yet, each with the
+#: ROADMAP item it waits on.
+UNREAD_PUBLIC_ALLOWED = {
+    "harness.load_checkpoint": "items 3 and 8: resume and warm start from a checkpoint",
+    "harness.read_metrics": "item 6: the run report reads metrics.jsonl",
+    "tasks.count_sudoku4_solutions": "the tests' sudoku4 uniqueness counter",
+    "tasks.split_by_solution": "item 4: held-out splits by solution",
+}
+
+
+def test_finds_an_unread_public_name():
+    modules = {"lib": "A = 1\ndef used():\n    return A\ndef spare():\n    pass\n"
+                      "def exported():\n    pass\nclass _Private:\n    pass\n"}
+    readers = [modules["lib"], "import lib\nlib.used()\n"]
+    assert unread_public_names(modules, readers, ["exported"]) == ["lib.spare"]
+
+
+def test_every_public_name_is_exported_or_read():
+    # the oracles are the tests' independent references, so they are not scanned
+    import rspo_lab
+
+    root = SRC.parents[1]
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.name != "oracle.py"}
+    readers = [p.read_text(encoding="utf-8") for folder in ("src", "demos", "perfbench")
+               for p in sorted((root / folder).rglob("*.py"))]
+    unread = unread_public_names(modules, readers, rspo_lab.__all__)
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_ALLOWED)

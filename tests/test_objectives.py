@@ -6,11 +6,11 @@ from rspo_lab.objectives import (
     group_advantages,
     quad_gradient,
     quad_loss,
-    rspo_gradient,
     rspo_loss,
     rspo_weights,
+    weighted_gradient,
 )
-from rspo_lab.score import center_scores, uncentered_scores
+from rspo_lab.score import center_scores
 
 
 def random_batch(rng, n=6):
@@ -47,10 +47,10 @@ class TestFeedbackLoss:
         # loss = -<A, d> + lam * ||d||^2 in the batch mean inner product
         batch, adv = random_batch(rng)
         lam = 0.3
-        out = rspo_loss(batch, adv, lam)
+        loss, _ = rspo_loss(batch, adv, lam)
         d = batch.centered
         expected = -np.mean(adv * d) + lam * np.mean(d**2)
-        assert out.loss == pytest.approx(expected, rel=1e-12)
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_weights_definition(self, rng):
         batch, adv = random_batch(rng)
@@ -81,32 +81,34 @@ class TestFeedbackLoss:
         adv = np.array([0.5, -0.5, 0.25, -0.25])
         batch = center_scores(adv / lam)
         assert fixed_point_residual(batch, adv, lam) < 1e-12
-        out = rspo_loss(batch, adv, lam)
-        np.testing.assert_allclose(out.weights, 0.0, atol=1e-12)
+        _, coeffs = rspo_loss(batch, adv, lam)
+        np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
 
     def test_loss_at_fixed_point(self):
         # forward value there is -||A||^2/lam + lam*||A/lam||^2 = 0
         lam = 0.25
         adv = np.array([0.5, -0.5, 0.25, -0.25])
         batch = center_scores(adv / lam)
-        assert abs(rspo_loss(batch, adv, lam).loss) < 1e-12
+        assert abs(rspo_loss(batch, adv, lam)[0]) < 1e-12
 
 
 class TestQuadLoss:
     def test_value_and_decomposition(self, rng):
-        batch, adv = random_batch(rng)
-        lam = 0.4
-        out = quad_loss(batch, adv, lam)
-        d = batch.centered
-        expected = -np.mean(adv * batch.deltas) + 0.5 * lam * np.mean(d**2)
-        assert out.loss == pytest.approx(expected, rel=1e-12)
-        parts = out.decomposition
-        assert set(parts) == {"square", "const", "center_cross"}
-        assert sum(parts.values()) == pytest.approx(out.loss, rel=1e-9)
-
-    def test_lam_zero_has_no_decomposition(self, rng):
-        batch, adv = random_batch(rng)
-        assert quad_loss(batch, adv, 0.0).decomposition == {}
+        # the value, and the completed square (lam/2)||centered - A/lam||^2
+        # plus the constant -||A||^2/(2 lam) plus the center's cross term
+        # -center * mean(A), which vanishes for zero-sum A
+        for lam in (0.4, 0.05, 3.0):
+            deltas = rng.normal(size=6) + rng.normal()
+            adv = rng.normal(size=6)
+            for batch in (center_scores(deltas), center_scores(deltas, centering=False)):
+                value = quad_loss(batch, adv, lam)
+                d = batch.centered
+                expected = -np.mean(adv * batch.deltas) + 0.5 * lam * np.mean(d**2)
+                assert value == pytest.approx(expected, rel=1e-12)
+                square = 0.5 * lam * np.mean((d - adv / lam) ** 2)
+                const = -np.mean(adv**2) / (2.0 * lam)
+                center_cross = -batch.center * np.mean(adv)
+                assert square + const + center_cross == pytest.approx(value, rel=1e-12)
 
     def test_penalty_uses_half_lam(self, rng):
         # the quadratic penalty carries lam/2 where the feedback forward
@@ -114,8 +116,8 @@ class TestQuadLoss:
         batch, adv = random_batch(rng)
         zero = np.zeros_like(adv)
         lam = 0.8
-        quad_pen = quad_loss(batch, zero, lam).loss
-        rspo_pen = rspo_loss(batch, zero, lam).loss
+        quad_pen = quad_loss(batch, zero, lam)
+        rspo_pen, _ = rspo_loss(batch, zero, lam)
         assert quad_pen == pytest.approx(0.5 * rspo_pen, rel=1e-12)
 
 
@@ -127,7 +129,7 @@ class TestGradients:
         batch, adv = random_batch(rng)
         lam = 0.3
         gs = self.grads(rng, adv.size)
-        out = rspo_gradient(batch, adv, lam, gs)
+        out = weighted_gradient(rspo_weights(adv, batch.centered, lam), gs)
         expected = -np.mean(
             [(a - lam * c) * g for a, c, g in zip(adv, batch.centered, gs)], axis=0
         )
@@ -138,31 +140,38 @@ class TestGradients:
         batch, adv = random_batch(rng)
         lam = 0.45
         gs = self.grads(rng, adv.size)
-        a = rspo_gradient(batch, adv, lam, gs)
+        a = weighted_gradient(rspo_weights(adv, batch.centered, lam), gs)
         b = quad_gradient(batch, adv, lam, gs)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_lam_zero_gradient_bitwise_identical_to_aw(self, rng):
-        # same accumulation loop, so exact equality, not merely approximate
-        batch, adv = random_batch(rng)
-        gs = self.grads(rng, adv.size)
-        a = rspo_gradient(batch, adv, 0.0, gs)
-        b = rspo_gradient(batch, adv, 0.0, [g.copy() for g in gs])
-        assert np.array_equal(a, b)
+        # at lam = 0 the coefficients are the advantages themselves (A - 0*c
+        # is A bit for bit for finite c and nonzero A), so the feedback
+        # gradient is the advantage-weighted one bit for bit
+        for scale in (1.0, 1e-300, 1e300):
+            batch, adv = random_batch(rng)
+            coeffs = rspo_weights(adv, batch.centered * scale, 0.0)
+            assert coeffs.tobytes() == adv.tobytes()
+            gs = self.grads(rng, adv.size)
+            a = weighted_gradient(coeffs, gs)
+            b = weighted_gradient(adv, gs)
+            assert a.tobytes() == b.tobytes()
 
     def test_uncentered_batch_changes_gradient(self, rng):
         deltas = rng.normal(size=4) + 2.0
         adv = rng.normal(size=4)
         adv -= adv.mean()
         gs = self.grads(rng, 4)
-        a = rspo_gradient(center_scores(deltas), adv, 0.5, gs)
-        b = rspo_gradient(uncentered_scores(deltas), adv, 0.5, gs)
+        on, off = center_scores(deltas), center_scores(deltas, centering=False)
+        a = weighted_gradient(rspo_weights(adv, on.centered, 0.5), gs)
+        b = weighted_gradient(rspo_weights(adv, off.centered, 0.5), gs)
         assert not np.allclose(a, b)
 
     def test_gradient_count_mismatch_rejected(self, rng):
         batch, adv = random_batch(rng)
         with pytest.raises(ValueError):
-            rspo_gradient(batch, adv, 0.1, self.grads(rng, adv.size - 1))
+            weighted_gradient(rspo_weights(adv, batch.centered, 0.1),
+                              self.grads(rng, adv.size - 1))
 
     def test_fixed_point_requires_positive_lam(self, rng):
         batch, adv = random_batch(rng)

@@ -19,7 +19,6 @@ from rspo_lab.score import (
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
-    uncentered_scores,
     var_delta,
 )
 
@@ -500,7 +499,7 @@ class TestCentering:
             center_scores([1.0])
 
     def test_uncentered_passthrough(self):
-        batch = uncentered_scores([1.0, 2.0])
+        batch = center_scores([1.0, 2.0], centering=False)
         assert batch.center == 0.0
         np.testing.assert_array_equal(batch.centered, batch.deltas)
 
@@ -508,9 +507,9 @@ class TestCentering:
         vals = [0.2, -1.0, 3.0, 0.5]
         assert var_delta(center_scores(vals)) == pytest.approx(np.var(vals))
         # centering does not change the diagnostic
-        assert var_delta(uncentered_scores(vals)) == pytest.approx(np.var(vals))
+        assert var_delta(center_scores(vals, centering=False)) == pytest.approx(np.var(vals))
 
     def test_batch_mean_offset(self):
         vals = [1.0, 3.0]
         assert batch_mean_offset(center_scores(vals)) == pytest.approx(0.0, abs=1e-15)
-        assert batch_mean_offset(uncentered_scores(vals)) == pytest.approx(2.0)
+        assert batch_mean_offset(center_scores(vals, centering=False)) == pytest.approx(2.0)

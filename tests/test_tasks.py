@@ -11,7 +11,6 @@ from rspo_lab.tasks import (
     VOCAB_SIZE,
     RewardSpec,
     TaskInstance,
-    clean_sequence,
     count_sudoku4_solutions,
     decode_tokens,
     encode_text,
@@ -217,10 +216,3 @@ class TestPlumbing:
         assert reward(inst, "2") == 1.0
         with pytest.raises(ValueError):
             reward(TaskInstance("mystery", "", {}), "x")
-
-    def test_clean_sequence_round_trip(self):
-        inst = TaskInstance("arith", "1+1=?", {"a": 1, "b": 1, "modulus": 10, "answer": 2})
-        seq = clean_sequence(inst, "2")
-        assert decode_tokens(seq.prompt) == "1+1=?"
-        assert decode_tokens(seq.completion) == "2"
-        assert seq.is_clean()
