@@ -21,9 +21,7 @@ from .sequences import MASKED_TOKEN, Sequence, left_pad
 @dataclass(frozen=True, eq=False)
 class MaskBatch:
     """``k`` Monte Carlo corruptions as arrays: noise times ``t`` (k,) and the
-    boolean position sets ``hits`` (k, width), one nonempty row per mask.
-    Positions at and past ``width`` are unmasked, so a batch scores any
-    completion at least ``width`` long."""
+    boolean position sets ``hits`` (k, width), one nonempty row per mask."""
 
     t: np.ndarray
     hits: np.ndarray
@@ -102,40 +100,33 @@ class _MaskStack:
     completion.  That forward's rows are flat in C order, so each stack
     row's masked positions, and each completion's rows, are contiguous.
 
-    ``masks_per`` holds one ``MaskBatch`` per completion, or is one batch
-    whose rows split evenly among the completions, in order, as
+    ``masks`` is one ``MaskBatch``, exactly ``l_c`` wide, whose rows split
+    evenly among the completions, ``k`` each, in order, as
     ``sample_mask_sets(l_c, k, rng, len(group))`` draws them."""
 
-    def __init__(self, group: list[Sequence], masks_per: list[MaskBatch] | MaskBatch):
-        one = isinstance(masks_per, MaskBatch)
-        if not group or (len(masks_per) % len(group) if one else len(masks_per) != len(group)):
-            raise ValueError(f"need one mask list per completion, or one batch that splits "
-                             f"evenly among them: {len(masks_per)} for {len(group)} completions")
-        parts = [masks_per] if one else masks_per
-        for masks in parts:
-            if not masks:
-                raise ValueError("need at least one mask sample")
-            if not isinstance(masks, MaskBatch):
-                raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
+    def __init__(self, group: list[Sequence], masks: MaskBatch):
+        if not isinstance(masks, MaskBatch):
+            raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
+        if not group or len(masks) % len(group):
+            raise ValueError(f"need one mask batch that splits evenly among the completions: "
+                             f"{len(masks)} for {len(group)} completions")
+        if not masks:
+            raise ValueError("need at least one mask sample")
         if len(lengths := sorted({seq.completion_len for seq in group})) > 1:
             raise ValueError(f"completions of a group must share one length, got {lengths}")
         self.clean = np.array([seq.completion for seq in group])
         if self.clean.min() < 0:
             raise ValueError("scoring expects a clean sequence")
-        l_c = self.clean.shape[1]
-        counts = [len(masks_per) // len(group)] * len(group) if one else map(len, masks_per)
-        self.offsets = np.array([0, *itertools.accumulate(counts)])
-        if max(masks.hits.shape[1] for masks in parts) > l_c:
-            raise ValueError("a mask position lies past the completion")
-        hits = np.zeros((self.offsets[-1], l_c), dtype=bool)
-        bounds = [0, *itertools.accumulate(map(len, parts))]
-        for masks, a, b in zip(parts, bounds, bounds[1:]):
-            hits[a:b, :masks.hits.shape[1]] = masks.hits
+        l_c, hits = self.clean.shape[1], masks.hits
+        if hits.shape[1] != l_c:
+            raise ValueError(f"the mask batch is {hits.shape[1]} positions wide, "
+                             f"the completions {l_c}")
+        self.k = len(masks) // len(group)
         # a stable sort by (completion, hits row) heads each run of equal
         # masks with its first occurrence; numbering the runs by that mask
         # gives each completion's distinct sets in first-occurrence order.
         # Unlike np.unique this imports no numpy.ma
-        owner = np.repeat(np.arange(len(group)), np.diff(self.offsets))
+        owner = np.repeat(np.arange(len(group)), self.k)
         order = np.lexsort((*hits.T, owner))
         runs = hits[order]
         head = np.ones(order.size, dtype=bool)
@@ -165,24 +156,15 @@ class _MaskStack:
             rows = by_size[ends[s - 1]:ends[s]]
             self.by_size.append((rows, self.starts[rows, None] + np.arange(s)))
 
-    @property
-    def spans(self) -> list[range]:
-        """Per completion, its stack rows."""
-        return [range(a, b) for a, b in itertools.pairwise(self.row_offsets.tolist())]
+    def rows(self, params: DenoiserParams) -> denoiser.Rows:
+        """The feature rows at the stack's masked positions, which the
+        forwards of every model of ``params``' architecture share."""
+        return denoiser.Rows(denoiser.Layout(params, self.stack), self.stack.masked)
 
-    @property
-    def which(self) -> list[np.ndarray]:
-        """Per completion, the stack row of each of its masks."""
-        return [self.mask_row[a:b] for a, b in itertools.pairwise(self.offsets)]
-
-    def logprobs(self, params: DenoiserParams) -> np.ndarray:
-        """The denoiser's log-probability rows at the stack's masked positions."""
-        return params.logprobs(self.stack, self.stack.masked)
-
-    def mask_terms(self, logprobs: np.ndarray) -> np.ndarray:
-        """Every mask's term, flat completion by completion, from the
-        log-probability rows at the stack's masked positions: the mask-size
-        reweighted log-probability sum of the clean tokens."""
+    def terms(self, logprobs: np.ndarray) -> np.ndarray:
+        """The (completions, k) per-mask terms, from the log-probability rows
+        at the stack's masked positions: each mask's mask-size reweighted
+        log-probability sum of the clean tokens."""
         l_c = self.clean.shape[1]
         picked = logprobs[np.arange(len(self.tokens)), self.tokens]
         by_row = np.empty(len(self.sizes))
@@ -190,21 +172,7 @@ class _MaskStack:
             # a sum along the contiguous last axis adds each row in the order
             # of that row's own 1-D sum; np.add.reduceat does not
             by_row[rows] = (l_c / cells.shape[1]) * picked[cells].sum(axis=1)
-        return by_row[self.mask_row]
-
-    def terms(self, logprobs: np.ndarray) -> list[np.ndarray]:
-        """Per completion, its per-mask terms."""
-        flat = self.mask_terms(logprobs)
-        return [flat[a:b] for a, b in itertools.pairwise(self.offsets)]
-
-    def means(self, logprobs: np.ndarray) -> list[float]:
-        """Per completion, the mean of its per-mask terms.  With equal mask
-        counts, one mean along the rows of a (completions, masks) view, each
-        row's own 1-D mean."""
-        counts = np.diff(self.offsets)
-        if (counts == counts[0]).all():
-            return self.mask_terms(logprobs).reshape(counts.size, -1).mean(axis=1).tolist()
-        return [float(t.mean()) for t in self.terms(logprobs)]
+        return by_row[self.mask_row].reshape(-1, self.k)
 
     def grads(self, params: DenoiserParams, fwd, scale: float) -> list[np.ndarray]:
         """Per completion, the gradient of ``scale`` times its mean term, by
@@ -212,43 +180,37 @@ class _MaskStack:
         positions, segmented at each completion's rows."""
         l_c = self.clean.shape[1]
         counts = np.bincount(self.mask_row, minlength=len(self.sizes))
-        n_masks = np.repeat(np.diff(self.offsets), np.diff(self.row_offsets))
-        weights = np.repeat(scale * counts * (l_c / self.sizes) / n_masks, self.sizes)
+        weights = np.repeat(scale * counts * (l_c / self.sizes) / self.k, self.sizes)
         return denoiser.backward(params, fwd, self.tokens, weights, self.starts[self.row_offsets])
 
     def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
         """Per completion, the per-token current-reference score difference,
-        and the current forward.  The stack's feature rows are built once:
-        the reference forward writes its embeddings into them and is reduced
-        to its means, then the current forward writes its own over the same
+        and the current forward.  Both forwards run on one ``rows``: the
+        reference forward writes its embeddings into them and is reduced to
+        its mean terms, then the current forward writes its own over the same
         block, so the two forwards' activations are never alive together."""
-        l_c = self.clean.shape[1]
-        rows = denoiser.Rows(denoiser.Layout(params_cur, self.stack), self.stack.masked)
-        ref = None if params_ref is None else self.means(denoiser.forward(params_ref, rows)[0])
+        rows = self.rows(params_cur)
+        ref = 0.0 if params_ref is None else self.terms(denoiser.forward(params_ref, rows)[0]).mean(axis=1)
         fwd = denoiser.forward(params_cur, rows)
-        cur = self.means(fwd[0])
-        if ref is None:
-            return [value / l_c for value in cur], fwd
-        return [(a - b) / l_c for a, b in zip(cur, ref)], fwd
+        return ((self.terms(fwd[0]).mean(axis=1) - ref) / self.clean.shape[1]).tolist(), fwd
 
 
-def elbo_terms(params: DenoiserParams, group: list[Sequence],
-               masks_per: list[MaskBatch] | MaskBatch) -> list[np.ndarray]:
-    """Per completion of ``group``, whose prompts may differ, its Monte Carlo
-    sequence score terms under its masks (``masks_per[c]``, or its share of
-    one batch, as ``_MaskStack`` reads them), one per mask: the mask-size
-    reweighted sum of denoising log-probabilities at the masked positions.
-    Their mean is the score estimate.  One forward over the whole stack, at
-    its masked positions only."""
-    stack = _MaskStack(group, masks_per)
-    return stack.terms(stack.logprobs(params))
+def elbo_terms(params: DenoiserParams, group: list[Sequence], masks: MaskBatch) -> np.ndarray:
+    """The (completions, k) Monte Carlo sequence score terms of ``group``,
+    whose prompts may differ, under one ``MaskBatch`` of ``n·k`` rows,
+    ``l_c`` wide, row ``c·k + j`` being completion ``c``'s mask ``j``: the
+    mask-size reweighted sum of denoising log-probabilities at the masked
+    positions.  A row's mean is its completion's score estimate.  One
+    forward over the whole stack, at its masked positions only."""
+    stack = _MaskStack(group, masks)
+    return stack.terms(denoiser.forward(params, stack.rows(params))[0])
 
 
 def coupled_deltas_and_grads(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
     group: list[Sequence],
-    masks_per: list[MaskBatch] | MaskBatch,
+    masks: MaskBatch,
 ) -> tuple[list[float], list[np.ndarray]]:
     """Per completion of ``group``, whose prompts may differ, under its masks
     as ``elbo_terms`` reads them: the per-token current-reference score difference
@@ -265,7 +227,7 @@ def coupled_deltas_and_grads(
     ``ValueError`` naming the first such field."""
     if params_ref is not None and (diff := denoiser.architecture_mismatch(params_ref, params_cur)):
         raise ValueError(f"params_ref {diff} in params_cur")
-    stack = _MaskStack(group, masks_per)
+    stack = _MaskStack(group, masks)
     deltas, fwd = stack.deltas(params_cur, params_ref)
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 

@@ -43,6 +43,8 @@ class Sequence:
         self.completion = np.asarray(self.completion, dtype=np.int64)
         if self.completion.ndim < 1 or self.completion.shape[-1] < 1:
             raise ValueError("completion must have at least one token")
+        if self.prompt.ndim < 1:
+            raise ValueError("prompt must be an array of token ids, not a scalar")
         if self.prompt.ndim != 1 and self.prompt.shape[:-1] != self.completion.shape[:-1]:
             raise ValueError("a prompt with leading axes must match the completion's")
         if min(self.completion.min(initial=0), self.prompt.min(initial=0)) < MASKED_TOKEN:

@@ -222,12 +222,6 @@ def _count_sudoku4(grid: list[int], limit: int) -> int:
     return total
 
 
-def count_sudoku4_solutions(grid: np.ndarray, limit: int = 2) -> int:
-    """Backtracking solution counter with early stop at ``limit``; 0 marks
-    an empty cell."""
-    return _count_sudoku4(np.asarray(grid, dtype=np.int64).ravel().tolist(), limit)
-
-
 def valid_sudoku4(grid: np.ndarray) -> bool:
     """Each digit once per row, column, and 2x2 box."""
     grid = np.asarray(grid)

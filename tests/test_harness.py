@@ -276,7 +276,7 @@ class TestMovingPolicyStep:
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:
                 masks = score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
-                (delta,), (grad,) = score.coupled_deltas_and_grads(params, ref, [c], [masks])
+                (delta,), (grad,) = score.coupled_deltas_and_grads(params, ref, [c], masks)
                 deltas.append(delta)
                 grads.append(grad)
         batch = score.center_scores(deltas)
@@ -290,6 +290,22 @@ class TestMovingPolicyStep:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("task,size,digest", [
+        ("arith", 100400, "60fa5e1378f813af56cbabd30d98aa09601f7d97aedd341c45dd2a8794f6f42b"),
+        ("countdown", 109616, "d142d47e85e9944fd9fa5077718389a8cdc5450817040ffd43dbffc5d9f3c65b"),
+        ("sudoku4", 112688, "c70f70db3028a2b77c60f3fb7bfa3eb567fe793305975959836f4151a7970c79"),
+    ])
+    def test_default_checkpoint_bytes(self, tmp_path, task, size, digest):
+        # each task's untrained checkpoint at the defaults, recorded before
+        # any change to the init draw, the codec or the config: it holds no
+        # float arithmetic beyond the uniform init draw, so its bytes are the
+        # same on every machine (trained runs' gemm bits may differ by BLAS)
+        cfg = RunConfig(task=task)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, init_state(cfg), cfg)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
     def test_round_trip(self, tmp_path):
         cfg = smoke_config(tmp_path)
         state = init_state(cfg)

@@ -1,7 +1,8 @@
 """Every name a library module imports, and every private name (``_x``) it
 defines at module level, is read somewhere in that module; every public
 module-level name is exported or read by the library, the demos or the
-benchmark; README's Public API section names exactly the package's exports.
+benchmark, and so is every public method or property of a module-level
+class; README's Public API section names exactly the package's exports.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
 an import binds names, and so does a module-level def, class or assignment;
@@ -100,7 +101,9 @@ def unread_public_names(modules: dict[str, str], readers: list[str],
                         exports: list[str]) -> list[str]:
     """``module.name`` for each public module-level name of ``modules`` (name
     to source) that is not in ``exports`` and is not read, as a name or as an
-    attribute (``harness.read_json_object``), in any of ``readers``."""
+    attribute (``harness.read_json_object``), in any of ``readers``; then
+    ``module.Class.name`` for each public method or property of a
+    module-level class that no reader reads as an attribute."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -108,9 +111,16 @@ def unread_public_names(modules: dict[str, str], readers: list[str],
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return [f"{module}.{name}" for module, source in modules.items()
-            for name in _module_level_names(ast.parse(source))
-            if not name.startswith("_") and name not in exports and name not in read]
+    unread = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        unread += [f"{module}.{name}" for name in _module_level_names(tree)
+                   if not name.startswith("_") and name not in exports and name not in read]
+        unread += [f"{module}.{cls.name}.{node.name}" for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not node.name.startswith("_") and node.name not in read]
+    return unread
 
 
 #: Public names that nothing outside the tests reads yet, each with the
@@ -118,7 +128,6 @@ def unread_public_names(modules: dict[str, str], readers: list[str],
 UNREAD_PUBLIC_ALLOWED = {
     "harness.load_checkpoint": "items 3 and 8: resume and warm start from a checkpoint",
     "harness.read_metrics": "item 6: the run report reads metrics.jsonl",
-    "tasks.count_sudoku4_solutions": "the tests' sudoku4 uniqueness counter",
     "tasks.split_by_solution": "item 4: held-out splits by solution",
 }
 
@@ -128,6 +137,17 @@ def test_finds_an_unread_public_name():
                       "def exported():\n    pass\nclass _Private:\n    pass\n"}
     readers = [modules["lib"], "import lib\nlib.used()\n"]
     assert unread_public_names(modules, readers, ["exported"]) == ["lib.spare"]
+
+
+def test_finds_an_unread_public_method():
+    modules = {"lib": "class A:\n    def used(self):\n        return self.helper()\n"
+                      "    def helper(self):\n        pass\n"
+                      "    @property\n    def spare(self):\n        pass\n"
+                      "    def _private(self):\n        pass\n"
+                      "    def __len__(self):\n        return 0\n"
+                      "class _Hidden:\n    def unread(self):\n        pass\n"}
+    readers = [modules["lib"], "import lib\nlib.A().used()\n"]
+    assert unread_public_names(modules, readers, ["A"]) == ["lib.A.spare", "lib._Hidden.unread"]
 
 
 def test_every_public_name_is_exported_or_read():

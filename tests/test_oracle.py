@@ -19,7 +19,7 @@ from rspo_lab.oracle import (
     sudoku4_solutions_by_enumeration,
 )
 from rspo_lab.sequences import Sequence
-from rspo_lab.tasks import count_sudoku4_solutions, gen_sudoku4
+from rspo_lab.tasks import _count_sudoku4, gen_sudoku4
 
 
 def small_model(seed, vocab=3):
@@ -322,9 +322,9 @@ class TestTaskOracles:
         rng = np.random.default_rng(7)
         empty = np.zeros((4, 4), dtype=np.int64)
         assert sudoku4_solutions_by_enumeration(empty) == 288
-        assert count_sudoku4_solutions(empty, limit=1000) == 288
+        assert _count_sudoku4(empty.ravel().tolist(), 1000) == 288
         for _ in range(5):
             inst = gen_sudoku4(rng, holes=7)
             puzzle = np.asarray(inst.payload["puzzle"]).reshape(4, 4)
             assert sudoku4_solutions_by_enumeration(puzzle) == \
-                count_sudoku4_solutions(puzzle, limit=1000) == 1
+                _count_sudoku4(puzzle.ravel().tolist(), 1000) == 1

@@ -42,6 +42,12 @@ def join(*batches: MaskBatch) -> MaskBatch:
                      np.concatenate([m.hits for m in batches]))
 
 
+def shares(masks: MaskBatch, n: int) -> list[MaskBatch]:
+    """Each of ``n`` completions' even share of ``masks``' rows, in order."""
+    k = len(masks) // n
+    return [take(masks, slice(c * k, (c + 1) * k)) for c in range(n)]
+
+
 class TestMaskLaw:
     def test_sample_validity(self, rng):
         masks = sample_mask_sets(4, 200, rng)
@@ -124,19 +130,27 @@ class TestMaskBatch:
             MaskBatch(np.asarray(t), hits)
 
     def test_scoring_takes_only_batches(self, rng):
+        # both calls take one batch of n·k rows, l_c wide: a list of batches,
+        # a narrower or wider batch and an uneven split are rejected
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        with pytest.raises(TypeError, match="MaskBatch"):
-            elbo_terms(params, [seq], [[(0.5, (0,))]])
-        with pytest.raises(ValueError, match="past the completion"):
-            elbo_terms(params, [seq], [masks_of(4, (0.5, (3,)))])
+        for score in (lambda masks: elbo_terms(params, [seq], masks),
+                      lambda masks: coupled_deltas_and_grads(params, None, [seq], masks)):
+            with pytest.raises(TypeError, match="MaskBatch"):
+                score([masks_of(3, (0.5, (0,)))])
+            for width in (2, 4):
+                with pytest.raises(ValueError, match=f"{width} positions wide, the completions 3"):
+                    score(masks_of(width, (0.5, (1,))))
+        three = masks_of(3, (0.5, (0,)), (0.5, (1,)), (0.5, (2,)))
+        with pytest.raises(ValueError, match="splits evenly among the completions: 3 for 2 "):
+            elbo_terms(params, [seq, seq], three)
 
 
 class TestElboScore:
     def test_manual_value(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        (terms,) = elbo_terms(params, [seq], [masks_of(3, (0.5, (0, 2)), (0.9, (1,)))])
+        (terms,) = elbo_terms(params, [seq], masks_of(3, (0.5, (0, 2)), (0.9, (1,))))
         lp_a = params.logprobs(seq.with_masked((0, 2)))
         lp_b = params.logprobs(seq.with_masked((1,)))
         term_a = (3 / 2) * (lp_a[0, seq.completion[0]] + lp_a[2, seq.completion[2]])
@@ -148,13 +162,13 @@ class TestElboScore:
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
         m = (0.5, (0,))
-        (terms,) = elbo_terms(params, [seq], [masks_of(3, m, m, m)])
+        (terms,) = elbo_terms(params, [seq], masks_of(3, m, m, m))
         assert terms[0] == terms[1] == terms[2]
 
     def test_masked_input_rejected(self, rng):
         params = tiny_params(seed=1)
         with pytest.raises(ValueError, match="clean"):
-            elbo_terms(params, [tiny_sequence(rng).with_masked([0])], [masks_of(3, (0.5, (0,)))])
+            elbo_terms(params, [tiny_sequence(rng).with_masked([0])], masks_of(3, (0.5, (0,))))
 
     def test_monte_carlo_matches_enumeration(self, rng):
         # z-test of the K-sample estimator against the closed-form expectation
@@ -162,7 +176,7 @@ class TestElboScore:
         seq = tiny_sequence(rng)
         exact = exact_elbo_expectation(params, seq)
         masks = sample_mask_sets(seq.completion_len, 40_000, np.random.default_rng(11))
-        (terms,) = elbo_terms(params, [seq], [masks])
+        (terms,) = elbo_terms(params, [seq], masks)
         se = terms.std(ddof=1) / np.sqrt(terms.size)
         assert abs(terms.mean() - exact) < 5 * se
 
@@ -172,8 +186,8 @@ class TestElboScore:
         params = tiny_params(seed=2)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 400, np.random.default_rng(4))
-        whole = elbo_terms(params, [seq], [masks])[0].mean()
-        chunks = [elbo_terms(params, [seq], [take(masks, slice(i, i + 4))])[0].mean()
+        whole = elbo_terms(params, [seq], masks)[0].mean()
+        chunks = [elbo_terms(params, [seq], take(masks, slice(i, i + 4)))[0].mean()
                   for i in range(0, 400, 4)]
         assert abs(np.mean(chunks) - whole) < 1e-10
 
@@ -184,10 +198,10 @@ class TestScoreGradients:
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
         # without a reference the delta is the per-token score
-        _, (grad,) = coupled_deltas_and_grads(params, None, [seq], [masks])
+        _, (grad,) = coupled_deltas_and_grads(params, None, [seq], masks)
 
         def f(theta):
-            terms = elbo_terms(params.replace_theta(theta), [seq], [masks])[0]
+            terms = elbo_terms(params.replace_theta(theta), [seq], masks)[0]
             return float(terms.mean()) / seq.completion_len
 
         fd = central_diff(f, params.theta)
@@ -201,8 +215,8 @@ class TestScoreGradients:
         params = tiny_params(seed=3)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, rng)
-        _, (grad,) = coupled_deltas_and_grads(params, tiny_params(seed=4), [seq], [masks])
-        _, (per_token,) = coupled_deltas_and_grads(params, None, [seq], [masks])
+        _, (grad,) = coupled_deltas_and_grads(params, tiny_params(seed=4), [seq], masks)
+        _, (per_token,) = coupled_deltas_and_grads(params, None, [seq], masks)
         np.testing.assert_allclose(grad, per_token, rtol=0, atol=0)
 
 
@@ -211,7 +225,7 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        (delta,), _ = coupled_deltas_and_grads(params, params.copy(), [seq], [masks])
+        (delta,), _ = coupled_deltas_and_grads(params, params.copy(), [seq], masks)
         assert delta == 0.0
 
     def test_sign_tracks_likelihood(self, rng):
@@ -219,10 +233,10 @@ class TestCoupledDelta:
         ref = tiny_params(seed=5)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, np.random.default_rng(8))
-        (delta0,), (grad,) = coupled_deltas_and_grads(ref, ref, [seq], [masks])
+        (delta0,), (grad,) = coupled_deltas_and_grads(ref, ref, [seq], masks)
         step = 0.05 * seq.completion_len * grad  # along the score gradient
         cur = ref.replace_theta(ref.theta + step)
-        (d_cur,), _ = coupled_deltas_and_grads(cur, ref, [seq], [masks])
+        (d_cur,), _ = coupled_deltas_and_grads(cur, ref, [seq], masks)
         assert delta0 == 0.0
         assert d_cur > 0.0
 
@@ -230,8 +244,8 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        want = float(elbo_terms(params, [seq], [masks])[0].mean()) / seq.completion_len
-        (delta,), _ = coupled_deltas_and_grads(params, None, [seq], [masks])
+        want = float(elbo_terms(params, [seq], masks)[0].mean()) / seq.completion_len
+        (delta,), _ = coupled_deltas_and_grads(params, None, [seq], masks)
         assert delta == want
 
     def test_k_zero_rejected(self, rng):
@@ -244,7 +258,7 @@ class TestCoupledDelta:
             sample_mask_sets(0, 2, rng)
         empty = MaskBatch(np.empty(0), np.zeros((0, 3), dtype=bool))
         with pytest.raises(ValueError, match="at least one mask"):
-            coupled_deltas_and_grads(params, params, [tiny_sequence(rng)], [empty])
+            coupled_deltas_and_grads(params, params, [tiny_sequence(rng)], empty)
 
     @pytest.mark.parametrize("field,value", [
         ("vocab_size", 5), ("window", 1), ("hidden", 16), ("embed_dim", 2), ("n_positions", 48),
@@ -257,11 +271,11 @@ class TestCoupledDelta:
         masks = sample_mask_sets(seq.completion_len, 2, rng)
         with pytest.raises(ValueError, match=f"params_ref {field} {value} differs from "
                                              f"{getattr(cur, field)} in params_cur"):
-            coupled_deltas_and_grads(cur, ref, [seq], [masks])
+            coupled_deltas_and_grads(cur, ref, [seq], masks)
         # the first differing field is named
         two = init_params(cur.vocab_size, window=2, hidden=16, embed_dim=4, n_positions=48)
         with pytest.raises(ValueError, match="params_ref hidden 16 differs from 8"):
-            coupled_deltas_and_grads(cur, two, [seq], [masks])
+            coupled_deltas_and_grads(cur, two, [seq], masks)
 
 
 class TestGroupScoring:
@@ -272,13 +286,14 @@ class TestGroupScoring:
         cur, ref = tiny_params(seed=6), tiny_params(seed=7)
         prompt = rng.integers(0, 4, size=2)
         group = [Sequence(prompt, rng.integers(0, 4, size=3)) for _ in range(5)]
-        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[1] = join(masks_per[1], take(masks_per[1], [0]))
-        masks_per[2] = join(take(masks_per[0], [0]), masks_per[2])
+        parts = shares(sample_mask_sets(3, 4, rng, len(group)), len(group))
+        parts[1] = join(take(parts[1], slice(3)), take(parts[1], [0]))
+        parts[2] = join(take(parts[0], [0]), take(parts[2], slice(3)))
+        masks = join(*parts)
         for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
-            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks)
+            for seq, part, delta, grad in zip(group, parts, deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
 
@@ -289,16 +304,17 @@ class TestGroupScoring:
         prompts = [rng.integers(0, 4, size=n) for n in range(4)]
         prompts.append(prompts[2].copy())
         group = [Sequence(p, rng.integers(0, 4, size=3)) for p in prompts]
-        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[4] = join(take(masks_per[2], [0]), masks_per[4])
+        parts = shares(sample_mask_sets(3, 3, rng, len(group)), len(group))
+        parts[4] = join(take(parts[2], [0]), take(parts[4], slice(2)))
+        masks = join(*parts)
         for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks_per)
-            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks)
+            for seq, part, delta, grad in zip(group, parts, deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
-        with pytest.raises(ValueError, match="mask list"):
-            coupled_deltas_and_grads(cur, None, group[:1], masks_per)
+        with pytest.raises(ValueError, match="splits evenly among the completions: 15 for 2 "):
+            coupled_deltas_and_grads(cur, None, group[:2], masks)
 
     def test_value_only_and_gradient_paths_agree(self, rng):
         # mixed prompts and repeated mask sets: elbo_terms over the whole group
@@ -307,19 +323,20 @@ class TestGroupScoring:
         cur, ref = tiny_params(seed=6), tiny_params(seed=7)
         prompts = [rng.integers(0, 4, size=n) for n in (2, 0, 3, 1, 2)]
         group = [Sequence(p, rng.integers(0, 4, size=3)) for p in prompts]
-        masks_per = [sample_mask_sets(3, int(rng.integers(1, 5)), rng) for _ in group]
-        masks_per[1] = join(masks_per[1], take(masks_per[1], [0, 0]))
-        masks_per[3] = join(take(masks_per[0], [-1]), masks_per[3], take(masks_per[2], [0]))
-        cur_terms = elbo_terms(cur, group, masks_per)
-        ref_terms = elbo_terms(ref, group, masks_per)
-        for seq, masks, terms in zip(group, masks_per, cur_terms):
-            (alone,) = elbo_terms(cur, [seq], [masks])
-            assert terms.shape == (len(masks),)
+        parts = shares(sample_mask_sets(3, 4, rng, len(group)), len(group))
+        parts[1] = join(take(parts[1], slice(2)), take(parts[1], [0, 0]))
+        parts[3] = join(take(parts[0], [-1]), take(parts[3], slice(2)), take(parts[2], [0]))
+        masks = join(*parts)
+        cur_terms = elbo_terms(cur, group, masks)
+        ref_terms = elbo_terms(ref, group, masks)
+        assert cur_terms.shape == ref_terms.shape == (5, 4)
+        for seq, part, terms in zip(group, parts, cur_terms):
+            (alone,) = elbo_terms(cur, [seq], part)
             assert np.array_equal(terms, alone)
-        deltas, _ = coupled_deltas_and_grads(cur, ref, group, masks_per)
+        deltas, _ = coupled_deltas_and_grads(cur, ref, group, masks)
         assert deltas == [(float(a.mean()) - float(b.mean())) / 3
                           for a, b in zip(cur_terms, ref_terms)]
-        deltas, _ = coupled_deltas_and_grads(cur, None, group, masks_per)
+        deltas, _ = coupled_deltas_and_grads(cur, None, group, masks)
         assert deltas == [float(a.mean()) / 3 for a in cur_terms]
 
 
@@ -334,10 +351,10 @@ class TestProductionSize:
         cur, ref = default_model(task, rng)
         for prompt in task_prompts(task, 5, rng):
             group = [Sequence(prompt, rng.integers(0, MASK_ID, size=16)) for _ in range(6)]
-            masks_per = [sample_mask_sets(16, k_masks, rng) for _ in group]
-            deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks_per)
-            for seq, masks, delta, grad in zip(group, masks_per, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, ref, [seq], [masks])
+            masks = sample_mask_sets(16, k_masks, rng, len(group))
+            deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks)
+            for seq, part, delta, grad in zip(group, shares(masks, len(group)), deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, ref, [seq], part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
 
@@ -349,33 +366,13 @@ class TestProductionSize:
         prompts = task_prompts("countdown", 4, rng)
         assert {p.size for p in prompts} == {8, 9}
         batch = [Sequence(p, rng.integers(0, MASK_ID, size=16)) for p in prompts for _ in range(6)]
-        masks_per = [sample_mask_sets(16, 2, rng) for _ in batch]
-        for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks_per)
-            for seq, masks, delta, grad in zip(batch, masks_per, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], [masks])
-                assert delta == one
-                assert np.array_equal(grad, one_grad)
-
-    def test_one_batch_scores_as_its_split(self):
-        # a micro-batch's masks drawn in one call score exactly as the same
-        # rows split into one batch per completion
-        rng = np.random.default_rng(8)
-        cur, ref = default_model("countdown", rng)
-        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
-                 for p in task_prompts("countdown", 4, rng) for _ in range(6)]
-        masks = sample_mask_sets(16, 3, rng, len(batch))
-        split = [MaskBatch(masks.t[i:i + 3], masks.hits[i:i + 3]) for i in range(0, len(masks), 3)]
-        for got, want in zip(elbo_terms(cur, batch, masks), elbo_terms(cur, batch, split)):
-            assert np.array_equal(got, want)
+        masks = sample_mask_sets(16, 2, rng, len(batch))
         for params_ref in (ref, None):
             deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks)
-            want_deltas, want_grads = coupled_deltas_and_grads(cur, params_ref, batch, split)
-            assert deltas == want_deltas
-            for got, want in zip(grads, want_grads):
-                assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="splits evenly among them: 71 for 24 completions"):
-            elbo_terms(cur, batch, MaskBatch(masks.t[1:], masks.hits[1:]))
+            for seq, part, delta, grad in zip(batch, shares(masks, len(batch)), deltas, grads):
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
+                assert delta == one
+                assert np.array_equal(grad, one_grad)
 
     @pytest.mark.parametrize("k_masks", [2, 8])
     def test_deltas_equal_per_model_mean_terms(self, k_masks):
@@ -398,12 +395,12 @@ class TestProductionSize:
     def test_completions_of_different_lengths_rejected(self, rng, score):
         params = tiny_params(seed=0)
         group = [Sequence([1], [0, 1, 2]), Sequence([1], [0, 1])]
-        masks_per = [sample_mask_sets(3, 2, rng), sample_mask_sets(2, 2, rng)]
+        masks = sample_mask_sets(3, 2, rng, len(group))
         with pytest.raises(ValueError, match=r"share one length, got \[2, 3\]"):
             if score == "elbo_terms":
-                elbo_terms(params, group, masks_per)
+                elbo_terms(params, group, masks)
             else:
-                coupled_deltas_and_grads(params, None, group, masks_per)
+                coupled_deltas_and_grads(params, None, group, masks)
 
     def test_peak_memory_stays_below_two_forwards(self):
         # a score-heavy micro-batch: 24 sudoku4 completions, 8 masks each.
@@ -416,14 +413,14 @@ class TestProductionSize:
         cur, ref = default_model("sudoku4", rng)
         batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
                  for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
-        masks_per = [sample_mask_sets(16, 8, rng) for _ in batch]
-        stack = _MaskStack(batch, masks_per)
+        masks = sample_mask_sets(16, 8, rng, len(batch))
+        stack = _MaskStack(batch, masks)
         logprobs, (x, ctx, h) = denoiser.forward(cur, stack.stack, stack.stack.masked)
         one_forward = logprobs.nbytes + x.nbytes + ctx.nbytes + h.nbytes
         del stack, logprobs, x, ctx, h
         tracemalloc.start()
         try:
-            coupled_deltas_and_grads(cur, ref, batch, masks_per)
+            coupled_deltas_and_grads(cur, ref, batch, masks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -437,13 +434,13 @@ class TestMaskStack:
         params = init_params(4, window=2, hidden=8, embed_dim=4, n_positions=22, seed=3)
         prompt = rng.integers(0, 4, size=2)
         group = [Sequence(prompt, rng.integers(0, 4, size=20)) for _ in range(6)]
-        masks_per = [sample_mask_sets(20, 8, rng) for _ in group]
-        stack = _MaskStack(group, masks_per)
-        sizes = {int(n) for masks in masks_per for n in masks.hits.sum(axis=1)}
+        masks = sample_mask_sets(20, 8, rng, len(group))
+        sizes = set(masks.hits.sum(axis=1).tolist())
         assert min(sizes) < 8 <= max(sizes)
-        for seq, masks, terms in zip(group, masks_per, stack.terms(stack.logprobs(params))):
+        all_terms = elbo_terms(params, group, masks)
+        for seq, part, terms in zip(group, shares(masks, len(group)), all_terms):
             want = []
-            for row in masks.hits:
+            for row in part.hits:
                 idx = np.flatnonzero(row)
                 lp = params.logprobs(seq.with_masked(idx))
                 want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
@@ -451,10 +448,10 @@ class TestMaskStack:
 
 
     @staticmethod
-    def _reference_stack(masks_per):
+    def _reference_stack(parts):
         # the per-completion dict.fromkeys dedup over position tuples
         which, spans, sets = [], [], []
-        for masks in masks_per:
+        for masks in parts:
             sets_of = [tuple(np.flatnonzero(row).tolist()) for row in masks.hits]
             distinct = list(dict.fromkeys(sets_of))
             index = {s: len(sets) + j for j, s in enumerate(distinct)}
@@ -468,16 +465,15 @@ class TestMaskStack:
         prompt = rng.integers(0, 4, size=2)
         for _ in range(5):
             group = [Sequence(prompt, rng.integers(0, 4, size=l_c)) for _ in range(4)]
-            masks_per = [sample_mask_sets(l_c, int(rng.integers(1, k_max + 1)), rng) for _ in group]
+            k = int(rng.integers(1, k_max + 1))
+            parts = shares(sample_mask_sets(l_c, k + 2, rng, len(group)), len(group))
             # repeat a set within a completion and share one across completions
-            masks_per[1] = join(masks_per[1], take(masks_per[1], [0]), take(masks_per[0], [0]))
-            masks_per[3] = join(take(masks_per[2], [-1]), masks_per[3], take(masks_per[3], [0]))
-            stack = _MaskStack(group, masks_per)
-            which, spans, sets = self._reference_stack(masks_per)
-            assert len(stack.which) == len(which)
-            for got, want in zip(stack.which, which):
-                assert np.array_equal(got, want)
-            assert stack.spans == spans
+            parts[1] = join(take(parts[1], slice(k)), take(parts[1], [0]), take(parts[0], [0]))
+            parts[3] = join(take(parts[2], [-1]), take(parts[3], slice(k)), take(parts[3], [0]))
+            stack = _MaskStack(group, join(*parts))
+            which, spans, sets = self._reference_stack(parts)
+            assert np.array_equal(stack.mask_row.reshape(len(group), k + 2), which)
+            assert stack.row_offsets.tolist() == [0, *(span.stop for span in spans)]
             assert stack.sizes.tolist() == [len(s) for s in sets]
             want_masked = np.zeros((len(sets), l_c), dtype=bool)
             for row, s in enumerate(sets):

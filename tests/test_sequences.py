@@ -10,6 +10,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="at least one token"):
                 Sequence([1], completion)
 
+    def test_scalar_prompt_rejected(self):
+        # an empty prompt is [], and a 0-d one has no width to read
+        with pytest.raises(ValueError, match="^prompt "):
+            Sequence(5, [1, 2])
+
     def test_leading_axes_mismatch_rejected(self):
         with pytest.raises(ValueError, match="leading axes"):
             Sequence([[1], [2]], [[1, 2], [3, 4], [5, 6]])

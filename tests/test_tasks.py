@@ -11,7 +11,7 @@ from rspo_lab.tasks import (
     VOCAB_SIZE,
     RewardSpec,
     TaskInstance,
-    count_sudoku4_solutions,
+    _count_sudoku4,
     decode_tokens,
     encode_text,
     gen_arith,
@@ -130,7 +130,7 @@ class TestSudoku4:
             inst = gen_sudoku4(rng, holes=holes)
             puzzle = np.asarray(inst.payload["puzzle"]).reshape(4, 4)
             assert int(np.sum(puzzle == 0)) == holes
-            assert count_sudoku4_solutions(puzzle) == 1
+            assert _count_sudoku4(puzzle.ravel().tolist(), 2) == 1
             assert sudoku4_solutions_by_enumeration(puzzle) == 1
 
     def test_solution_is_valid_and_consistent(self):
