@@ -24,22 +24,22 @@ def main():
     print(f"prompt: {inst.prompt_text!r}  (answer: {inst.payload['answer']})")
     print()
 
-    # instrument the forward to show the mask pattern before every denoiser
-    # call; the decoder's forwards share one layout of a stack holding the
-    # one completion
-    forward = denoiser.forward
+    # instrument the feature rows to show the mask pattern before every
+    # denoiser call; the decoder builds each forward's rows from one layout
+    # of a stack holding the one completion
+    rows = denoiser.Rows
 
-    def narrated(params, layout, where):
+    def narrated(layout, where):
         print("  state:", decode_tokens(layout.completion[0]))
-        return forward(params, layout, where)
+        return rows(layout, where)
 
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
-    denoiser.forward = narrated
+    denoiser.Rows = narrated
     try:
         out = decode(params, [prompt], cfg, [rng]).completion[0]
     finally:
-        denoiser.forward = forward
+        denoiser.Rows = rows
     print("  final:", decode_tokens(out))
 
 

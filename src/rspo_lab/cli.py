@@ -179,6 +179,8 @@ def cmd_ablate(args) -> int:
     grid = spec_obj.pop("grid", {})
     if not (isinstance(grid, dict) and all(isinstance(v, list) and v for v in grid.values())):
         raise ConfigError(f"{args.matrix}: grid must map config keys to nonempty value lists")
+    if "out_dir" in grid:
+        raise ConfigError(f"{args.matrix}: out_dir cannot be a grid key")
     base_out = spec_obj.pop("out_dir", "runs/ablation")
     if not isinstance(base_out, str):
         raise ConfigError(f"{args.matrix}: out_dir must be str, got {base_out!r}")

@@ -74,16 +74,6 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return self.replace_theta(self.theta.copy())
 
-    def logprobs(self, seq: Sequence, where: np.ndarray | None = None) -> np.ndarray:
-        """Per-position log-probability table over the vocab, shape (L_c, size)
-        for one completion and (..., L_c, size) for a stack; with ``where``
-        (shape of ``seq.completion``), only its True entries, as flat rows
-        (n, size) in C order.  Rows exponentiate-and-sum to one; the
-        computation is deterministic in its inputs."""
-        logprobs = forward(self, seq, where)[0]
-        return logprobs.reshape(seq.completion.shape + (-1,)) if where is None else logprobs
-
-
 def architecture_mismatch(params: DenoiserParams, other: DenoiserParams) -> str | None:
     """The first ``ARCHITECTURE`` field where ``params`` differs from
     ``other``, as ``"<field> <its value> differs from <other's>"``, or None."""
@@ -120,8 +110,9 @@ class Layout:
 
     A completion's absolute positions start after its own prompt tokens, the
     entries >= 0; its -1 left padding reads as outside the sequence, so every
-    row gets the features of its unpadded sequence.  A token id at or past
-    ``vocab_size`` in either array raises ``ValueError`` naming the array.
+    row gets the features of its unpadded sequence.  A -1 after a prompt
+    token, or a token id at or past ``vocab_size`` in either array, raises
+    ``ValueError`` naming the array.
     """
 
     def __init__(self, params: DenoiserParams, seq: Sequence):
@@ -129,9 +120,11 @@ class Layout:
         for name, ids in (("prompt", seq.prompt), ("completion", seq.completion)):
             if ids.size and ids.max() >= params.vocab_size:
                 raise ValueError(f"{name} token ids must be < vocab_size {params.vocab_size}")
-        rows, self.completion_len = seq.completion.size // lc, lc
+        rows = seq.completion.size // lc
         prompt = np.broadcast_to(seq.prompt, seq.completion.shape[:-1] + (pl,)).reshape(rows, pl)
         self.starts = starts = (prompt >= 0).sum(axis=1)
+        if ((prompt >= 0) != (np.arange(pl) >= pl - starts[:, None])).any():
+            raise ValueError("prompt padding (-1) must be a left prefix of each prompt")
         if starts.max() + lc > params.n_positions:
             raise ValueError(
                 f"sequence length {starts.max() + lc} exceeds position table {params.n_positions}"
@@ -173,38 +166,25 @@ class Rows:
         self.completion_len, self.table = lc, layout.table
 
 
-def _features(params: DenoiserParams, seq: Sequence | Layout | Rows,
-              where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``ctx`` of ``Rows`` (built here for a ``Sequence`` or a
-    ``Layout``) with ``params``' embeddings written into ``x``'s block."""
-    if not isinstance(seq, Rows):
-        seq = Rows(seq if isinstance(seq, Layout) else Layout(params, seq), where)
-    x, ctx, n, npos = seq.x, seq.ctx, len(seq.ctx), params.n_positions
-    seq.table[:-1] = params.embed  # ctx -1 picks the zero row after it
-    x[:n, npos:-1] = np.take(seq.table, ctx, axis=0).reshape(n, x.shape[1] - npos - 1)
-    return x, ctx
-
-
 def row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=-1)``, exact, from a vocab-major copy: ~3x faster on rows a vocab wide."""
     return np.ascontiguousarray(a.T).max(axis=0).T
 
 
-def forward(params: DenoiserParams, seq: Sequence | Layout | Rows, where: np.ndarray | None = None):
-    """Log-probability rows (n, size) at the True entries of ``where``
-    (shape of ``seq.completion``; every position when None), flat in C order
-    as ``Rows`` numbers them, and the activations ``backward`` reuses.
-    ``seq`` may be the ``Layout`` that several forwards of a stack share, or
-    ``Rows`` (``where`` unused) that forwards of models of one architecture
-    share; each writes its embeddings over the last one's.
+def forward(params: DenoiserParams, rows: Rows):
+    """Log-probability rows (n, size) of ``rows``, in their order, and the
+    activations ``backward`` reuses.  The forwards of models of one
+    architecture may share ``rows``: each writes its embeddings into
+    ``rows.x`` over the last one's.
 
     Both matmuls run as gemms of exactly L_c rows, the shape of one
     completion's forward, over ``x``'s zero-padded rows: a row's bits then
     do not depend on which rows share the call or where the row sits.  The
     bias adds, ``tanh`` and the log-softmax write in place.
     """
-    x, ctx = _features(params, seq, where)
-    n, lc = len(ctx), seq.completion_len
+    x, ctx, n, lc, npos = rows.x, rows.ctx, len(rows.ctx), rows.completion_len, params.n_positions
+    rows.table[:-1] = params.embed  # ctx -1 picks the zero row after it
+    x[:n, npos:-1] = np.take(rows.table, ctx, axis=0).reshape(n, x.shape[1] - npos - 1)
     h = x.reshape(-1, lc, x.shape[1]) @ params.w1.T
     np.tanh(np.add(h, params.b1, out=h), out=h)
     logits = h @ params.w2.T

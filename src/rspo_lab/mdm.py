@@ -107,7 +107,7 @@ def decode(
             where = np.zeros(completion.shape, dtype=bool)
             where[:, start:start + cfg.block_size] = (
                 completion[:, start:start + cfg.block_size] == MASKED_TOKEN)
-            cand = denoiser.forward(params, layout, where)[0].reshape(len(rngs), left, -1)
+            cand = denoiser.forward(params, denoiser.Rows(layout, where))[0].reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
             tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
             drawn += left

@@ -5,8 +5,11 @@ per-position loop for the denoiser features and a one-sequence forward on
 top of it, exhaustive mask enumeration for the sequence score, dynamic
 programming for the exact reverse-chain likelihood, softmax optima for
 KL-regularized improvement, exact KL computations, and the
-surrogate-error bound, checked over a stack of trials in one call.
-Oracles run inside the test suite and the audit command only.
+surrogate-error bound, checked over a stack of trials in one call.  Both
+likelihood oracles take their log-probabilities from that loop forward and
+read only the parameter arrays of the model, so no oracle runs the
+production denoiser code it checks.  Oracles run inside the test suite and
+the audit command only.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ def mask_set_weight(positions: tuple[int, ...], l_c: int) -> float:
 def loop_features(params, seq: Sequence) -> np.ndarray:
     """The denoiser's feature matrix (L_c, F), built position by position and
     neighbour by neighbour: position one-hot, the embedding of each visible
-    token at offsets -window..-1, 1..window, then the masked fraction."""
+    token at offsets -window..-1, 1..window, then the masked fraction.  It
+    takes one unpadded sequence: a prompt holding -1 raises ``ValueError``."""
+    if seq.prompt.min(initial=0) < 0:
+        raise ValueError("prompt must hold no -1 padding")
     pl, lc, total = seq.prompt_len, seq.completion_len, seq.total_len
     w, e = params.window, params.embed_dim
     full = np.concatenate([seq.prompt, seq.completion])
@@ -84,7 +90,7 @@ def exact_elbo_expectation(params, seq: Sequence) -> float:
     total = 0.0
     for m in range(1, l_c + 1):
         for positions in itertools.combinations(range(l_c), m):
-            lp = params.logprobs(seq.with_masked(positions))
+            lp = loop_logprobs(params, seq.with_masked(positions))
             idx = np.asarray(positions, dtype=np.int64)
             term = (l_c / m) * lp[idx, seq.completion[idx]].sum()
             total += mask_set_weight(positions, l_c) * term
@@ -119,7 +125,7 @@ def exact_sequence_loglik(params, seq: Sequence, steps: int) -> float:
             if not positions:
                 nxt[state] = nxt.get(state, 0.0) + p
                 continue
-            lp = params.logprobs(seq.with_masked(positions))
+            lp = loop_logprobs(params, seq.with_masked(positions))
             fill = {i: math.exp(lp[i, seq.completion[i]]) for i in positions}
             # each masked position independently stays or fills with o^i
             for keep in _subsets(positions):

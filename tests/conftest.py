@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rspo_lab import tasks
-from rspo_lab.denoiser import DenoiserParams, init_params
+from rspo_lab.denoiser import DenoiserParams, Layout, Rows, forward, init_params
 from rspo_lab.harness import RunConfig, init_state
 from rspo_lab.sequences import Sequence
 
@@ -26,6 +26,18 @@ def tiny_sequence(rng: np.random.Generator, vocab_size: int = 4,
         prompt=rng.integers(0, vocab_size, size=prompt_len),
         completion=rng.integers(0, vocab_size, size=completion_len),
     )
+
+
+def forward_on(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = None):
+    """``forward`` on fresh rows of ``seq`` at the True entries of ``where``
+    (every position when None)."""
+    return forward(params, Rows(Layout(params, seq), where))
+
+
+def logprob_table(params: DenoiserParams, seq: Sequence) -> np.ndarray:
+    """The log-probability table (..., L_c, size) of every completion
+    position of ``seq``, one completion or a stack."""
+    return forward_on(params, seq)[0].reshape(seq.completion.shape + (-1,))
 
 
 def default_model(task: str, rng: np.random.Generator, noise: float = 0.05):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rspo_lab
-from rspo_lab import cli, oracle, score, tasks
+from rspo_lab import cli, denoiser, oracle, score, tasks
 from rspo_lab.cli import build_parser, main
 
 
@@ -201,6 +201,21 @@ class TestAudit:
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
         assert all(ln.startswith("PASS ") for ln in lines[1:])
 
+    def test_wrong_production_forward_fails(self, capsys, monkeypatch):
+        # the oracle runs its own forward, so a fault in the production one
+        # cannot cancel on both sides of the exactness check
+        forward = denoiser.forward
+
+        def shifted(*args):
+            logprobs, cache = forward(*args)
+            return logprobs + 1e-9, cache
+
+        monkeypatch.setattr(denoiser, "forward", shifted)
+        assert main(["audit", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
+        assert all(ln.startswith("PASS ") for ln in lines[1:])
+
     def test_unsolvable_countdown_instance_fails(self, capsys, monkeypatch):
         def unreachable(rng):
             return tasks.TaskInstance(kind="countdown", prompt_text="1 1 1=97?",
@@ -320,6 +335,15 @@ class TestAblate:
             path.write_text(json.dumps(matrix))
             assert_usage_error(capsys, needle, ["ablate", "--matrix", str(path)])
         assert not (tmp_path / "grid").exists()
+
+    def test_grid_over_out_dir_fails_before_any_run(self, tmp_path, capsys):
+        # the grid's out_dir values were silently replaced by subdirectories
+        matrix = smoke_config_obj(tmp_path / "grid", steps=1)
+        matrix["grid"] = {"out_dir": [str(tmp_path / "x"), str(tmp_path / "y")]}
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert_usage_error(capsys, "out_dir cannot be a grid key", ["ablate", "--matrix", str(path)])
+        assert not any((tmp_path / name).exists() for name in ("grid", "x", "y"))
 
     def test_repeated_run_directory_fails_before_any_run(self, tmp_path, capsys):
         matrix = smoke_config_obj(tmp_path / "grid", steps=1)

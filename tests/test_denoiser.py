@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_diff, tiny_params, tiny_sequence
-from rspo_lab.denoiser import Layout, Rows, _features, backward, forward, init_params, row_max
+from conftest import central_diff, forward_on, logprob_table, tiny_params, tiny_sequence
+from rspo_lab.denoiser import Layout, Rows, backward, forward, init_params, row_max
 from rspo_lab.harness import params_from_bytes, params_to_bytes
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
@@ -16,8 +16,15 @@ def logprob_grad(params, seq, positions, tokens):
     at those positions."""
     where = np.zeros(seq.completion.shape, dtype=bool)
     where[positions] = True
-    return backward(params, forward(params, seq, where), np.asarray(tokens),
+    return backward(params, forward_on(params, seq, where), np.asarray(tokens),
                     np.ones(len(tokens)), [0, len(tokens)])[0]
+
+
+def features(params, seq):
+    """``x`` and ``ctx`` of every completion position of ``seq``, with
+    ``params``' embeddings written in by a forward."""
+    x, ctx, _ = forward_on(params, seq)[1]
+    return x, ctx
 
 
 class TestLogprobs:
@@ -27,28 +34,28 @@ class TestLogprobs:
             seq = tiny_sequence(rng).with_masked(
                 rng.choice(3, size=rng.integers(1, 4), replace=False)
             )
-            lp = params.logprobs(seq)
+            lp = logprob_table(params, seq)
             np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-10)
 
     def test_zero_theta_is_uniform(self, rng):
         params = tiny_params(seed=1)
         params = params.replace_theta(np.zeros_like(params.theta))
         seq = tiny_sequence(rng).with_masked([0, 1])
-        lp = params.logprobs(seq)
+        lp = logprob_table(params, seq)
         np.testing.assert_allclose(lp, -math.log(params.vocab_size), atol=1e-12)
 
     def test_deterministic(self, rng):
         params = tiny_params(seed=2)
         seq = tiny_sequence(rng).with_masked([1])
-        a = params.logprobs(seq)
-        b = params.logprobs(seq)
+        a = logprob_table(params, seq)
+        b = logprob_table(params, seq)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self, rng):
         params = tiny_params(seed=2)  # n_positions=6
         seq = tiny_sequence(rng, prompt_len=5, completion_len=3)
         with pytest.raises(ValueError, match="position table"):
-            params.logprobs(seq)
+            logprob_table(params, seq)
 
     @pytest.mark.parametrize("field", ["prompt", "completion"])
     @pytest.mark.parametrize("token", [4, 5])
@@ -59,7 +66,7 @@ class TestLogprobs:
         ids = {"prompt": [1], "completion": [2, 1, 3]}
         ids[field][-1] = token
         with pytest.raises(ValueError, match=f"{field} token ids must be < vocab_size 4"):
-            params.logprobs(Sequence(ids["prompt"], ids["completion"]))
+            logprob_table(params, Sequence(ids["prompt"], ids["completion"]))
 
     def test_positive_gradient_coordinate_raises_logprob(self, rng):
         # perturbing a weight along its positive gradient direction must
@@ -73,8 +80,8 @@ class TestLogprobs:
         h = 1e-5
         theta = params.theta.copy()
         theta[coord] += h
-        before = params.logprobs(seq)[0, tok]
-        after = params.replace_theta(theta).logprobs(seq)[0, tok]
+        before = logprob_table(params, seq)[0, tok]
+        after = logprob_table(params.replace_theta(theta), seq)[0, tok]
         assert after > before
 
 
@@ -101,7 +108,7 @@ class TestFeatures:
             else:
                 masked = np.flatnonzero(rng.random(completion_len) < 0.5)
             z = seq.with_masked(masked)
-            x, ctx = _features(params, z)
+            x, ctx = features(params, z)
             assert np.array_equal(x, loop_features(params, z))
             assert ctx.shape == (completion_len, 2 * window)
             cases += window >= total and total == params.n_positions
@@ -110,7 +117,7 @@ class TestFeatures:
     def test_context_marks_masked_and_outside(self):
         params = init_params(5, window=2, hidden=3, embed_dim=2, n_positions=4)
         z = Sequence(prompt=[3], completion=[1, 2, 4]).with_masked([1])
-        _, ctx = _features(params, z)
+        _, ctx = features(params, z)
         # slots hold offsets -2, -1, +1, +2
         np.testing.assert_array_equal(ctx, [[-1, 3, -1, 4], [3, 1, 4, -1], [1, -1, -1, -1]])
 
@@ -142,7 +149,7 @@ class TestStack:
         worst, cases = 0.0, 0
         for trial in range(30):
             params, stack = random_stack(rng, trial, b)
-            lp = params.logprobs(stack)
+            lp = logprob_table(params, stack)
             assert lp.shape == (b, stack.completion_len, params.vocab_size)
             for i in range(b):
                 one = Sequence(stack.prompt, stack.completion[i])
@@ -165,7 +172,7 @@ class TestStack:
             items, positions = np.nonzero(stack.masked)
             tokens = rng.integers(0, params.vocab_size, size=items.size)
             weights = rng.uniform(-2.0, 2.0, size=items.size)
-            total, = backward(params, forward(params, stack, stack.masked),
+            total, = backward(params, forward_on(params, stack, stack.masked),
                               tokens, weights, [0, items.size])
             singles = sum(
                 w * logprob_grad(
@@ -186,7 +193,7 @@ class TestSharedRows:
             where = None if trial % 4 == 0 else stack.masked | (rng.random(stack.masked.shape) < 0.3)
             rows = Rows(Layout(params, stack), where)
             forward(other, rows)
-            shared, fresh = forward(params, rows), forward(params, stack, where)
+            shared, fresh = forward(params, rows), forward_on(params, stack, where)
             for got, want in zip((shared[0], *shared[1]), (fresh[0], *fresh[1])):
                 assert np.array_equal(got, want)
             n = len(fresh[0])
@@ -242,16 +249,16 @@ class TestRaggedPrompts:
             masked[0] = True
             completion = np.where(masked, -1, rng.integers(0, vocab, size=masked.shape))
             stack = Sequence(prompts, completion)
-            x, ctx = _features(params, stack)
+            x, ctx = features(params, stack)
             x = x.reshape(lengths.size, completion_len, -1)
             ctx = ctx.reshape(lengths.size, completion_len, -1)
-            lp = params.logprobs(stack)
+            lp = logprob_table(params, stack)
             for b, n in enumerate(lengths):
                 one = Sequence(prompts[b, width - n:], completion[b])
-                x_one, ctx_one = _features(params, one)
+                x_one, ctx_one = features(params, one)
                 assert np.array_equal(x[b], x_one)
                 assert np.array_equal(ctx[b], ctx_one)
-                assert np.array_equal(lp[b], params.logprobs(one))
+                assert np.array_equal(lp[b], logprob_table(params, one))
                 worst = max(worst, float(np.max(np.abs(lp[b] - loop_logprobs(params, one)))))
             cases += window >= width + completion_len == params.n_positions
         assert worst <= 1e-12
@@ -259,16 +266,25 @@ class TestRaggedPrompts:
 
     def test_no_positions_give_no_rows(self, rng):
         params, stack = random_stack(rng, 1, 4)
-        logprobs, (x, ctx, h) = forward(params, stack, np.zeros(stack.completion.shape, bool))
+        logprobs, (x, ctx, h) = forward_on(params, stack, np.zeros(stack.completion.shape, bool))
         assert logprobs.shape == (0, params.vocab_size) and ctx.shape == (0, 2 * params.window)
         assert x.shape == (0, params.feature_dim) and h.shape == (0, params.hidden)
 
     def test_position_table_checks_unpadded_length(self):
         params = init_params(3, window=1, hidden=2, embed_dim=2, n_positions=4)
         fits = Sequence([[-1, -1, 0], [-1, 1, 2]], [[0, 1], [1, 0]])
-        assert params.logprobs(fits).shape == (2, 2, 3)
+        assert logprob_table(params, fits).shape == (2, 2, 3)
         with pytest.raises(ValueError, match="position table"):
-            params.logprobs(Sequence([[-1, -1, 0], [0, 1, 2]], [[0, 1], [1, 0]]))
+            logprob_table(params, Sequence([[-1, -1, 0], [0, 1, 2]], [[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("prompt", [[3, -1, 4], [-1, 3, -1], [[-1, 0, 1], [0, -1, 1]]])
+    def test_padding_after_a_prompt_token_rejected(self, prompt):
+        # a -1 after a token was counted out of the prompt length, shifting
+        # every completion position of the row by one
+        params = init_params(5, window=1, hidden=2, embed_dim=2, n_positions=8)
+        completion = [[1, 2], [2, 1]] if np.ndim(prompt) == 2 else [1, 2]
+        with pytest.raises(ValueError, match="prompt padding"):
+            Layout(params, Sequence(prompt, completion))
 
 
 class TestGradients:
@@ -286,7 +302,7 @@ class TestGradients:
             grad = logprob_grad(params, z, [pos], [tok])
 
             def f(theta):
-                return params.replace_theta(theta).logprobs(z)[pos, tok]
+                return logprob_table(params.replace_theta(theta), z)[pos, tok]
 
             fd = central_diff(f, params.theta)
             denom = np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(grad)))
@@ -311,7 +327,7 @@ class TestGradients:
         # sum_v pi(v) * grad log pi(v) = 0 for any model
         params = tiny_params(seed=7)
         z = tiny_sequence(rng).with_masked([1])
-        lp = params.logprobs(z)
+        lp = logprob_table(params, z)
         total = np.zeros_like(params.theta)
         for v in range(params.vocab_size):
             total += math.exp(lp[1, v]) * logprob_grad(params, z, [1], [v])
@@ -362,7 +378,7 @@ class TestSegmentedBackward:
             weights[rng.random(items.size) < 0.3] = 0.0
             bounds = np.sort(np.concatenate(
                 [[0, items.size], rng.integers(0, items.size + 1, size=3)]))
-            logprobs, (x, ctx, h) = fwd = forward(params, stack, where)
+            logprobs, (x, ctx, h) = fwd = forward_on(params, stack, where)
             grads = backward(params, fwd, tokens, weights, bounds)
             assert len(grads) == bounds.size - 1
             for grad, a, b in zip(grads, bounds, bounds[1:]):

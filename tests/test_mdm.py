@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_model, task_prompts, tiny_params
+from conftest import default_model, forward_on, task_prompts, tiny_params
 from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.harness import RunConfig
@@ -16,6 +16,15 @@ from rspo_lab.sequences import MASKED_TOKEN, Sequence
 def wide_params(scale: float = 0.05):
     return init_params(4, window=2, hidden=8, embed_dim=4, n_positions=12, seed=5,
                        scale=scale)
+
+
+class SpyRows(denoiser.Rows):
+    """``Rows`` that keep the layout and ``where`` they are built from, so a
+    spy on ``denoiser.forward`` sees the decode state of its call."""
+
+    def __init__(self, layout, where=None):
+        super().__init__(layout, where)
+        self.layout, self.where = layout, where
 
 
 class TestDecode:
@@ -51,10 +60,11 @@ class TestDecode:
         snapshots = []
         real = denoiser.forward
 
-        def spy(params, layout, where):
-            snapshots.append(layout.completion == MASKED_TOKEN)
-            return real(params, layout, where)
+        def spy(params, rows):
+            snapshots.append(rows.layout.completion == MASKED_TOKEN)
+            return real(params, rows)
 
+        monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         decode(params, [np.array([1])], self.cfg(), [rng])
         assert snapshots
@@ -131,14 +141,16 @@ class TestDecode:
         real = denoiser.forward
         steps = []
 
-        def spy(params, layout, where):
-            fwd = real(params, layout, where)
-            fresh = real(params, Sequence(layout.prompt.copy(), layout.completion.copy()), where)
+        def spy(params, rows):
+            layout, where = rows.layout, rows.where
+            fwd = real(params, rows)
+            fresh = forward_on(params, Sequence(layout.prompt.copy(), layout.completion.copy()), where)
             for got, want in zip((fwd[0], *fwd[1]), (fresh[0], *fresh[1])):
                 assert np.array_equal(got, want)
             steps.append(int(where.sum()))
             return fwd
 
+        monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         cfg = RunConfig(task="countdown").decode_config()
         sample_completion_groups(params, prompts, 6, cfg, rng)
@@ -264,14 +276,16 @@ class TestProductionSize:
         calls = []
         real = denoiser.forward
 
-        def spy(params, layout, where):
-            fwd = real(params, layout, where)
+        def spy(params, rows):
+            layout, where = rows.layout, rows.where
+            fwd = real(params, rows)
             seq = Sequence(layout.prompt, layout.completion.copy())
-            full = real(params, seq)[0].reshape(where.shape + (-1,))
+            full = forward_on(params, seq)[0].reshape(where.shape + (-1,))
             assert np.array_equal(fwd[0], full[where])
             calls.append((seq.masked, where.copy()))
             return fwd
 
+        monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         sample_completion_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
         assert len(calls) == cfg.gen_len // cfg.unmask_per_step
@@ -312,12 +326,13 @@ class TestTies:
         snapshots = []
         real = denoiser.forward
 
-        def spy(params, layout, where):
-            snapshots.append(layout.completion == MASKED_TOKEN)
-            fwd = real(params, layout, where)
+        def spy(params, rows):
+            snapshots.append(rows.layout.completion == MASKED_TOKEN)
+            fwd = real(params, rows)
             assert (fwd[0] == -math.log(4)).all()
             return fwd
 
+        monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
         sample_completion_groups(params, [np.array([1])], 3, cfg, rng)

@@ -14,6 +14,8 @@ from rspo_lab.oracle import (
     exact_sequence_loglik,
     kl_proxy,
     kl_regularized_optimum,
+    loop_features,
+    loop_logprobs,
     mask_set_weight,
     perturbation_bound_check,
     sudoku4_solutions_by_enumeration,
@@ -38,14 +40,13 @@ class TestSequenceLikelihood:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_denoiser_gives_probability_one(self):
-        class Delta:
-            def logprobs(self, seq):
-                lp = np.full((seq.completion_len, 3), -np.inf)
-                lp[:, 1] = 0.0
-                return lp
-
+        # a readout that ignores the features and puts logit 60 on token 1:
+        # every position is certain of it, to within exp(-60)
+        params = small_model(seed=0)
+        params.w2[...] = 0.0
+        params.b2[...] = [0.0, 60.0, 0.0]
         seq = Sequence(prompt=np.array([0]), completion=np.array([1, 1]))
-        assert exact_sequence_loglik(Delta(), seq, steps=4) == pytest.approx(0.0, abs=1e-12)
+        assert exact_sequence_loglik(params, seq, steps=4) == pytest.approx(0.0, abs=1e-12)
 
     def test_converges_to_score_expectation(self):
         # the closed-form score expectation is the many-step limit of the
@@ -83,6 +84,16 @@ class TestSequenceLikelihood:
             exact_elbo_expectation(params, big)
         with pytest.raises(ValueError, match="enumeration"):
             exact_sequence_loglik(params, big, steps=4)
+
+
+class TestLoopForward:
+    @pytest.mark.parametrize("fn", [loop_features, loop_logprobs, exact_elbo_expectation])
+    def test_padded_prompt_rejected(self, fn):
+        # -1 once read as the last embedding row and moved every position
+        # past the padding; the loop takes unpadded sequences only
+        params = small_model(seed=0)
+        with pytest.raises(ValueError, match="prompt must hold no -1"):
+            fn(params, Sequence(prompt=np.array([-1, 0]), completion=np.array([1, 2])))
 
 
 class TestMaskWeights:

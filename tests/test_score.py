@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import central_diff, default_model, task_prompts, tiny_params, tiny_sequence
+from conftest import (central_diff, default_model, logprob_table, task_prompts, tiny_params,
+                      tiny_sequence)
 from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
@@ -151,8 +152,8 @@ class TestElboScore:
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
         (terms,) = elbo_terms(params, [seq], masks_of(3, (0.5, (0, 2)), (0.9, (1,))))
-        lp_a = params.logprobs(seq.with_masked((0, 2)))
-        lp_b = params.logprobs(seq.with_masked((1,)))
+        lp_a = logprob_table(params, seq.with_masked((0, 2)))
+        lp_b = logprob_table(params, seq.with_masked((1,)))
         term_a = (3 / 2) * (lp_a[0, seq.completion[0]] + lp_a[2, seq.completion[2]])
         term_b = (3 / 1) * lp_b[1, seq.completion[1]]
         assert abs(terms.mean() - 0.5 * (term_a + term_b)) < 1e-12
@@ -415,7 +416,7 @@ class TestProductionSize:
                  for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
         masks = sample_mask_sets(16, 8, rng, len(batch))
         stack = _MaskStack(batch, masks)
-        logprobs, (x, ctx, h) = denoiser.forward(cur, stack.stack, stack.stack.masked)
+        logprobs, (x, ctx, h) = denoiser.forward(cur, stack.rows(cur))
         one_forward = logprobs.nbytes + x.nbytes + ctx.nbytes + h.nbytes
         del stack, logprobs, x, ctx, h
         tracemalloc.start()
@@ -442,7 +443,7 @@ class TestMaskStack:
             want = []
             for row in part.hits:
                 idx = np.flatnonzero(row)
-                lp = params.logprobs(seq.with_masked(idx))
+                lp = logprob_table(params, seq.with_masked(idx))
                 want.append((20 / idx.size) * lp[idx, seq.completion[idx]].sum())
             assert np.array_equal(terms, want)
 
