@@ -142,13 +142,18 @@ def cmd_audit(args) -> int:
             raise AssertionError("KL and half-variance diverge on nearby pair")
 
     def surrogate_bound():
-        # per-trial draws keep the RNG order (the ziggurat's draw count varies per
-        # sample); one call fills a trial's a and r rows; one bound check for all
+        # normals stay per trial: the ziggurat reads a varying number of doubles
+        # per value, so each trial's normals and uniforms must interleave as
+        # before. A uniform reads one double, as rng.uniform(-0.1, 0.1) does, so
+        # filling rows with `random` and mapping the block to [-0.1, 0.1) once
+        # gives the same bits without an array per trial; one bound check for all
         trials, n = 2000, 6
         ar, xi = np.empty((trials, 2, n)), np.empty((trials, n))
-        for i in range(trials):
-            rng.standard_normal(out=ar[i])
-            xi[i] = rng.uniform(-0.1, 0.1, size=n)
+        for ar_i, xi_i in zip(ar, xi):
+            rng.standard_normal(out=ar_i)
+            rng.random(out=xi_i)
+        xi *= 0.2
+        xi += -0.1
         a, r = ar[:, 0], ar[:, 1]
         a -= a.mean(axis=1, keepdims=True)
         oracle.perturbation_bound_check(a, r, xi, 0.01)

@@ -426,7 +426,8 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
 def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
     """Parse a checkpoint, rejecting truncated sections, a reference whose
     architecture metadata differ from the current params', moment vectors
-    whose length differs from theta's, and trailing bytes."""
+    whose length differs from theta's, a non-finite moment or a negative
+    second moment, and trailing bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -449,7 +450,12 @@ def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
         if n != params.theta.size:
             raise ValueError(f"{section} has {n} entries, theta has {params.theta.size}")
         raw, off = read_section(data, off, 8 * n, section)
-        vecs.append(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+        vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{section} has non-finite entries")
+        if section == "v" and (vec < 0).any():
+            raise ValueError("v has negative entries")
+        vecs.append(vec)
     raw, off = read_section(data, off, hashlib.sha256().digest_size, "config hash")
     if off != len(data):
         raise ValueError(f"{len(data) - off} trailing bytes after the config hash")

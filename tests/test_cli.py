@@ -254,6 +254,60 @@ class TestAudit:
         assert main(["audit"]) == 0
         assert calls == [(2000, 6)]
 
+    def test_violated_surrogate_bound_fails(self, capsys, monkeypatch):
+        def violated(a, r, xi, lam):
+            raise AssertionError("trial 0: bound exceeded")
+
+        monkeypatch.setattr(oracle, "perturbation_bound_check", violated)
+        assert main(["audit", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[3] == "FAIL surrogate-error-bound: trial 0: bound exceeded"
+        assert lines[4] == "PASS countdown-generator-solvable"
+        assert all(ln.startswith("PASS ") for ln in lines[:3])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_surrogate_draws_match_per_trial_uniform_loop(self, capsys, monkeypatch, seed):
+        # the surrogate check fills its uniforms in place and maps them to
+        # [-0.1, 0.1) afterwards; its (a, r, xi) and the stream after it must
+        # be those of the loop that drew each trial's uniforms with
+        # rng.uniform, run from the generator state at the start of the check
+        gens, start, seen = [], [], []
+        default_rng, kl_proxy = np.random.default_rng, oracle.kl_proxy
+        check = oracle.perturbation_bound_check
+
+        def recording_rng(*args):
+            gens.append(default_rng(*args))
+            return gens[-1]
+
+        def snapshot(p, q):  # the check just before, and it draws nothing
+            start.append(gens[0].bit_generator.state)
+            return kl_proxy(p, q)
+
+        def spy(a, r, xi, lam):
+            seen.append((a.copy(), r.copy(), xi.copy(), gens[0].bit_generator.state))
+            return check(a, r, xi, lam)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(oracle, "kl_proxy", snapshot)
+        monkeypatch.setattr(oracle, "perturbation_bound_check", spy)
+        assert main(["audit", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert len(start) == len(seen) == 1  # gens[0] is the audit's; init_params makes more
+
+        rng = default_rng()
+        rng.bit_generator.state = start[0]
+        ar, xi = np.empty((2000, 2, 6)), np.empty((2000, 6))
+        for i in range(2000):
+            rng.standard_normal(out=ar[i])
+            xi[i] = rng.uniform(-0.1, 0.1, size=6)
+        a, r = ar[:, 0], ar[:, 1]
+        a -= a.mean(axis=1, keepdims=True)
+        got_a, got_r, got_xi, state_after = seen[0]
+        for got, want in ((got_a, a), (got_r, r), (got_xi, xi)):
+            assert got.tobytes() == want.tobytes()
+        assert state_after == rng.bit_generator.state
+
     # sha256 of the countdown payloads one pass generates, recorded once the
     # ELBO check stopped drawing masks: the RNG stream every check sees
     PAYLOAD_DIGESTS = {

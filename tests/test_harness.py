@@ -364,6 +364,22 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"m has {n - 1} entries"):
             load_checkpoint(path, cfg)
 
+    @pytest.mark.parametrize("section,cases", [
+        ("m", [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite")]),
+        ("v", [(np.nan, "non-finite"), (np.inf, "non-finite"), (-1.0, "negative")]),
+    ])
+    def test_bad_optimizer_moments_rejected_naming_section(self, tmp_path, section, cases):
+        # such a checkpoint once loaded, and the next step failed on a
+        # message that named theta
+        cfg = smoke_config(tmp_path)
+        path = tmp_path / "ckpt.bin"
+        for value, kind in cases:
+            state = init_state(cfg)
+            getattr(state, section)[3] = value
+            save_checkpoint(path, state, cfg)
+            with pytest.raises(ValueError, match=f"^{section} has {kind} entries$"):
+                load_checkpoint(path, cfg)
+
     @pytest.mark.parametrize("field", ["vocab_size", "window", "hidden", "embed_dim", "n_positions"])
     def test_reference_of_other_architecture_rejected(self, tmp_path, field):
         # the checkpoint format holds each section's own metadata; a
