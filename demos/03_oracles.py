@@ -30,7 +30,7 @@ def main():
     print(f"closed-form expectation: {exact:.6f}")
     for k in (10, 100, 1000, 10000):
         masks = sample_mask_sets(3, k, np.random.default_rng(k))
-        (terms,) = elbo_terms(params, [seq], masks)
+        (terms,) = elbo_terms(params, seq, masks)
         value = float(terms.mean())
         se = terms.std(ddof=1) / np.sqrt(k)
         print(f"  K={k:>6}: estimate {value:.6f}  (off by {value - exact:+.2e}, SE {se:.2e})")

@@ -121,7 +121,7 @@ def cmd_audit(args) -> int:
             seq = Sequence(prompt=rng.integers(0, 4, size=2),
                            completion=rng.integers(0, 4, size=3))
             exact = oracle.exact_elbo_expectation(params, seq)
-            (terms,) = score.elbo_terms(params, [seq], every_set)
+            (terms,) = score.elbo_terms(params, seq, every_set)
             value = float(np.dot(weights, terms))
             if not (abs(value - exact) <= 1e-12 * max(1.0, abs(exact))):  # NaN fails too
                 raise AssertionError(f"weighted terms {value} vs exact {exact}")

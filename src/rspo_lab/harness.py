@@ -1,10 +1,10 @@
 """Training loop, optimizer, configuration, and every run file: metrics,
 JSON config and summaries, and the checkpoint codec.
 
-One training step: sample prompt instances, roll out a group of completions
-per prompt, grade them, convert rewards to zero-sum group advantages, score
-each completion against the frozen reference under shared masks, center the
-scores, and apply one feedback-weighted gradient update.
+One training step: sample prompt instances, roll out one stack of a group
+of completions per prompt, grade them, convert rewards to zero-sum group
+advantages, score that stack against the frozen reference under shared
+masks, center the scores, and apply one feedback-weighted gradient update.
 
 Reproducibility contract: (config, seed) fully determines the metrics
 stream.  All RNG streams derive from the run seed and the step index, and
@@ -268,19 +268,20 @@ def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstanc
 
 
 def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
-    """The micro-batch's prompt instances, drawn from ``prompt_rng``, and a
-    group of completions per prompt, decoded from ``rollout_rng``."""
+    """The micro-batch's prompt instances, drawn from ``prompt_rng``, and the
+    stack of a group of completions per prompt, decoded from ``rollout_rng``."""
     insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
-    groups = mdm.sample_completion_groups(
+    stack = mdm.sample_completion_groups(
         params, [tasks.encode_text(inst.prompt_text) for inst in insts],
         cfg.group_size, cfg.decode_config(), rollout_rng,
     )
-    return insts, groups
+    return insts, stack
 
 
-def _grade(insts, groups) -> list[list[float]]:
-    """Each group's rewards, one per completion, from its prompt's verifier."""
-    return [[tasks.reward(inst, tasks.decode_tokens(c.completion)) for c in group]
+def _grade(insts, stack) -> list[list[float]]:
+    """Each group's rewards, one per completion row, from its prompt's verifier."""
+    groups = stack.completion.reshape(len(insts), -1, stack.completion_len)
+    return [[tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
             for inst, group in zip(insts, groups)]
 
 
@@ -292,18 +293,17 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     marks = [t0]
     prompt_rng, rollout_rng, mask_rng = _step_rngs(cfg, state.step)
 
-    insts, groups = _rollout(state.params, cfg, prompt_rng, rollout_rng)
+    insts, stack = _rollout(state.params, cfg, prompt_rng, rollout_rng)
     marks.append(time.perf_counter())
 
-    rewards = _grade(insts, groups)
+    rewards = _grade(insts, stack)
     zero_std = sum(1 for r in rewards if np.std(r) == 0.0)
     adv = np.concatenate([objectives.group_advantages(r, cfg.normalize_adv) for r in rewards])
     marks.append(time.perf_counter())
 
-    completions = [c for group in groups for c in group]
-    masks = score.sample_mask_sets(cfg.gen_len, cfg.k_masks, mask_rng, len(completions))
+    masks = score.sample_mask_sets(cfg.gen_len, cfg.k_masks, mask_rng, len(stack.completion))
     deltas, grads = score.coupled_deltas_and_grads(
-        state.params, state.ref_params if cfg.reference else None, completions, masks)
+        state.params, state.ref_params if cfg.reference else None, stack, masks)
     marks.append(time.perf_counter())
 
     batch = score.center_scores(deltas, cfg.centering)

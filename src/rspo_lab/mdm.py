@@ -1,7 +1,7 @@
 """Masked diffusion decoding: ``DecodeConfig``, the temperature-adjusted
 categorical draw ``_sample_categorical``, the semi-autoregressive confidence
 decoder ``decode``, and ``sample_completion_groups``, which decodes a group
-of completions per prompt in one lockstep stack.
+of completions per prompt in one lockstep stack, one ``Sequence``.
 """
 
 from __future__ import annotations
@@ -125,15 +125,13 @@ def sample_completion_groups(
     group_size: int,
     cfg: DecodeConfig,
     rng: np.random.Generator,
-) -> list[list[Sequence]]:
-    """Decode ``group_size`` completions per prompt, all groups in lockstep
-    over one stack whose prompts are left-padded to one width.  Each prompt's
-    completions draw from the next ``group_size`` children of ``rng``, in
-    prompt order, so each group equals this call on that prompt alone."""
-    if group_size < 2:
-        raise ValueError("group size must be >= 2 for a relative signal")
+) -> Sequence:
+    """``decode``'s stack of ``group_size`` completions per prompt, prompt
+    ``g``'s in rows ``g·group_size`` onward.  Each prompt's completions draw
+    from the next ``group_size`` children of ``rng``, in prompt order, so
+    each group equals this call on that prompt alone."""
+    # a relative signal needs two; bool is an Integral, so it is rejected by name
+    if isinstance(group_size, bool) or not isinstance(group_size, numbers.Integral) or group_size < 2:
+        raise ValueError(f"group_size must be an integer >= 2, got {group_size!r}")
     rngs = rng.spawn(len(prompts) * group_size)
-    stack = decode(params, [p for p in prompts for _ in range(group_size)], cfg, rngs)
-    rows = stack.completion.reshape(len(prompts), group_size, cfg.gen_len)
-    return [[Sequence(p, c) for c in group] for p, group in zip(prompts, rows)]
-
+    return decode(params, [p for p in prompts for _ in range(group_size)], cfg, rngs)

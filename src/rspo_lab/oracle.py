@@ -281,11 +281,12 @@ def countdown_solvable(numbers, target: int) -> bool:
         out: set[int] = set()
         n = len(values)
         seen_splits = set()
-        for r in range(1, n):
+        # a split and its mirror reach the same values: build each one once
+        for r in range(1, n // 2 + 1):
             for combo in itertools.combinations(range(n), r):
                 left = tuple(sorted(values[i] for i in combo))
                 right = tuple(sorted(values[i] for i in range(n) if i not in combo))
-                key = (left, right)
+                key = (left, right) if left <= right else (right, left)
                 if key in seen_splits:
                     continue
                 seen_splits.add(key)

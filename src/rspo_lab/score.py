@@ -3,7 +3,8 @@
 Scores are likelihood-oriented throughout: a larger value means the model
 assigns higher estimated likelihood to the completion.  Centering subtracts
 the micro-batch mean as a constant; gradients of centered scores equal
-gradients of raw scores by construction.
+gradients of raw scores by construction.  Scoring takes the stacked
+``Sequence`` that ``mdm.decode`` returns as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import denoiser
 from .denoiser import DenoiserParams
-from .sequences import MASKED_TOKEN, Sequence, left_pad
+from .sequences import MASKED_TOKEN, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,39 +95,37 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
 class _MaskStack:
     """Clean completions, each corrupted at every distinct position set of
     its masks and stacked so that one denoiser forward at the stack's masked
-    positions scores every (completion, distinct set) row once.  Each stack
-    row carries its completion's prompt, left-padded with -1 to the widest
-    prompt.  Stack rows keep first-occurrence order, completion by
-    completion.  That forward's rows are flat in C order, so each stack
-    row's masked positions, and each completion's rows, are contiguous.
+    positions scores every (completion, distinct set) row once, under its
+    completion's prompt row.  Stack rows keep first-occurrence order,
+    completion by completion.  That forward's rows are flat in C order, so
+    each stack row's masked positions, and each completion's rows, are
+    contiguous.  ``seqs`` and ``masks`` are read as ``elbo_terms`` reads them."""
 
-    ``masks`` is one ``MaskBatch``, exactly ``l_c`` wide, whose rows split
-    evenly among the completions, ``k`` each, in order, as
-    ``sample_mask_sets(l_c, k, rng, len(group))`` draws them."""
-
-    def __init__(self, group: list[Sequence], masks: MaskBatch):
+    def __init__(self, seqs: Sequence, masks: MaskBatch):
+        if not isinstance(seqs, Sequence):
+            raise TypeError("completions must be one Sequence, a stack of completions "
+                            "as mdm.decode returns")
         if not isinstance(masks, MaskBatch):
             raise TypeError("masks must be a MaskBatch, as sample_mask_sets returns")
-        if not group or len(masks) % len(group):
+        l_c, hits = seqs.completion_len, masks.hits
+        self.clean = seqs.completion.reshape(-1, l_c)
+        n = len(self.clean)
+        if not n or len(masks) % n:
             raise ValueError(f"need one mask batch that splits evenly among the completions: "
-                             f"{len(masks)} for {len(group)} completions")
+                             f"{len(masks)} for {n} completions")
         if not masks:
             raise ValueError("need at least one mask sample")
-        if len(lengths := sorted({seq.completion_len for seq in group})) > 1:
-            raise ValueError(f"completions of a group must share one length, got {lengths}")
-        self.clean = np.array([seq.completion for seq in group])
         if self.clean.min() < 0:
             raise ValueError("scoring expects a clean sequence")
-        l_c, hits = self.clean.shape[1], masks.hits
         if hits.shape[1] != l_c:
             raise ValueError(f"the mask batch is {hits.shape[1]} positions wide, "
                              f"the completions {l_c}")
-        self.k = len(masks) // len(group)
+        self.k = len(masks) // n
         # a stable sort by (completion, hits row) heads each run of equal
         # masks with its first occurrence; numbering the runs by that mask
         # gives each completion's distinct sets in first-occurrence order.
         # Unlike np.unique this imports no numpy.ma
-        owner = np.repeat(np.arange(len(group)), self.k)
+        owner = np.repeat(np.arange(n), self.k)
         order = np.lexsort((*hits.T, owner))
         runs = hits[order]
         head = np.ones(order.size, dtype=bool)
@@ -138,11 +137,11 @@ class _MaskStack:
         self.mask_row[order] = number[np.cumsum(head) - 1]
         firsts.sort()
         masked = hits[firsts]
-        n_rows = np.bincount(owner[firsts], minlength=len(group))  # stack rows per completion
+        n_rows = np.bincount(owner[firsts], minlength=n)  # stack rows per completion
         self.row_offsets = np.concatenate([[0], np.cumsum(n_rows)])  # completion -> stack rows
         self.sizes = masked.sum(axis=1)
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
-        prompts = np.repeat(left_pad([seq.prompt for seq in group]), n_rows, axis=0)
+        prompts = np.repeat(np.broadcast_to(seqs.prompt, (n, seqs.prompt_len)), n_rows, axis=0)
         self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows))
         self.tokens = clean_rows[masked]  # the clean token at each forward row
         self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
@@ -195,25 +194,26 @@ class _MaskStack:
         return ((self.terms(fwd[0]).mean(axis=1) - ref) / self.clean.shape[1]).tolist(), fwd
 
 
-def elbo_terms(params: DenoiserParams, group: list[Sequence], masks: MaskBatch) -> np.ndarray:
-    """The (completions, k) Monte Carlo sequence score terms of ``group``,
-    whose prompts may differ, under one ``MaskBatch`` of ``n·k`` rows,
-    ``l_c`` wide, row ``c·k + j`` being completion ``c``'s mask ``j``: the
-    mask-size reweighted sum of denoising log-probabilities at the masked
-    positions.  A row's mean is its completion's score estimate.  One
-    forward over the whole stack, at its masked positions only."""
-    stack = _MaskStack(group, masks)
+def elbo_terms(params: DenoiserParams, seqs: Sequence, masks: MaskBatch) -> np.ndarray:
+    """The (n, k) Monte Carlo sequence score terms of ``seqs``, one
+    ``Sequence`` whose completion is ``(n, l_c)``, or 1-D for one, under a
+    shared 1-D prompt or ``(n, P)`` left-padded ones, and of one
+    ``MaskBatch`` of ``n·k`` rows, ``l_c`` wide, row ``c·k + j`` being
+    completion ``c``'s mask ``j``: the mask-size reweighted sum of denoising
+    log-probabilities at the masked positions.  A row's mean is its
+    completion's score estimate.  One forward over the whole stack."""
+    stack = _MaskStack(seqs, masks)
     return stack.terms(denoiser.forward(params, stack.rows(params))[0])
 
 
 def coupled_deltas_and_grads(
     params_cur: DenoiserParams,
     params_ref: DenoiserParams | None,
-    group: list[Sequence],
+    seqs: Sequence,
     masks: MaskBatch,
 ) -> tuple[list[float], list[np.ndarray]]:
-    """Per completion of ``group``, whose prompts may differ, under its masks
-    as ``elbo_terms`` reads them: the per-token current-reference score difference
+    """Per completion of ``seqs`` under its masks, both read as
+    ``elbo_terms`` reads them: the per-token current-reference score difference
     (the difference of the mean ``elbo_terms`` of the two models, divided by
     the completion length) and its gradient w.r.t. the current theta.
 
@@ -227,7 +227,7 @@ def coupled_deltas_and_grads(
     ``ValueError`` naming the first such field."""
     if params_ref is not None and (diff := denoiser.architecture_mismatch(params_ref, params_cur)):
         raise ValueError(f"params_ref {diff} in params_cur")
-    stack = _MaskStack(group, masks)
+    stack = _MaskStack(seqs, masks)
     deltas, fwd = stack.deltas(params_cur, params_ref)
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 

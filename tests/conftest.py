@@ -4,7 +4,7 @@ import pytest
 from rspo_lab import tasks
 from rspo_lab.denoiser import DenoiserParams, Layout, Rows, forward, init_params
 from rspo_lab.harness import RunConfig, init_state
-from rspo_lab.sequences import Sequence
+from rspo_lab.sequences import Sequence, left_pad
 
 
 def tiny_params(seed: int = 0, vocab_size: int = 4, scale: float = 0.5) -> DenoiserParams:
@@ -26,6 +26,12 @@ def tiny_sequence(rng: np.random.Generator, vocab_size: int = 4,
         prompt=rng.integers(0, vocab_size, size=prompt_len),
         completion=rng.integers(0, vocab_size, size=completion_len),
     )
+
+
+def stack_of(seqs) -> Sequence:
+    """One stack of single completions, their prompts left-padded to one
+    width, in the form ``mdm.decode`` returns and scoring takes."""
+    return Sequence(left_pad([seq.prompt for seq in seqs]), np.array([seq.completion for seq in seqs]))
 
 
 def forward_on(params: DenoiserParams, seq: Sequence, where: np.ndarray | None = None):

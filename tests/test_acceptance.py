@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import central_diff, tiny_params, tiny_sequence
+from conftest import central_diff, stack_of, tiny_params, tiny_sequence
 from rspo_lab import harness, objectives, oracle, score
 from rspo_lab.harness import RunConfig, init_state, run_experiment, train_step
 
@@ -84,8 +84,8 @@ def test_criterion_01_gradient_identity(rng):
     for trial in range(50):
         params = tiny_params(seed=trial)
         ref = tiny_params(seed=trial + 1000)
-        seqs = [tiny_sequence(rng) for _ in range(3)]
-        mask_sets = score.sample_mask_sets(seqs[0].completion_len, 2, rng, len(seqs))
+        seqs = stack_of([tiny_sequence(rng) for _ in range(3)])
+        mask_sets = score.sample_mask_sets(seqs.completion_len, 2, rng, len(seqs.completion))
         lam = float(rng.choice([0.0, 0.01, 0.1]))
         adv = zero_sum_adv(rng, 3)
 
@@ -94,8 +94,8 @@ def test_criterion_01_gradient_identity(rng):
         def deltas_at(theta):
             cur_terms = score.elbo_terms(params.replace_theta(theta), seqs, mask_sets)
             return np.array([
-                (float(a.mean()) - float(b.mean())) / s.completion_len
-                for s, a, b in zip(seqs, cur_terms, ref_terms)
+                (float(a.mean()) - float(b.mean())) / seqs.completion_len
+                for a, b in zip(cur_terms, ref_terms)
             ])
 
         batch = score.center_scores(deltas_at(params.theta))
@@ -141,8 +141,8 @@ def test_criterion_02_first_order_equivalence(rng):
 def test_criterion_03_reference_point_equality(rng):
     # real pipeline with current model equal to the reference
     params = tiny_params(seed=9)
-    seqs = [tiny_sequence(rng) for _ in range(4)]
-    mask_sets = score.sample_mask_sets(seqs[0].completion_len, 2, rng, len(seqs))
+    seqs = stack_of([tiny_sequence(rng) for _ in range(4)])
+    mask_sets = score.sample_mask_sets(seqs.completion_len, 2, rng, len(seqs.completion))
     deltas, grads = score.coupled_deltas_and_grads(params, params.copy(), seqs, mask_sets)
     assert all(d == 0.0 for d in deltas)
     batch = score.center_scores(deltas)
@@ -224,12 +224,12 @@ def test_criterion_06_estimator_exactness(rng):
         seq = tiny_sequence(rng)
         exact = oracle.exact_elbo_expectation(params, seq)
         masks = score.sample_mask_sets(seq.completion_len, 100_000, rng)
-        (terms,) = score.elbo_terms(params, [seq], masks)
+        (terms,) = score.elbo_terms(params, seq, masks)
         se = float(terms.std(ddof=1)) / math.sqrt(terms.size)
         assert abs(float(terms.mean()) - exact) <= 3 * se, f"instance {trial}"
         # identical models cancel exactly under shared masks
         masks = score.sample_mask_sets(seq.completion_len, 2, rng)
-        (delta,), _ = score.coupled_deltas_and_grads(params, params.copy(), [seq], masks)
+        (delta,), _ = score.coupled_deltas_and_grads(params, params.copy(), seq, masks)
         assert delta == 0.0
     print("PASS criterion-06 estimator-exactness (20 instances within 3 SE)")
 

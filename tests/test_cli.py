@@ -192,8 +192,8 @@ class TestAudit:
     def test_biased_elbo_terms_fail(self, capsys, monkeypatch):
         elbo_terms = score.elbo_terms
 
-        def biased(params, group, masks):
-            return elbo_terms(params, group, masks) + 1e-9
+        def biased(params, seqs, masks):
+            return elbo_terms(params, seqs, masks) + 1e-9
 
         monkeypatch.setattr(score, "elbo_terms", biased)
         assert main(["audit", "--seed", "1"]) == 1

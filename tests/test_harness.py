@@ -23,6 +23,7 @@ from rspo_lab.harness import (
     save_config,
     train_step,
 )
+from rspo_lab.sequences import Sequence
 
 
 def smoke_config(tmp_path, **kw):
@@ -268,15 +269,15 @@ class TestMovingPolicyStep:
         insts = [harness._gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
         advantages, deltas, grads = [], [], []
         for inst in insts:
+            prompt = tasks.encode_text(inst.prompt_text)
             group = mdm.sample_completion_groups(
-                params, [tasks.encode_text(inst.prompt_text)], cfg.group_size,
-                cfg.decode_config(), rollout_rng)[0]
-            rewards = [tasks.reward(inst, tasks.decode_tokens(c.completion))
-                       for c in group]
+                params, [prompt], cfg.group_size, cfg.decode_config(), rollout_rng).completion
+            rewards = [tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:
-                masks = score.sample_mask_sets(c.completion_len, cfg.k_masks, mask_rng)
-                (delta,), (grad,) = score.coupled_deltas_and_grads(params, ref, [c], masks)
+                masks = score.sample_mask_sets(len(c), cfg.k_masks, mask_rng)
+                (delta,), (grad,) = score.coupled_deltas_and_grads(
+                    params, ref, Sequence(prompt, c), masks)
                 deltas.append(delta)
                 grads.append(grad)
         batch = score.center_scores(deltas)

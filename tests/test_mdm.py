@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.harness import RunConfig
 from rspo_lab.mdm import DecodeConfig, _sample_categorical, decode, sample_completion_groups
-from rspo_lab.sequences import MASKED_TOKEN, Sequence
+from rspo_lab.sequences import MASKED_TOKEN, Sequence, left_pad
 
 
 def wide_params(scale: float = 0.05):
@@ -179,9 +180,27 @@ class TestTinyTemperature:
 class TestCompletionGroups:
     def test_group_of_one_rejected(self, rng):
         params = tiny_params(seed=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group_size must be an integer >= 2, got 1$"):
             sample_completion_groups(params, [np.array([1])], 1,
                                      DecodeConfig(gen_len=4, block_size=4), rng)
+
+    @pytest.mark.parametrize("group_size", [2.5, 4.0, True, "4", None])
+    def test_non_integer_group_size_names_field(self, rng, group_size):
+        # rejected by name before anything is drawn from rng, as DecodeConfig
+        # rejects its integer fields
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^group_size must be an integer >= 2, got "
+                                             f"{re.escape(repr(group_size))}$"):
+            sample_completion_groups(tiny_params(seed=5), [np.array([1])], group_size,
+                                     DecodeConfig(gen_len=4, block_size=4), rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_group_size_accepted(self):
+        params, cfg = tiny_params(seed=5), DecodeConfig(gen_len=4, block_size=4)
+        got, want = (sample_completion_groups(params, [np.array([1])], size, cfg,
+                                              np.random.default_rng(0))
+                     for size in (np.int64(4), 4))
+        assert np.array_equal(got.completion, want.completion)
 
     def test_no_prompts_rejected(self, rng):
         # rejected before anything is drawn from rng
@@ -194,21 +213,19 @@ class TestCompletionGroups:
     def test_temperature_zero_collapses(self, rng):
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.0)
-        group = sample_completion_groups(params, [np.array([1])], 4, cfg, rng)[0]
-        first = group[0].completion
+        group = sample_completion_groups(params, [np.array([1])], 4, cfg, rng).completion
         for comp in group[1:]:
-            assert np.array_equal(comp.completion, first)
+            assert np.array_equal(comp, group[0])
 
     def test_streams_are_independent_of_group_size(self):
         # the first completions agree regardless of how many siblings follow
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.9)
         a = sample_completion_groups(params, [np.array([1])], 2, cfg,
-                                     np.random.default_rng(3))[0]
+                                     np.random.default_rng(3))
         b = sample_completion_groups(params, [np.array([1])], 4, cfg,
-                                     np.random.default_rng(3))[0]
-        assert np.array_equal(a[0].completion, b[0].completion)
-        assert np.array_equal(a[1].completion, b[1].completion)
+                                     np.random.default_rng(3))
+        assert np.array_equal(a.completion, b.completion[:2])
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
     @pytest.mark.parametrize("block_size,unmask", [(4, 2), (4, 3), (8, 3), (2, 5)])
@@ -218,12 +235,12 @@ class TestCompletionGroups:
                            temperature=temperature)
         for seed in range(5):
             group = sample_completion_groups(params, [np.array([1, 3])], 5, cfg,
-                                             np.random.default_rng(seed))[0]
+                                             np.random.default_rng(seed))
+            assert group.is_clean()
             children = np.random.default_rng(seed).spawn(5)
-            for comp, child in zip(group, children):
+            for comp, child in zip(group.completion, children, strict=True):
                 alone = decode(params, [np.array([1, 3])], cfg, [child])
-                assert np.array_equal(comp.completion, alone.completion[0])
-                assert not comp.masked.any()
+                assert np.array_equal(comp, alone.completion[0])
 
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
@@ -237,15 +254,16 @@ class TestCompletionGroups:
         prompts = [np.array([1, 3, 0]), np.array([2]), np.array([], dtype=np.int64),
                    np.array([3, 3])]
         for seed in range(5):
-            groups = sample_completion_groups(params, prompts, 3, cfg,
-                                              np.random.default_rng(seed))
+            stack = sample_completion_groups(params, prompts, 3, cfg,
+                                             np.random.default_rng(seed))
+            # prompt g's group is rows 3g, 3g+1, 3g+2, each row its prompt left-padded
+            assert np.array_equal(stack.prompt, np.repeat(left_pad(prompts), 3, axis=0))
+            assert stack.is_clean()
             rng = np.random.default_rng(seed)
-            for prompt, group in zip(prompts, groups):
-                alone = sample_completion_groups(params, [prompt], 3, cfg, rng)[0]
-                for comp, want in zip(group, alone):
-                    assert np.array_equal(comp.prompt, prompt)
-                    assert np.array_equal(comp.completion, want.completion)
-                    assert not comp.masked.any()
+            for g, prompt in enumerate(prompts):
+                alone = sample_completion_groups(params, [prompt], 3, cfg, rng)
+                assert np.array_equal(alone.prompt, np.tile(prompt, (3, 1)))
+                assert np.array_equal(stack.completion[3 * g:3 * g + 3], alone.completion)
 
 
 class TestProductionSize:
@@ -258,13 +276,12 @@ class TestProductionSize:
             cfg = RunConfig(task=task).decode_config()
             for seed in range(3):
                 prompts = task_prompts(task, 4, rng)
-                groups = sample_completion_groups(params, prompts, 6, cfg,
-                                                  np.random.default_rng(seed))
+                stack = sample_completion_groups(params, prompts, 6, cfg,
+                                                 np.random.default_rng(seed))
                 alone_rng = np.random.default_rng(seed)
-                for prompt, group in zip(prompts, groups):
-                    alone = sample_completion_groups(params, [prompt], 6, cfg, alone_rng)[0]
-                    for comp, want in zip(group, alone):
-                        assert np.array_equal(comp.completion, want.completion)
+                for g, prompt in enumerate(prompts):
+                    alone = sample_completion_groups(params, [prompt], 6, cfg, alone_rng)
+                    assert np.array_equal(stack.completion[6 * g:6 * g + 6], alone.completion)
 
     def test_decode_reads_only_the_active_masked_positions(self, monkeypatch):
         # each step asks for the still-masked positions of the active block,
@@ -312,9 +329,11 @@ def test_sample_completion_groups_match_recorded_digest(block_size, unmask, temp
     prompts = task_prompts("countdown", 4, rng)
     cfg = DecodeConfig(gen_len=16, block_size=block_size, unmask_per_step=unmask,
                        temperature=temperature)
-    groups = sample_completion_groups(params, prompts, 6, cfg, rng)
+    stack = sample_completion_groups(params, prompts, 6, cfg, rng)
     assert {p.size for p in prompts} == {8, 9}
-    blob = np.array([[c.completion for c in group] for group in groups]).tobytes()
+    # the (24, 16) int64 stack, group by group, holds the recorded bytes
+    assert stack.completion.shape == (24, 16) and stack.completion.dtype == np.int64
+    blob = stack.completion.tobytes()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 

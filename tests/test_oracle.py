@@ -312,6 +312,18 @@ class TestTaskOracles:
         assert len(table) == 165 * 99
         assert hashlib.sha256(table).hexdigest() == self.TABLE_DIGEST
 
+    # sha256 of the answers over every 4-number multiset from 0..6 and every
+    # target -5, -2, ..., 38, recorded from the search that built each split
+    # of a sub-multiset twice, once per side
+    FOUR_DIGEST = "5424391005a22065e32564eed397159c4077360db903134324a98f998163fb68"
+
+    def test_countdown_four_numbers_match_recorded_digest(self):
+        table = bytes(countdown_solvable(list(m), t)
+                      for m in itertools.combinations_with_replacement(range(7), 4)
+                      for t in range(-5, 40, 3))
+        assert len(table) == 210 * 15
+        assert hashlib.sha256(table).hexdigest() == self.FOUR_DIGEST
+
     def test_countdown_input_types_and_signs(self):
         assert not countdown_solvable([2, 3], 2.5)   # non-integral target
         assert countdown_solvable([2, 3], 2.0)       # integral float target

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (central_diff, default_model, logprob_table, task_prompts, tiny_params,
-                      tiny_sequence)
+from conftest import (central_diff, default_model, logprob_table, stack_of, task_prompts,
+                      tiny_params, tiny_sequence)
 from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.oracle import exact_elbo_expectation, mask_set_weight
@@ -135,8 +135,8 @@ class TestMaskBatch:
         # a narrower or wider batch and an uneven split are rejected
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        for score in (lambda masks: elbo_terms(params, [seq], masks),
-                      lambda masks: coupled_deltas_and_grads(params, None, [seq], masks)):
+        for score in (lambda masks: elbo_terms(params, seq, masks),
+                      lambda masks: coupled_deltas_and_grads(params, None, seq, masks)):
             with pytest.raises(TypeError, match="MaskBatch"):
                 score([masks_of(3, (0.5, (0,)))])
             for width in (2, 4):
@@ -144,14 +144,58 @@ class TestMaskBatch:
                     score(masks_of(width, (0.5, (1,))))
         three = masks_of(3, (0.5, (0,)), (0.5, (1,)), (0.5, (2,)))
         with pytest.raises(ValueError, match="splits evenly among the completions: 3 for 2 "):
-            elbo_terms(params, [seq, seq], three)
+            elbo_terms(params, stack_of([seq, seq]), three)
+
+
+class TestOneInputForm:
+    def test_list_of_sequences_rejected(self, rng):
+        # the completions come as one Sequence, a stack or a single one
+        params = tiny_params(seed=1)
+        seq = tiny_sequence(rng)
+        masks = masks_of(3, (0.5, (0,)), (0.5, (1,)))
+        for score in (lambda seqs: elbo_terms(params, seqs, masks),
+                      lambda seqs: coupled_deltas_and_grads(params, None, seqs, masks)):
+            for seqs in ([seq], [seq, seq]):
+                with pytest.raises(TypeError, match="one Sequence, a stack of completions"):
+                    score(seqs)
+
+    def test_single_completion_equals_one_row_stack(self, rng):
+        # a 1-D completion under a 1-D prompt scores as the same completion
+        # stacked as one row under its prompt as one row, bit for bit
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        seq = tiny_sequence(rng)
+        row = Sequence(seq.prompt[None], seq.completion[None])
+        masks = sample_mask_sets(3, 5, rng)
+        assert np.array_equal(elbo_terms(cur, seq, masks), elbo_terms(cur, row, masks))
+        for params_ref in (ref, None):
+            (delta,), (grad,) = coupled_deltas_and_grads(cur, params_ref, seq, masks)
+            (row_delta,), (row_grad,) = coupled_deltas_and_grads(cur, params_ref, row, masks)
+            assert delta == row_delta
+            assert np.array_equal(grad, row_grad)
+
+    def test_shared_prompt_equals_prompt_per_row(self, rng):
+        # a stack under one 1-D prompt scores as the same stack with that
+        # prompt repeated on every row, bit for bit
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        prompt = rng.integers(0, 4, size=2)
+        completions = rng.integers(0, 4, size=(4, 3))
+        shared = Sequence(prompt, completions)
+        per_row = Sequence(np.tile(prompt, (4, 1)), completions)
+        masks = sample_mask_sets(3, 3, rng, 4)
+        assert np.array_equal(elbo_terms(cur, shared, masks), elbo_terms(cur, per_row, masks))
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, shared, masks)
+            row_deltas, row_grads = coupled_deltas_and_grads(cur, params_ref, per_row, masks)
+            assert deltas == row_deltas
+            for grad, row_grad in zip(grads, row_grads, strict=True):
+                assert np.array_equal(grad, row_grad)
 
 
 class TestElboScore:
     def test_manual_value(self, rng):
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
-        (terms,) = elbo_terms(params, [seq], masks_of(3, (0.5, (0, 2)), (0.9, (1,))))
+        (terms,) = elbo_terms(params, seq, masks_of(3, (0.5, (0, 2)), (0.9, (1,))))
         lp_a = logprob_table(params, seq.with_masked((0, 2)))
         lp_b = logprob_table(params, seq.with_masked((1,)))
         term_a = (3 / 2) * (lp_a[0, seq.completion[0]] + lp_a[2, seq.completion[2]])
@@ -163,13 +207,13 @@ class TestElboScore:
         params = tiny_params(seed=1)
         seq = tiny_sequence(rng)
         m = (0.5, (0,))
-        (terms,) = elbo_terms(params, [seq], masks_of(3, m, m, m))
+        (terms,) = elbo_terms(params, seq, masks_of(3, m, m, m))
         assert terms[0] == terms[1] == terms[2]
 
     def test_masked_input_rejected(self, rng):
         params = tiny_params(seed=1)
         with pytest.raises(ValueError, match="clean"):
-            elbo_terms(params, [tiny_sequence(rng).with_masked([0])], masks_of(3, (0.5, (0,))))
+            elbo_terms(params, tiny_sequence(rng).with_masked([0]), masks_of(3, (0.5, (0,))))
 
     def test_monte_carlo_matches_enumeration(self, rng):
         # z-test of the K-sample estimator against the closed-form expectation
@@ -177,7 +221,7 @@ class TestElboScore:
         seq = tiny_sequence(rng)
         exact = exact_elbo_expectation(params, seq)
         masks = sample_mask_sets(seq.completion_len, 40_000, np.random.default_rng(11))
-        (terms,) = elbo_terms(params, [seq], masks)
+        (terms,) = elbo_terms(params, seq, masks)
         se = terms.std(ddof=1) / np.sqrt(terms.size)
         assert abs(terms.mean() - exact) < 5 * se
 
@@ -187,8 +231,8 @@ class TestElboScore:
         params = tiny_params(seed=2)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 400, np.random.default_rng(4))
-        whole = elbo_terms(params, [seq], masks)[0].mean()
-        chunks = [elbo_terms(params, [seq], take(masks, slice(i, i + 4)))[0].mean()
+        whole = elbo_terms(params, seq, masks)[0].mean()
+        chunks = [elbo_terms(params, seq, take(masks, slice(i, i + 4)))[0].mean()
                   for i in range(0, 400, 4)]
         assert abs(np.mean(chunks) - whole) < 1e-10
 
@@ -199,10 +243,10 @@ class TestScoreGradients:
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
         # without a reference the delta is the per-token score
-        _, (grad,) = coupled_deltas_and_grads(params, None, [seq], masks)
+        _, (grad,) = coupled_deltas_and_grads(params, None, seq, masks)
 
         def f(theta):
-            terms = elbo_terms(params.replace_theta(theta), [seq], masks)[0]
+            terms = elbo_terms(params.replace_theta(theta), seq, masks)[0]
             return float(terms.mean()) / seq.completion_len
 
         fd = central_diff(f, params.theta)
@@ -216,8 +260,8 @@ class TestScoreGradients:
         params = tiny_params(seed=3)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, rng)
-        _, (grad,) = coupled_deltas_and_grads(params, tiny_params(seed=4), [seq], masks)
-        _, (per_token,) = coupled_deltas_and_grads(params, None, [seq], masks)
+        _, (grad,) = coupled_deltas_and_grads(params, tiny_params(seed=4), seq, masks)
+        _, (per_token,) = coupled_deltas_and_grads(params, None, seq, masks)
         np.testing.assert_allclose(grad, per_token, rtol=0, atol=0)
 
 
@@ -226,7 +270,7 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        (delta,), _ = coupled_deltas_and_grads(params, params.copy(), [seq], masks)
+        (delta,), _ = coupled_deltas_and_grads(params, params.copy(), seq, masks)
         assert delta == 0.0
 
     def test_sign_tracks_likelihood(self, rng):
@@ -234,10 +278,10 @@ class TestCoupledDelta:
         ref = tiny_params(seed=5)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 2, np.random.default_rng(8))
-        (delta0,), (grad,) = coupled_deltas_and_grads(ref, ref, [seq], masks)
+        (delta0,), (grad,) = coupled_deltas_and_grads(ref, ref, seq, masks)
         step = 0.05 * seq.completion_len * grad  # along the score gradient
         cur = ref.replace_theta(ref.theta + step)
-        (d_cur,), _ = coupled_deltas_and_grads(cur, ref, [seq], masks)
+        (d_cur,), _ = coupled_deltas_and_grads(cur, ref, seq, masks)
         assert delta0 == 0.0
         assert d_cur > 0.0
 
@@ -245,8 +289,8 @@ class TestCoupledDelta:
         params = tiny_params(seed=4)
         seq = tiny_sequence(rng)
         masks = sample_mask_sets(seq.completion_len, 3, rng)
-        want = float(elbo_terms(params, [seq], masks)[0].mean()) / seq.completion_len
-        (delta,), _ = coupled_deltas_and_grads(params, None, [seq], masks)
+        want = float(elbo_terms(params, seq, masks)[0].mean()) / seq.completion_len
+        (delta,), _ = coupled_deltas_and_grads(params, None, seq, masks)
         assert delta == want
 
     def test_k_zero_rejected(self, rng):
@@ -259,7 +303,7 @@ class TestCoupledDelta:
             sample_mask_sets(0, 2, rng)
         empty = MaskBatch(np.empty(0), np.zeros((0, 3), dtype=bool))
         with pytest.raises(ValueError, match="at least one mask"):
-            coupled_deltas_and_grads(params, params, [tiny_sequence(rng)], empty)
+            coupled_deltas_and_grads(params, params, tiny_sequence(rng), empty)
 
     @pytest.mark.parametrize("field,value", [
         ("vocab_size", 5), ("window", 1), ("hidden", 16), ("embed_dim", 2), ("n_positions", 48),
@@ -272,11 +316,11 @@ class TestCoupledDelta:
         masks = sample_mask_sets(seq.completion_len, 2, rng)
         with pytest.raises(ValueError, match=f"params_ref {field} {value} differs from "
                                              f"{getattr(cur, field)} in params_cur"):
-            coupled_deltas_and_grads(cur, ref, [seq], masks)
+            coupled_deltas_and_grads(cur, ref, seq, masks)
         # the first differing field is named
         two = init_params(cur.vocab_size, window=2, hidden=16, embed_dim=4, n_positions=48)
         with pytest.raises(ValueError, match="params_ref hidden 16 differs from 8"):
-            coupled_deltas_and_grads(cur, two, [seq], masks)
+            coupled_deltas_and_grads(cur, two, seq, masks)
 
 
 class TestGroupScoring:
@@ -292,9 +336,9 @@ class TestGroupScoring:
         parts[2] = join(take(parts[0], [0]), take(parts[2], slice(3)))
         masks = join(*parts)
         for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks)
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, stack_of(group), masks)
             for seq, part, delta, grad in zip(group, parts, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, seq, part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
 
@@ -309,13 +353,13 @@ class TestGroupScoring:
         parts[4] = join(take(parts[2], [0]), take(parts[4], slice(2)))
         masks = join(*parts)
         for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, group, masks)
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, stack_of(group), masks)
             for seq, part, delta, grad in zip(group, parts, deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, seq, part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
         with pytest.raises(ValueError, match="splits evenly among the completions: 15 for 2 "):
-            coupled_deltas_and_grads(cur, None, group[:2], masks)
+            coupled_deltas_and_grads(cur, None, stack_of(group[:2]), masks)
 
     def test_value_only_and_gradient_paths_agree(self, rng):
         # mixed prompts and repeated mask sets: elbo_terms over the whole group
@@ -328,16 +372,16 @@ class TestGroupScoring:
         parts[1] = join(take(parts[1], slice(2)), take(parts[1], [0, 0]))
         parts[3] = join(take(parts[0], [-1]), take(parts[3], slice(2)), take(parts[2], [0]))
         masks = join(*parts)
-        cur_terms = elbo_terms(cur, group, masks)
-        ref_terms = elbo_terms(ref, group, masks)
+        cur_terms = elbo_terms(cur, stack_of(group), masks)
+        ref_terms = elbo_terms(ref, stack_of(group), masks)
         assert cur_terms.shape == ref_terms.shape == (5, 4)
         for seq, part, terms in zip(group, parts, cur_terms):
-            (alone,) = elbo_terms(cur, [seq], part)
+            (alone,) = elbo_terms(cur, seq, part)
             assert np.array_equal(terms, alone)
-        deltas, _ = coupled_deltas_and_grads(cur, ref, group, masks)
+        deltas, _ = coupled_deltas_and_grads(cur, ref, stack_of(group), masks)
         assert deltas == [(float(a.mean()) - float(b.mean())) / 3
                           for a, b in zip(cur_terms, ref_terms)]
-        deltas, _ = coupled_deltas_and_grads(cur, None, group, masks)
+        deltas, _ = coupled_deltas_and_grads(cur, None, stack_of(group), masks)
         assert deltas == [float(a.mean()) / 3 for a in cur_terms]
 
 
@@ -353,9 +397,9 @@ class TestProductionSize:
         for prompt in task_prompts(task, 5, rng):
             group = [Sequence(prompt, rng.integers(0, MASK_ID, size=16)) for _ in range(6)]
             masks = sample_mask_sets(16, k_masks, rng, len(group))
-            deltas, grads = coupled_deltas_and_grads(cur, ref, group, masks)
+            deltas, grads = coupled_deltas_and_grads(cur, ref, stack_of(group), masks)
             for seq, part, delta, grad in zip(group, shares(masks, len(group)), deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, ref, [seq], part)
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, ref, seq, part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
 
@@ -369,9 +413,9 @@ class TestProductionSize:
         batch = [Sequence(p, rng.integers(0, MASK_ID, size=16)) for p in prompts for _ in range(6)]
         masks = sample_mask_sets(16, 2, rng, len(batch))
         for params_ref in (ref, None):
-            deltas, grads = coupled_deltas_and_grads(cur, params_ref, batch, masks)
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, stack_of(batch), masks)
             for seq, part, delta, grad in zip(batch, shares(masks, len(batch)), deltas, grads):
-                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, [seq], part)
+                (one,), (one_grad,) = coupled_deltas_and_grads(cur, params_ref, seq, part)
                 assert delta == one
                 assert np.array_equal(grad, one_grad)
 
@@ -383,25 +427,14 @@ class TestProductionSize:
         # model's own mean terms, bit for bit
         rng = np.random.default_rng(10)
         cur, ref = default_model("sudoku4", rng)
-        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
-                 for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
-        masks = sample_mask_sets(16, k_masks, rng, len(batch))
+        batch = stack_of([Sequence(p, rng.integers(0, MASK_ID, size=16))
+                          for p in task_prompts("sudoku4", 4, rng) for _ in range(6)])
+        masks = sample_mask_sets(16, k_masks, rng, len(batch.completion))
         assert _MaskStack(batch, masks).sizes.max() >= 8
         cur_terms, ref_terms = elbo_terms(cur, batch, masks), elbo_terms(ref, batch, masks)
         deltas, _ = coupled_deltas_and_grads(cur, ref, batch, masks)
         assert deltas == [(float(a.mean()) - float(b.mean())) / 16
                           for a, b in zip(cur_terms, ref_terms)]
-
-    @pytest.mark.parametrize("score", ["elbo_terms", "coupled_deltas_and_grads"])
-    def test_completions_of_different_lengths_rejected(self, rng, score):
-        params = tiny_params(seed=0)
-        group = [Sequence([1], [0, 1, 2]), Sequence([1], [0, 1])]
-        masks = sample_mask_sets(3, 2, rng, len(group))
-        with pytest.raises(ValueError, match=r"share one length, got \[2, 3\]"):
-            if score == "elbo_terms":
-                elbo_terms(params, group, masks)
-            else:
-                coupled_deltas_and_grads(params, None, group, masks)
 
     def test_peak_memory_stays_below_two_forwards(self):
         # a score-heavy micro-batch: 24 sudoku4 completions, 8 masks each.
@@ -412,9 +445,9 @@ class TestProductionSize:
         # reaches about 2.3)
         rng = np.random.default_rng(9)
         cur, ref = default_model("sudoku4", rng)
-        batch = [Sequence(p, rng.integers(0, MASK_ID, size=16))
-                 for p in task_prompts("sudoku4", 4, rng) for _ in range(6)]
-        masks = sample_mask_sets(16, 8, rng, len(batch))
+        batch = stack_of([Sequence(p, rng.integers(0, MASK_ID, size=16))
+                          for p in task_prompts("sudoku4", 4, rng) for _ in range(6)])
+        masks = sample_mask_sets(16, 8, rng, len(batch.completion))
         stack = _MaskStack(batch, masks)
         logprobs, (x, ctx, h) = denoiser.forward(cur, stack.rows(cur))
         one_forward = logprobs.nbytes + x.nbytes + ctx.nbytes + h.nbytes
@@ -438,7 +471,7 @@ class TestMaskStack:
         masks = sample_mask_sets(20, 8, rng, len(group))
         sizes = set(masks.hits.sum(axis=1).tolist())
         assert min(sizes) < 8 <= max(sizes)
-        all_terms = elbo_terms(params, group, masks)
+        all_terms = elbo_terms(params, stack_of(group), masks)
         for seq, part, terms in zip(group, shares(masks, len(group)), all_terms):
             want = []
             for row in part.hits:
@@ -471,7 +504,7 @@ class TestMaskStack:
             # repeat a set within a completion and share one across completions
             parts[1] = join(take(parts[1], slice(k)), take(parts[1], [0]), take(parts[0], [0]))
             parts[3] = join(take(parts[2], [-1]), take(parts[3], slice(k)), take(parts[3], [0]))
-            stack = _MaskStack(group, join(*parts))
+            stack = _MaskStack(stack_of(group), join(*parts))
             which, spans, sets = self._reference_stack(parts)
             assert np.array_equal(stack.mask_row.reshape(len(group), k + 2), which)
             assert stack.row_offsets.tolist() == [0, *(span.stop for span in spans)]
