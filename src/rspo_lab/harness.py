@@ -1,9 +1,9 @@
 """Training loop, optimizer, configuration, and every run file: metrics,
 JSON config and summaries, and the checkpoint codec.
 
-One training step: sample prompt instances, roll out one stack of a group
-of completions per prompt, grade them, convert rewards to zero-sum group
-advantages, score that stack against the frozen reference under shared
+One training step: draw prompts through ``tasks.TASKS``, roll out one stack
+of a group of completions per prompt, grade them, turn rewards into zero-sum
+group advantages, score that stack against the frozen reference under shared
 masks, center the scores, and apply one feedback-weighted gradient update.
 
 Reproducibility contract: (config, seed) fully determines the metrics
@@ -100,13 +100,12 @@ class RunConfig:
             ("window", self.window >= 0, ">= 0"),
             ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
             ("seed", 0 <= self.seed < 2**64, "in 0..2**64-1"),  # checkpoints store it as uint64
+            ("task", self.task in tasks.TASKS, "one of " + ", ".join(tasks.TASKS)),
         ]
         for name, holds, rule in rules:
             if not holds:
                 key = self._JSON_KEYS.get(name, name)
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, name)!r}")
-        if self.task not in tasks.GENERATORS:
-            raise ValueError(f"unknown task {self.task!r}")
         self.decode_config()  # gen_len, block_size, unmask_per_step, temperature
 
     def to_dict(self) -> dict:
@@ -202,7 +201,7 @@ class TrainState:
 
 
 def init_state(cfg: RunConfig) -> TrainState:
-    n_positions = _max_prompt_len(cfg) + cfg.gen_len
+    n_positions = tasks.TASKS[cfg.task].prompt_width(cfg.modulus) + cfg.gen_len
     params = init_params(
         tasks.VOCAB_SIZE,
         window=cfg.window,
@@ -217,16 +216,6 @@ def init_state(cfg: RunConfig) -> TrainState:
         m=np.zeros_like(params.theta),
         v=np.zeros_like(params.theta),
     )
-
-
-def _max_prompt_len(cfg: RunConfig) -> int:
-    if cfg.task == "arith":
-        return 2 * len(str(cfg.modulus - 1)) + 3
-    if cfg.task == "countdown":
-        # four 1-digit numbers and a 2-digit target, though prompts have three
-        # numbers: kept, as it sets n_positions and so theta's size
-        return 4 * 2 + 3 + 3
-    return 17  # sudoku4: 16 givens + '='
 
 
 def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8,
@@ -259,18 +248,11 @@ def _step_rngs(cfg: RunConfig, step: int):
     return tuple(np.random.default_rng(k) for k in kids)
 
 
-def _gen_instance(cfg: RunConfig, rng: np.random.Generator) -> tasks.TaskInstance:
-    if cfg.task == "arith":
-        return tasks.gen_arith(rng, cfg.modulus)
-    if cfg.task == "countdown":
-        return tasks.gen_countdown(rng)
-    return tasks.gen_sudoku4(rng)
-
-
 def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
     """The micro-batch's prompt instances, drawn from ``prompt_rng``, and the
     stack of a group of completions per prompt, decoded from ``rollout_rng``."""
-    insts = [_gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
+    task = tasks.TASKS[cfg.task]
+    insts = [task.generate(prompt_rng, cfg.modulus) for _ in range(cfg.groups_per_batch)]
     stack = mdm.sample_completion_groups(
         params, [tasks.encode_text(inst.prompt_text) for inst in insts],
         cfg.group_size, cfg.decode_config(), rollout_rng,

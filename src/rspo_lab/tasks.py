@@ -1,6 +1,7 @@
 """Verifiable toy environments with deterministic rewards.
 
-Three task families share one character-level vocabulary:
+Three task families share one character-level vocabulary; ``TASKS`` holds
+each one's ``Task`` record: its generator, grader and prompt width.
 
 * countdown: reach a target value from a small number multiset with + - * /
   (division must be exact);
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,7 @@ def decode_tokens(tokens) -> str:
     return "".join([_ID_CHARS.get(t, MASK_CHAR) for t in np.asarray(tokens, dtype=np.int64).tolist()])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardSpec:
     mode: str = "binary"  # "binary" | "partial"
 
@@ -336,22 +338,35 @@ def reward_arith(instance: TaskInstance, completion_text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# one record per task
 # ---------------------------------------------------------------------------
 
-GENERATORS = {
-    "countdown": gen_countdown,
-    "sudoku4": gen_sudoku4,
-    "arith": gen_arith,
+@dataclass(frozen=True)
+class Task:
+    """A task family.  ``prompt_width`` bounds its prompts and so sizes the
+    position table.  The generators are looked up in this module per call,
+    so a wrapper set on ``tasks.gen_arith`` sees every draw."""
+    generate: Callable[[np.random.Generator, int], TaskInstance]
+    grade: Callable[[TaskInstance, str, RewardSpec], float]
+    prompt_width: Callable[[int], int]
+
+
+TASKS = {
+    "arith": Task(lambda rng, modulus: gen_arith(rng, modulus),
+                  lambda inst, text, spec: reward_arith(inst, text),
+                  lambda modulus: 2 * len(str(modulus - 1)) + 3),
+    # four 1-digit numbers and a 2-digit target, though prompts have three
+    # numbers: kept, as it sets n_positions and so theta's size
+    "countdown": Task(lambda rng, modulus: gen_countdown(rng),
+                      lambda inst, text, spec: reward_countdown(inst, text),
+                      lambda modulus: 4 * 2 + 3 + 3),
+    "sudoku4": Task(lambda rng, modulus: gen_sudoku4(rng), reward_sudoku4,
+                    lambda modulus: 17),  # 16 givens + '='
 }
 
 
 def reward(instance: TaskInstance, completion_text: str,
            spec: RewardSpec = RewardSpec()) -> float:
-    if instance.kind == "countdown":
-        return reward_countdown(instance, completion_text)
-    if instance.kind == "sudoku4":
-        return reward_sudoku4(instance, completion_text, spec)
-    if instance.kind == "arith":
-        return reward_arith(instance, completion_text)
-    raise ValueError(f"unknown task kind {instance.kind!r}")
+    if instance.kind not in TASKS:
+        raise ValueError(f"unknown task kind {instance.kind!r}")
+    return TASKS[instance.kind].grade(instance, completion_text, spec)

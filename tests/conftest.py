@@ -54,8 +54,9 @@ def default_model(task: str, rng: np.random.Generator, noise: float = 0.05):
 
 
 def task_prompts(task: str, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Token ids of ``n`` generated prompts of ``task``."""
-    return [tasks.encode_text(tasks.GENERATORS[task](rng).prompt_text) for _ in range(n)]
+    """Token ids of ``n`` generated prompts of ``task`` at the default modulus."""
+    modulus = RunConfig().modulus
+    return [tasks.encode_text(tasks.TASKS[task].generate(rng, modulus).prompt_text) for _ in range(n)]
 
 
 def central_diff(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

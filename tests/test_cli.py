@@ -123,6 +123,16 @@ class TestTrain:
                            ["train", "--config", str(cfg_path)])
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_task_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        msg = "task must be one of arith, countdown, sudoku4, got 'arth'"
+        cfg_path = write_config(tmp_path)
+        assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path), "--task", "arth"])
+        monkeypatch.setenv("RSPO_TASK", "arth")
+        assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path)])
+        monkeypatch.delenv("RSPO_TASK")
+        assert_usage_error(capsys, msg, ["train", "--config", str(write_config(tmp_path, task="arth"))])
+        assert not (tmp_path / "run").exists()
+
     def test_env_bool_words_case_insensitive(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path)
         for word, want in (("OFF", False), ("No", False), ("0", False),

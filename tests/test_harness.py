@@ -266,7 +266,7 @@ class TestMovingPolicyStep:
         new_state, metrics = train_step(state, cfg)
 
         prompt_rng, rollout_rng, mask_rng = harness._step_rngs(cfg, state.step)
-        insts = [harness._gen_instance(cfg, prompt_rng) for _ in range(cfg.groups_per_batch)]
+        insts = [tasks.TASKS[task].generate(prompt_rng, cfg.modulus) for _ in range(cfg.groups_per_batch)]
         advantages, deltas, grads = [], [], []
         for inst in insts:
             prompt = tasks.encode_text(inst.prompt_text)

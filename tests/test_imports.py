@@ -2,7 +2,8 @@
 defines at module level, is read somewhere in that module; every public
 module-level name is exported or read by the library, the demos or the
 benchmark, and so is every public method or property of a module-level
-class; README's Public API section names exactly the package's exports.
+class; README's Public API section names exactly the package's exports; and
+no module but ``tasks`` compares a value with a task's name.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
 an import binds names, and so does a module-level def, class or assignment;
@@ -79,6 +80,32 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def task_name_branches(source: str, names) -> list[int]:
+    """Lines of the comparisons in ``source`` with one of ``names`` as a
+    string constant on either side (``cfg.task == "arith"``, ``kind in
+    ("arith", "sudoku4")``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+                  and any(isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                          and leaf.value in names
+                          for side in (node.left, *node.comparators) for leaf in ast.walk(side)))
+
+
+def test_finds_a_task_name_branch():
+    source = ('task = "arith"\nif cfg.task == "arith":\n    pass\n'
+              'ok = kind in ("sudoku4", "other")\nx = "countdown" != y\n'
+              'z = mode == "binary"\nw = {"arith": 1}[task]\n')
+    assert task_name_branches(source, ["arith", "countdown", "sudoku4"]) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "tasks.py"],
+                         ids=lambda p: p.name)
+def test_no_task_name_branches_outside_tasks(path):
+    # what a task is lives in its tasks.TASKS record, not in branches on its name
+    from rspo_lab.tasks import TASKS
+
+    assert task_name_branches(path.read_text(encoding="utf-8"), TASKS) == []
 
 
 def public_api_section() -> str:

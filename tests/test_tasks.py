@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from rspo_lab.oracle import countdown_solvable, sudoku4_solutions_by_enumeration
+from rspo_lab import tasks
 from rspo_lab.tasks import (
     LAB_CHARS,
     MASK_CHAR,
     MASK_ID,
+    TASKS,
     VOCAB_SIZE,
     RewardSpec,
     TaskInstance,
@@ -216,3 +219,49 @@ class TestPlumbing:
         assert reward(inst, "2") == 1.0
         with pytest.raises(ValueError):
             reward(TaskInstance("mystery", "", {}), "x")
+
+    def test_reward_passes_the_spec_to_the_grader(self):
+        inst = gen_sudoku4(np.random.default_rng(6), holes=4)
+        grid = list(inst.payload["solution"])
+        hole = inst.payload["puzzle"].index(0)
+        grid[hole] = grid[hole] % 4 + 1  # one of the four holes wrong
+        text = "".join(map(str, grid))
+        assert reward(inst, text) == 0.0
+        assert reward(inst, text, RewardSpec(mode="partial")) == 0.75
+
+    def test_reward_spec_is_frozen(self):
+        # reward's default spec is shared by every call that omits one
+        spec = RewardSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.mode = "partial"
+        assert spec.mode == "binary"
+
+
+class TestTaskRecords:
+    @pytest.mark.parametrize("task,modulus,width,longest", [
+        ("arith", 2, 5, 5), ("arith", 10, 5, 5), ("arith", 100, 7, 7),
+        ("countdown", 10, 14, 9),  # sized for four numbers; prompts have three
+        ("sudoku4", 10, 17, 17),
+    ])
+    def test_prompt_width_bounds_prompts(self, task, modulus, width, longest):
+        # the width sizes the position table, so no prompt may be longer
+        record = TASKS[task]
+        rng = np.random.default_rng(0)
+        lengths = [len(record.generate(rng, modulus).prompt_text) for _ in range(300)]
+        assert record.prompt_width(modulus) == width
+        assert max(lengths) == longest <= width
+
+    @pytest.mark.parametrize("task", ["arith", "countdown", "sudoku4"])
+    def test_generator_is_looked_up_per_call(self, monkeypatch, task):
+        # a wrapper set on the module attribute, as the benchmark's tracer
+        # sets one, sees every draw made through the record
+        monkeypatch.setattr(tasks, f"gen_{task}", lambda rng, *args: ("wrapped", rng))
+        assert TASKS[task].generate("rng", 10) == ("wrapped", "rng")
+
+    def test_record_draws_what_the_generator_draws(self):
+        gens = {"arith": lambda rng: gen_arith(rng, 7), "countdown": gen_countdown,
+                "sudoku4": gen_sudoku4}
+        for task, gen in gens.items():
+            want, got = np.random.default_rng(3), np.random.default_rng(3)
+            assert [TASKS[task].generate(got, 7).prompt_text for _ in range(20)] == \
+                [gen(want).prompt_text for _ in range(20)]
