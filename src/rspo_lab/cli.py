@@ -8,7 +8,6 @@ as a one-line usage error (exit status 2) before any run starts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -30,15 +29,15 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _env_overrides() -> dict:
-    kinds = [type(f.default) for f in dataclasses.fields(harness.RunConfig)]
     out = {}
-    for key, kind in zip(harness.RunConfig.field_keys(), kinds):
+    # every key config.json holds, retired ones too, read as its default's type
+    for key, default in harness.RunConfig().to_dict().items():
         name = ENV_PREFIX + key.upper()
         raw = os.environ.get(name)
         if raw is None:
             continue
         try:
-            out[key] = _coerce(kind, raw)
+            out[key] = _coerce(type(default), raw)
         except ValueError as exc:
             raise ConfigError(f"{name}={raw!r}: {exc}") from None
     return out

@@ -22,7 +22,6 @@ import math
 import os
 import struct
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,10 +48,6 @@ class RunConfig:
     groups_per_batch: int = 4
     steps: int = 200
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.99
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     gen_len: int = 16
     block_size: int = 8
     unmask_per_step: int = 2
@@ -67,10 +62,13 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/default"
     checkpoint_every: int = 100
-    debug_checks: bool = False
 
     # JSON uses "lambda"; the attribute avoids the Python keyword.
     _JSON_KEYS = {"lam": "lambda"}
+    # Keys that were fields once and that no run set: config.json still holds
+    # each at the value it was always written at, and only that value loads.
+    _RETIRED = {"beta1": 0.9, "beta2": 0.99, "adam_eps": 1e-8, "weight_decay": 0.0,
+                "debug_checks": False}
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -90,10 +88,6 @@ class RunConfig:
             ("groups_per_batch", self.groups_per_batch >= 1, ">= 1"),
             ("steps", self.steps >= 0, ">= 0"),
             ("lr", self.lr > 0, "> 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("adam_eps", self.adam_eps > 0, "> 0"),
-            ("weight_decay", self.weight_decay >= 0, ">= 0"),
             ("modulus", 2 <= self.modulus <= 100, "in 2..100"),  # what gen_arith accepts
             ("hidden", self.hidden >= 1, ">= 1"),
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
@@ -101,6 +95,9 @@ class RunConfig:
             ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
             ("seed", 0 <= self.seed < 2**64, "in 0..2**64-1"),  # checkpoints store it as uint64
             ("task", self.task in tasks.TASKS, "one of " + ", ".join(tasks.TASKS)),
+            ("modulus", self.modulus == RunConfig.modulus or self.task not in tasks.TASKS
+             or tasks.TASKS[self.task].reads_modulus,
+             f"{RunConfig.modulus} on task {self.task}, which never reads it"),
         ]
         for name, holds, rule in rules:
             if not holds:
@@ -109,10 +106,9 @@ class RunConfig:
         self.decode_config()  # gen_len, block_size, unmask_per_step, temperature
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            out[self._JSON_KEYS.get(f.name, f.name)] = getattr(self, f.name)
-        return out
+        out = {self._JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
+               for f in dataclasses.fields(self)}
+        return {**out, **self._RETIRED}
 
     @classmethod
     def field_keys(cls) -> list[str]:
@@ -122,14 +118,19 @@ class RunConfig:
     def from_dict(cls, obj: dict) -> "RunConfig":
         keys = cls.field_keys()
         reverse = {v: k for k, v in cls._JSON_KEYS.items()}
-        unknown = [k for k in obj if k not in keys]
+        unknown = [k for k in obj if k not in keys and k not in cls._RETIRED]
         if unknown:
             msgs = []
             for k in unknown:
                 hint = difflib.get_close_matches(k, keys, n=1)
                 msgs.append(f"{k!r}" + (f" (did you mean {hint[0]!r}?)" if hint else ""))
             raise ValueError("unknown config keys: " + ", ".join(msgs))
-        kwargs = {reverse.get(k, k): v for k, v in obj.items()}
+        for key, fixed in cls._RETIRED.items():
+            value = obj.get(key, fixed)
+            # as for a field: an int is a float value, and only a bool is a bool
+            if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
+                raise ValueError(f"{key} is retired and must be {fixed!r}, got {value!r}")
+        kwargs = {reverse.get(k, k): v for k, v in obj.items() if k not in cls._RETIRED}
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -159,10 +160,6 @@ def read_json_object(path) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return obj
-
-
-def save_config(path, cfg: RunConfig) -> None:
-    write_json(path, cfg.to_dict())
 
 
 #: The consecutive parts of a training step whose wall times ``timings.jsonl``
@@ -218,8 +215,7 @@ def init_state(cfg: RunConfig) -> TrainState:
     )
 
 
-def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8,
-                weight_decay=0.0):
+def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8):
     """Bias-corrected first/second moment update; returns new (theta, m, v).
 
     ``step`` is the 1-based update count.
@@ -231,8 +227,6 @@ def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8,
         raise ValueError("non-finite gradient")
     if grad.shape != np.shape(theta):
         raise ValueError("gradient dimension mismatch")
-    if weight_decay:
-        grad = grad + weight_decay * theta
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad**2
     m_hat = m / (1.0 - beta1**step)
@@ -292,18 +286,11 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     loss, coeffs = objectives.rspo_loss(batch, adv, cfg.lam)
     grad = objectives.weighted_gradient(coeffs, grads)
 
-    if cfg.debug_checks:
-        assert abs(batch.centered.sum()) <= 1e-12 * max(1, len(deltas)) or not cfg.centering
-        assert abs(coeffs.sum()) <= 1e-10 or not cfg.centering
-
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise RunAborted(f"non-finite loss/gradient at step {state.step}: loss={loss}")
     marks.append(time.perf_counter())
 
-    theta, m, v = adam_update(
-        state.params.theta, grad, state.m, state.v, state.step + 1,
-        cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
-    )
+    theta, m, v = adam_update(state.params.theta, grad, state.m, state.v, state.step + 1, cfg.lr)
     marks.append(time.perf_counter())
     new_state = TrainState(
         params=state.params.replace_theta(theta),
@@ -457,15 +444,12 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        save_config(out / "config.json", cfg)
+        write_json(out / "config.json", cfg.to_dict())
     except OSError as exc:
         raise OSError(f"cannot prepare output directory {out}: {exc}") from exc
 
     state = init_state(cfg)
     ref_hash_start = hashlib.sha256(state.ref_params.theta.tobytes()).hexdigest()
-    # only what the summary reads besides the last step's reward, in step order
-    var_deltas: deque[float] = deque(maxlen=10)
-    abs_offsets: list[float] = []
 
     metrics_path = out / METRICS_FILE
     timings_path = out / TIMINGS_FILE
@@ -479,9 +463,6 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
                 mfh.write(json.dumps(record, sort_keys=True) + "\n")
                 mfh.flush()
                 raise
-            final_reward = metrics.mean_reward
-            var_deltas.append(metrics.var_delta)
-            abs_offsets.append(abs(metrics.batch_mean_offset))
             mfh.write(metrics.to_json_line() + "\n")
             mfh.flush()
             tfh.write(json.dumps({"step": metrics.step, "wall_time": metrics.wall_time,
@@ -494,9 +475,11 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
     if ref_hash_start != ref_hash_end:
         raise RuntimeError("reference parameters changed during the run")
 
-    if abs_offsets:
-        var_tail = float(np.mean(var_deltas))
-        offset_tail = float(np.mean(abs_offsets))
+    # JSON floats round-trip exactly, so the stream gives back every figure
+    if rows := read_metrics(metrics_path):
+        final_reward = rows[-1]["mean_reward"]
+        var_tail = float(np.mean([r["var_delta"] for r in rows[-10:]]))
+        offset_tail = float(np.mean([abs(r["batch_mean_offset"]) for r in rows]))
     else:
         # the untouched initialization; one generator for prompts and rollouts,
         # as recorded steps=0 summaries were drawn

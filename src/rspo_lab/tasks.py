@@ -1,7 +1,8 @@
 """Verifiable toy environments with deterministic rewards.
 
 Three task families share one character-level vocabulary; ``TASKS`` holds
-each one's ``Task`` record: its generator, grader and prompt width.
+each one's ``Task`` record: its generator, grader and prompt width, and
+whether it reads the modulus.
 
 * countdown: reach a target value from a small number multiset with + - * /
   (division must be exact);
@@ -344,17 +345,19 @@ def reward_arith(instance: TaskInstance, completion_text: str) -> float:
 @dataclass(frozen=True)
 class Task:
     """A task family.  ``prompt_width`` bounds its prompts and so sizes the
-    position table.  The generators are looked up in this module per call,
-    so a wrapper set on ``tasks.gen_arith`` sees every draw."""
+    position table; ``reads_modulus`` says whether ``generate`` reads its
+    modulus.  The generators are looked up in this module per call, so a
+    wrapper set on ``tasks.gen_arith`` sees every draw."""
     generate: Callable[[np.random.Generator, int], TaskInstance]
     grade: Callable[[TaskInstance, str, RewardSpec], float]
     prompt_width: Callable[[int], int]
+    reads_modulus: bool = False
 
 
 TASKS = {
     "arith": Task(lambda rng, modulus: gen_arith(rng, modulus),
                   lambda inst, text, spec: reward_arith(inst, text),
-                  lambda modulus: 2 * len(str(modulus - 1)) + 3),
+                  lambda modulus: 2 * len(str(modulus - 1)) + 3, reads_modulus=True),
     # four 1-digit numbers and a 2-digit target, though prompts have three
     # numbers: kept, as it sets n_positions and so theta's size
     "countdown": Task(lambda rng, modulus: gen_countdown(rng),

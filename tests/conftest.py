@@ -6,6 +6,11 @@ from rspo_lab.denoiser import DenoiserParams, Layout, Rows, forward, init_params
 from rspo_lab.harness import RunConfig, init_state
 from rspo_lab.sequences import Sequence, left_pad
 
+#: The keys config.json holds for fields no run set, at the values every
+#: config.json was written with; only those values load.
+RETIRED_KEYS = {"beta1": 0.9, "beta2": 0.99, "adam_eps": 1e-8, "weight_decay": 0.0,
+                "debug_checks": False}
+
 
 def tiny_params(seed: int = 0, vocab_size: int = 4, scale: float = 0.5) -> DenoiserParams:
     """Small model for enumeration and finite-difference tests."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import RETIRED_KEYS
 import rspo_lab
 from rspo_lab import cli, denoiser, oracle, score, tasks
 from rspo_lab.cli import build_parser, main
@@ -146,14 +147,13 @@ class TestTrain:
     ENV_VALUES = {
         "task": ("sudoku4", "sudoku4"), "lambda": ("0.5", 0.5), "group_size": ("3", 3),
         "k_masks": ("4", 4), "groups_per_batch": ("2", 2), "steps": ("7", 7),
-        "lr": ("0.01", 0.01), "beta1": ("0.8", 0.8), "beta2": ("0.95", 0.95),
-        "adam_eps": ("1e-6", 1e-6), "weight_decay": ("0.1", 0.1), "gen_len": ("24", 24),
+        "lr": ("0.01", 0.01), "gen_len": ("24", 24),
         "block_size": ("4", 4), "unmask_per_step": ("3", 3), "temperature": ("0.5", 0.5),
         "centering": ("false", False), "reference": ("off", False),
         "normalize_adv": ("yes", True), "modulus": ("7", 7), "hidden": ("16", 16),
         "embed_dim": ("4", 4), "window": ("2", 2), "seed": ("5", 5),
         "out_dir": ("runs/elsewhere", "runs/elsewhere"),
-        "checkpoint_every": ("10", 10), "debug_checks": ("1", True),
+        "checkpoint_every": ("10", 10),
     }
 
     def test_every_config_key_has_a_variable(self, monkeypatch):
@@ -169,6 +169,53 @@ class TestTrain:
             monkeypatch.delenv("RSPO_" + key.upper())
             assert got == {**default, key: want}, key
             assert type(got[key]) is type(default[key]), key
+
+    def test_retired_keys_load_from_a_file_at_their_values(self, tmp_path, capsys):
+        # as a float key's int too; every run writes the same config.json
+        written = set()
+        for key, value in [*RETIRED_KEYS.items(), ("weight_decay", 0)]:
+            cfg_path = write_config(tmp_path, **{key: value})
+            assert main(["train", "--config", str(cfg_path), "--steps", "0"]) == 0
+            written.add((tmp_path / "run" / "config.json").read_bytes())
+        assert len(written) == 1
+        assert json.loads(written.pop())["weight_decay"] == 0.0
+        for key, value in (("beta1", 0.8), ("beta2", 0.999), ("adam_eps", 1e-6),
+                           ("weight_decay", 0.1), ("debug_checks", True), ("debug_checks", 0)):
+            assert_usage_error(capsys, f"{key} is retired and must be {RETIRED_KEYS[key]!r}",
+                               ["train", "--config", str(write_config(tmp_path, **{key: value})),
+                                "--out", str(tmp_path / "other")])
+        assert not (tmp_path / "other").exists()
+
+    def test_retired_keys_load_from_variables_at_their_values(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        args = build_parser().parse_args(["train", "--config", str(cfg_path)])
+        want = cli._build_config(args)
+        for key, raw in (("beta1", "0.9"), ("beta2", "0.99"), ("adam_eps", "1e-8"),
+                         ("weight_decay", "0"), ("weight_decay", "0.0"),
+                         ("debug_checks", "off"), ("debug_checks", "0")):
+            monkeypatch.setenv("RSPO_" + key.upper(), raw)
+            assert cli._build_config(args) == want, key
+            monkeypatch.delenv("RSPO_" + key.upper())
+        for key, raw in (("beta1", "0.8"), ("beta2", "0.999"), ("adam_eps", "1e-6"),
+                         ("weight_decay", "0.1"), ("debug_checks", "1"), ("debug_checks", "yes")):
+            monkeypatch.setenv("RSPO_" + key.upper(), raw)
+            assert_usage_error(capsys, f"{key} is retired", ["train", "--config", str(cfg_path)])
+            monkeypatch.delenv("RSPO_" + key.upper())
+        monkeypatch.setenv("RSPO_ADAM_EPS", "tiny")
+        assert_usage_error(capsys, "RSPO_ADAM_EPS", ["train", "--config", str(cfg_path)])
+        assert not (tmp_path / "run").exists()
+
+    def test_modulus_on_a_task_that_ignores_it_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the smoke config's modulus is 5
+        msg = "modulus must be 10 on task countdown, which never reads it, got "
+        assert_usage_error(capsys, msg + "5", ["train", "--config",
+                                               str(write_config(tmp_path, task="countdown"))])
+        assert_usage_error(capsys, "modulus must be 10 on task sudoku4",
+                           ["train", "--config", str(write_config(tmp_path)), "--task", "sudoku4"])
+        monkeypatch.setenv("RSPO_MODULUS", "7")
+        cfg_path = write_config(tmp_path, task="countdown", modulus=10)
+        assert_usage_error(capsys, msg + "7", ["train", "--config", str(cfg_path)])
+        assert not (tmp_path / "run").exists()
 
     def test_ablation_toggles(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -417,3 +464,27 @@ class TestAblate:
         needle = f"repeats run directory {tmp_path / 'grid' / 'seed=1'}"
         assert_usage_error(capsys, needle, ["ablate", "--matrix", str(path)])
         assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize("change,needle", [
+        ({"grid": {"weight_decay": [0.0, 0.1]}}, "weight_decay is retired and must be 0.0"),
+        ({"task": "countdown", "grid": {"modulus": [10, 5]}}, "modulus must be 10 on task countdown"),
+    ])
+    def test_grid_over_an_unread_value_fails_before_any_run(self, tmp_path, capsys, change, needle):
+        # each grid point would rerun the same experiment under another name
+        matrix = {**smoke_config_obj(tmp_path / "grid", steps=1, modulus=10), **change}
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert_usage_error(capsys, needle, ["ablate", "--matrix", str(path)])
+        assert not (tmp_path / "grid").exists()
+
+    def test_written_config_is_a_base(self, tmp_path, capsys):
+        # a run's config.json, retired keys and all, is a valid ablation base
+        assert main(["train", "--config", str(write_config(tmp_path)), "--steps", "0"]) == 0
+        matrix = json.loads((tmp_path / "run" / "config.json").read_text())
+        matrix.update(out_dir=str(tmp_path / "grid"), grid={"seed": [1, 2]})
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert main(["ablate", "--matrix", str(path)]) == 0
+        written = json.loads((tmp_path / "grid" / "seed=2" / "config.json").read_text())
+        base = {key: value for key, value in matrix.items() if key != "grid"}
+        assert written == {**base, "seed": 2, "out_dir": str(tmp_path / "grid" / "seed=2")}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import default_model
+from conftest import RETIRED_KEYS, default_model
 from rspo_lab import denoiser, harness, mdm, objectives, score, tasks
 from rspo_lab.harness import (
     CHECKPOINT_HEADER,
@@ -20,8 +21,8 @@ from rspo_lab.harness import (
     read_metrics,
     run_experiment,
     save_checkpoint,
-    save_config,
     train_step,
+    write_json,
 )
 from rspo_lab.sequences import Sequence
 
@@ -90,14 +91,49 @@ class TestRunConfig:
         # out-of-range values name their JSON key
         named = [("block_size", 0), ("gen_len", 0), ("groups_per_batch", 0), ("hidden", 0),
                  ("embed_dim", 0), ("window", -1), ("modulus", 1), ("modulus", 101),
-                 ("checkpoint_every", -1), ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0),
-                 ("weight_decay", -1.0), ("lambda", float("nan")), ("lambda", float("inf")),
+                 ("checkpoint_every", -1), ("lambda", float("nan")), ("lambda", float("inf")),
                  ("temperature", float("nan")), ("lr", float("inf"))]
         for key, value in named:
             with pytest.raises(ValueError, match=key):
                 RunConfig.from_dict({key: value})
-        edge = RunConfig(window=0, checkpoint_every=0, modulus=100, beta1=0.0, weight_decay=0.0)
+        edge = RunConfig(window=0, checkpoint_every=0, modulus=100)
         assert edge.window == 0 and edge.modulus == 100
+
+    def test_modulus_only_on_a_task_that_reads_it(self):
+        # a modulus the task never reads would hash apart from the default and
+        # train identically, so an ablation would rerun one experiment
+        assert RunConfig(task="arith", modulus=5).modulus == 5
+        for task in ("countdown", "sudoku4"):
+            assert RunConfig(task=task).modulus == 10
+            with pytest.raises(ValueError, match=f"modulus must be 10 on task {task}, "
+                                                 "which never reads it, got 5"):
+                RunConfig(task=task, modulus=5)
+        with pytest.raises(ValueError, match="task must be one of"):  # the task is named first
+            RunConfig(task="arth", modulus=5)
+
+    def test_retired_keys_written_at_their_values(self):
+        for cfg in (RunConfig(), RunConfig(lam=0.5, task="sudoku4", lr=0.1, centering=False)):
+            obj = cfg.to_dict()
+            assert {key: obj[key] for key in RETIRED_KEYS} == RETIRED_KEYS
+            assert all(type(obj[key]) is type(value) for key, value in RETIRED_KEYS.items())
+            assert RunConfig.from_dict(obj) == cfg
+        assert len(dataclasses.fields(RunConfig)) == 21
+        assert not set(RETIRED_KEYS) & set(RunConfig.field_keys())
+
+    def test_retired_keys_load_only_at_their_values(self):
+        # an int is a float value, as for a field; only a bool is a bool
+        for key, value in [*RETIRED_KEYS.items(), ("weight_decay", 0)]:
+            assert RunConfig.from_dict({key: value, "seed": 4}) == RunConfig(seed=4)
+        bad = [("beta1", 0.8), ("beta1", float("nan")), ("beta2", 0.999), ("adam_eps", 1e-6),
+               ("weight_decay", 0.1), ("weight_decay", False), ("weight_decay", "0.0"),
+               ("weight_decay", None), ("debug_checks", True), ("debug_checks", 0)]
+        for key, value in bad:
+            with pytest.raises(ValueError, match=f"{key} is retired and must be "
+                                                 f"{RETIRED_KEYS[key]!r}, got {value!r}"):
+                RunConfig.from_dict({key: value})
+        for key, value in RETIRED_KEYS.items():
+            with pytest.raises(TypeError, match=key):
+                RunConfig(**{key: value})
 
     def test_seed_range(self):
         for seed in (-1, 2**64, -(2**70)):
@@ -109,9 +145,10 @@ class TestRunConfig:
     def test_default_config_bytes(self, tmp_path):
         # the default config.json and its hash, recorded before any config
         # change: a new, renamed or re-defaulted field changes both, and with
-        # them every run directory and checkpoint
+        # them every run directory and checkpoint; a retired field does not,
+        # as config.json keeps its key at the one value it loads at
         path = tmp_path / "config.json"
-        save_config(path, RunConfig())
+        write_json(path, RunConfig().to_dict())
         data = path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             518, "4ea1ecf1f70e9483b0dcd7d45db52adc0ce2055f840d509320838ad61d83eee7")
@@ -121,7 +158,7 @@ class TestRunConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(lam=0.25, steps=7)
         path = tmp_path / "config.json"
-        save_config(path, cfg)
+        write_json(path, cfg.to_dict())
         assert RunConfig.from_dict(read_json_object(path)) == cfg
         assert json.loads(path.read_text())["lambda"] == 0.25
 
@@ -163,14 +200,6 @@ class TestAdam:
         np.testing.assert_allclose(gm, m_new)
         np.testing.assert_allclose(gv, v_new)
 
-    def test_weight_decay_pulls_toward_zero(self):
-        theta = np.array([10.0])
-        zeros = np.zeros(1)
-        plain, _, _ = adam_update(theta, np.zeros(1) + 1e-30, zeros, zeros, 1, 0.1)
-        decayed, _, _ = adam_update(theta, np.zeros(1) + 1e-30, zeros, zeros, 1, 0.1,
-                                    weight_decay=0.1)
-        assert decayed[0] < plain[0]
-
     def test_rejects_non_finite(self):
         z = np.zeros(2)
         with pytest.raises(ValueError):
@@ -191,7 +220,7 @@ class TestTrainStep:
         assert m1.to_json_line() == m2.to_json_line()
 
     def test_centering_keeps_offset_tiny(self, tmp_path):
-        cfg = smoke_config(tmp_path, debug_checks=True)
+        cfg = smoke_config(tmp_path)
         _, metrics = train_step(init_state(cfg), cfg)
         assert abs(metrics.batch_mean_offset) < 1e-12
 
@@ -283,8 +312,7 @@ class TestMovingPolicyStep:
         batch = score.center_scores(deltas)
         grad = objectives.weighted_gradient(
             objectives.rspo_weights(advantages, batch.centered, cfg.lam), grads)
-        theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1,
-                                  cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+        theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1, cfg.lr)
         assert metrics.grad_norm == float(np.linalg.norm(grad)) > 0
         assert np.array_equal(new_state.params.theta, theta)
         assert not np.array_equal(theta, params.theta)
@@ -512,7 +540,7 @@ class TestAtomicWrites:
         state = init_state(cfg)
         writers = {
             "checkpoint.bin": lambda path: save_checkpoint(path, state, cfg),
-            "config.json": lambda path: save_config(path, cfg),
+            "config.json": lambda path: write_json(path, cfg.to_dict()),
         }
         for name, write in writers.items():
             path = tmp_path / name

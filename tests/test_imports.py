@@ -154,7 +154,6 @@ def unread_public_names(modules: dict[str, str], readers: list[str],
 #: ROADMAP item it waits on.
 UNREAD_PUBLIC_ALLOWED = {
     "harness.load_checkpoint": "items 3 and 8: resume and warm start from a checkpoint",
-    "harness.read_metrics": "item 6: the run report reads metrics.jsonl",
     "tasks.split_by_solution": "item 4: held-out splits by solution",
 }
 

@@ -265,3 +265,13 @@ class TestTaskRecords:
             want, got = np.random.default_rng(3), np.random.default_rng(3)
             assert [TASKS[task].generate(got, 7).prompt_text for _ in range(20)] == \
                 [gen(want).prompt_text for _ in range(20)]
+
+    @pytest.mark.parametrize("task", ["arith", "countdown", "sudoku4"])
+    def test_reads_modulus_says_whether_draws_depend_on_it(self, task):
+        # RunConfig refuses a non-default modulus on a task whose record says
+        # its generator never reads one, so the fact must hold
+        record = TASKS[task]
+        draws = {modulus: [record.generate(np.random.default_rng(seed), modulus).prompt_text
+                           for seed in range(20)] for modulus in (2, 10, 100)}
+        assert (draws[2] != draws[10] != draws[100]) is record.reads_modulus
+        assert record.reads_modulus is (task == "arith")
