@@ -52,37 +52,15 @@ def _coerce(kind: type, raw: str):
     return kind(raw)
 
 
-def _run_config(obj: dict) -> harness.RunConfig:
-    try:
-        return harness.RunConfig.from_dict(obj)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _build_config(args) -> harness.RunConfig:
     obj: dict = {}
     if args.config:
         obj.update(harness.read_json_object(args.config))
     obj.update(_env_overrides())
-    flag_map = {
-        "lambda": args.lam,
-        "group_size": args.group_size,
-        "k_masks": args.k_masks,
-        "steps": args.steps,
-        "seed": args.seed,
-        "task": args.task,
-        "out_dir": args.out,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            obj[key] = value
-    if args.no_centering:
-        obj["centering"] = False
-    if args.no_reference:
-        obj["reference"] = False
-    if args.normalize_adv:
-        obj["normalize_adv"] = True
-    return _run_config(obj)
+    # an unset flag is absent from args, and a set one is named by its key
+    flags = vars(args)
+    obj.update((key, flags[key]) for key in harness.RunConfig.field_keys() if key in flags)
+    return harness.RunConfig.from_dict(obj)
 
 
 def cmd_train(args) -> int:
@@ -96,7 +74,7 @@ def cmd_audit(args) -> int:
     """Run the oracle suite against fresh random tiny instances.  Every check
     is an exact identity or bound, so exit 1 means a fault, never chance."""
     # the seed passes RunConfig's range rule, so a bad one is a usage error
-    rng = np.random.default_rng(_run_config({"seed": args.seed}).seed)
+    rng = np.random.default_rng(harness.RunConfig.from_dict({"seed": args.seed}).seed)
     failures = 0
 
     def check(name: str, fn) -> None:
@@ -111,7 +89,7 @@ def cmd_audit(args) -> int:
     def elbo_exactness():
         # the exact expectation: each nonempty set of 3 positions once, at its mask-law weight
         hits = ((np.arange(1, 8)[:, None] >> np.arange(3)) & 1).astype(bool)
-        every_set = score.MaskBatch(hits.mean(axis=1), hits)
+        every_set = score.MaskBatch(hits)
         weights = [oracle.mask_set_weight(tuple(np.flatnonzero(row)), 3) for row in hits]
         for _ in range(5):
             params = init_params(4, window=2, hidden=8, embed_dim=4,
@@ -185,26 +163,19 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"{args.matrix}: grid must map config keys to nonempty value lists")
     if "out_dir" in grid:
         raise ConfigError(f"{args.matrix}: out_dir cannot be a grid key")
-    base_out = spec_obj.pop("out_dir", "runs/ablation")
-    if not isinstance(base_out, str):
-        raise ConfigError(f"{args.matrix}: out_dir must be str, got {base_out!r}")
-    base_out = Path(base_out)
+    # the base out_dir passes RunConfig's rules, as each run's subdirectory does
+    base_out = Path(harness.RunConfig.from_dict(
+        {"out_dir": spec_obj.pop("out_dir", "runs/ablation")}).out_dir)
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) or [()]
-    runs = []
-    for combo in combos:
-        obj = dict(spec_obj)
-        tag_parts = []
-        for key, value in zip(keys, combo):
-            obj[key] = value
-            tag_parts.append(f"{key}={value}")
-        tag = "_".join(tag_parts) or "base"
-        if any(tag == other for other, _ in runs):
+    runs = {}
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        tag = "_".join(f"{key}={value}" for key, value in zip(keys, combo)) or "base"
+        if tag in runs:
             raise ConfigError(f"{args.matrix}: grid repeats run directory {base_out / tag}")
-        obj["out_dir"] = str(base_out / tag)
-        runs.append((tag, _run_config(obj)))
+        runs[tag] = harness.RunConfig.from_dict(
+            {**spec_obj, **dict(zip(keys, combo)), "out_dir": str(base_out / tag)})
     summaries = []
-    for tag, cfg in runs:
+    for tag, cfg in runs.items():
         _, summary = harness.run_experiment(cfg)
         summary["run"] = tag
         summaries.append(summary)
@@ -217,18 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rspo-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run one training experiment")
-    train.add_argument("--config", help="path to a JSON config")
-    train.add_argument("--lambda", dest="lam", type=float, default=None)
-    train.add_argument("--group-size", type=int, default=None)
-    train.add_argument("--k-masks", type=int, default=None)
-    train.add_argument("--steps", type=int, default=None)
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--no-centering", action="store_true")
-    train.add_argument("--no-reference", action="store_true")
+    # each flag's destination is its config key, and an unset flag stays absent
+    train = sub.add_parser("train", help="run one training experiment",
+                           argument_default=argparse.SUPPRESS)
+    train.add_argument("--config", default=None, help="path to a JSON config")
+    train.add_argument("--lambda", type=float)
+    train.add_argument("--group-size", type=int)
+    train.add_argument("--k-masks", type=int)
+    train.add_argument("--steps", type=int)
+    train.add_argument("--seed", type=int)
+    train.add_argument("--no-centering", dest="centering", action="store_false")
+    train.add_argument("--no-reference", dest="reference", action="store_false")
     train.add_argument("--normalize-adv", action="store_true")
-    train.add_argument("--task", default=None)
-    train.add_argument("--out", default=None)
+    train.add_argument("--task")
+    train.add_argument("--out", dest="out_dir")
     train.set_defaults(func=cmd_train)
 
     audit = sub.add_parser("audit", help="run the oracle suite")

@@ -39,6 +39,10 @@ class RunAborted(RuntimeError):
     """Raised when a step produces a non-finite loss or gradient."""
 
 
+class ConfigError(ValueError):
+    """A bad config file, RSPO_* value or config field."""
+
+
 @dataclass
 class RunConfig:
     task: str = "arith"
@@ -79,8 +83,11 @@ class RunConfig:
             # bool is a subclass of int, so only bool fields may hold one
             if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
                 raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+            if kind is float:
+                if not math.isfinite(value):
+                    raise ValueError(f"{key} must be finite, got {value!r}")
+                # an int stored as given would write another config.json and hash
+                setattr(self, f.name, float(value))
         rules = [
             ("lam", self.lam >= 0, ">= 0"),
             ("group_size", self.group_size >= 2, ">= 2"),
@@ -94,6 +101,7 @@ class RunConfig:
             ("window", self.window >= 0, ">= 0"),
             ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
             ("seed", 0 <= self.seed < 2**64, "in 0..2**64-1"),  # checkpoints store it as uint64
+            ("out_dir", self.out_dir != "", "a nonempty path"),  # "" would write into the cwd
             ("task", self.task in tasks.TASKS, "one of " + ", ".join(tasks.TASKS)),
             ("modulus", self.modulus == RunConfig.modulus or self.task not in tasks.TASKS
              or tasks.TASKS[self.task].reads_modulus,
@@ -116,6 +124,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        """The config a dict of JSON keys holds; a bad key or value is a ``ConfigError``."""
         keys = cls.field_keys()
         reverse = {v: k for k, v in cls._JSON_KEYS.items()}
         unknown = [k for k in obj if k not in keys and k not in cls._RETIRED]
@@ -124,14 +133,17 @@ class RunConfig:
             for k in unknown:
                 hint = difflib.get_close_matches(k, keys, n=1)
                 msgs.append(f"{k!r}" + (f" (did you mean {hint[0]!r}?)" if hint else ""))
-            raise ValueError("unknown config keys: " + ", ".join(msgs))
+            raise ConfigError("unknown config keys: " + ", ".join(msgs))
         for key, fixed in cls._RETIRED.items():
             value = obj.get(key, fixed)
             # as for a field: an int is a float value, and only a bool is a bool
             if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
-                raise ValueError(f"{key} is retired and must be {fixed!r}, got {value!r}")
+                raise ConfigError(f"{key} is retired and must be {fixed!r}, got {value!r}")
         kwargs = {reverse.get(k, k): v for k, v in obj.items() if k not in cls._RETIRED}
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -144,10 +156,6 @@ class RunConfig:
             unmask_per_step=self.unmask_per_step,
             temperature=self.temperature,
         )
-
-
-class ConfigError(ValueError):
-    """A bad config file, RSPO_* value or config field."""
 
 
 def read_json_object(path) -> dict:
@@ -215,23 +223,28 @@ def init_state(cfg: RunConfig) -> TrainState:
     )
 
 
-def adam_update(theta, grad, m, v, step, lr, beta1=0.9, beta2=0.99, eps=1e-8):
-    """Bias-corrected first/second moment update; returns new (theta, m, v).
+#: Adam's moment decays and denominator guard, fixed for every run
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.99, 1e-8
+
+
+def adam_update(theta, grad, m, v, step, lr):
+    """Bias-corrected first/second moment update at the fixed ``ADAM_*``
+    constants; returns new (theta, m, v).
 
     ``step`` is the 1-based update count.
     """
-    if step < 1:  # bias correction divides by 1 - beta1**step
+    if step < 1:  # bias correction divides by 1 - ADAM_BETA1**step
         raise ValueError(f"step must be >= 1, got {step!r}")
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     if grad.shape != np.shape(theta):
         raise ValueError("gradient dimension mismatch")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad**2
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return theta, m, v
 
 

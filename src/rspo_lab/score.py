@@ -21,26 +21,19 @@ from .sequences import MASKED_TOKEN, Sequence
 
 @dataclass(frozen=True, eq=False)
 class MaskBatch:
-    """``k`` Monte Carlo corruptions as arrays: noise times ``t`` (k,) and the
-    boolean position sets ``hits`` (k, width), one nonempty row per mask."""
+    """``k`` Monte Carlo corruptions as one array: the boolean position sets
+    ``hits`` (k, width), one nonempty row per mask."""
 
-    t: np.ndarray
     hits: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.hits, np.ndarray) or self.hits.dtype != bool or self.hits.ndim != 2:
             raise ValueError("hits must be a 2-D bool array")
-        t = np.asarray(self.t, dtype=np.float64)
-        if t.shape != self.hits.shape[:1]:
-            raise ValueError(f"t must be 1-D with one time per hits row ({len(self.hits)})")
-        if not ((t > 0.0) & (t <= 1.0)).all():
-            raise ValueError("t values must lie in (0, 1]")
         if not self.hits.any(axis=1).all():
             raise ValueError("hits rows must each hold a nonempty position set")
-        object.__setattr__(self, "t", t)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.hits)
 
 
 @dataclass
@@ -54,9 +47,10 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
     """Draw ``k`` masks for each of ``n`` completions in turn, as one batch
     of n*k rows.  Each mask takes t ~ U(0,1] and an independent Bernoulli(t)
     mask over completion positions, resampling both until the set is
-    nonempty.  Each round draws the missing rows' times, then their
-    (rows, l_c) Bernoulli matrix, and keeps its nonempty rows in order; a
-    completion's rounds end before the next one's begin.
+    nonempty; the batch keeps only the sets.  Each round draws the missing
+    rows' times, then their (rows, l_c) Bernoulli matrix, and keeps its
+    nonempty rows in order; a completion's rounds end before the next one's
+    begin.
 
     ``rng.random`` is split-invariant, so the draws and the state ``rng`` is
     left in equal ``n`` calls of one completion each: the stream is read only
@@ -70,7 +64,7 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
     if n < 1:
         raise ValueError("need n >= 1 completions")
     step = 1 + l_c  # doubles per row: its time, then its Bernoulli draws
-    ts, rows = [], []  # each round's kept times and position sets
+    rows = []  # each round's kept position sets
     missing, u = k, rng.random(n * k * step)
     while missing:
         # the stream ahead: a round of `missing` rows, then first rounds of k
@@ -85,11 +79,10 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
         # rounds end at missing, missing + k, ...; the first end past `first`
         end = len(t) if nonempty[first] else max(missing, first + k - (first - missing) % k)
         keep = nonempty[:end]
-        ts.append(t[:end][keep])
         rows.append(hits[:end][keep])
         missing = end - int(keep.sum())
         u = np.concatenate([u[end * step:], rng.random(missing * step)])
-    return MaskBatch(np.concatenate(ts), np.concatenate(rows))
+    return MaskBatch(np.concatenate(rows))
 
 
 class _MaskStack:

@@ -55,13 +55,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_train_flags(self):
-        args = build_parser().parse_args(
-            ["train", "--lambda", "0.5", "--group-size", "4", "--no-centering"]
-        )
-        assert args.lam == 0.5
-        assert args.group_size == 4
-        assert args.no_centering
+    @pytest.mark.parametrize("argv,key,value", [
+        (["--lambda", "0.5"], "lambda", 0.5), (["--group-size", "4"], "group_size", 4),
+        (["--k-masks", "3"], "k_masks", 3), (["--steps", "7"], "steps", 7),
+        (["--seed", "5"], "seed", 5), (["--no-centering"], "centering", False),
+        (["--no-reference"], "reference", False), (["--normalize-adv"], "normalize_adv", True),
+        (["--task", "sudoku4"], "task", "sudoku4"), (["--out", "x"], "out_dir", "x"),
+    ])
+    def test_flag_lands_on_its_key(self, argv, key, value):
+        # a flag's destination is its config key, and an unset flag is absent
+        args = build_parser().parse_args(["train", *argv])
+        keys = rspo_lab.RunConfig.field_keys()
+        assert {k: v for k, v in vars(args).items() if k in keys} == {key: value}
+        assert cli._build_config(args).to_dict() == {**rspo_lab.RunConfig().to_dict(), key: value}
 
 
 class TestTrain:
@@ -216,6 +222,19 @@ class TestTrain:
         cfg_path = write_config(tmp_path, task="countdown", modulus=10)
         assert_usage_error(capsys, msg + "7", ["train", "--config", str(cfg_path)])
         assert not (tmp_path / "run").exists()
+
+    def test_empty_out_dir_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # an empty out_dir wrote every run file into the working directory
+        monkeypatch.chdir(tmp_path)
+        msg = "out_dir must be a nonempty path, got ''"
+        cfg_path = write_config(tmp_path)
+        assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path), "--out", ""])
+        monkeypatch.setenv("RSPO_OUT_DIR", "")
+        assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path)])
+        monkeypatch.delenv("RSPO_OUT_DIR")
+        cfg_path.write_text(json.dumps(smoke_config_obj("")))
+        assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path)])
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_ablation_toggles(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -446,6 +465,15 @@ class TestAblate:
             path.write_text(json.dumps(matrix))
             assert_usage_error(capsys, needle, ["ablate", "--matrix", str(path)])
         assert not (tmp_path / "grid").exists()
+
+    def test_empty_out_dir_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        matrix = {**smoke_config_obj("", steps=1), "grid": {"seed": [1, 2]}}
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert_usage_error(capsys, "out_dir must be a nonempty path, got ''",
+                           ["ablate", "--matrix", str(path)])
+        assert [p.name for p in tmp_path.iterdir()] == ["matrix.json"]
 
     def test_grid_over_out_dir_fails_before_any_run(self, tmp_path, capsys):
         # the grid's out_dir values were silently replaced by subdirectories

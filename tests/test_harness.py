@@ -135,6 +135,27 @@ class TestRunConfig:
             with pytest.raises(TypeError, match=key):
                 RunConfig(**{key: value})
 
+    def test_int_in_a_float_field_writes_the_float(self):
+        # a file's "lambda": 0 and --lambda 0 write one config.json, hash and checkpoint
+        floats = [f.name for f in dataclasses.fields(RunConfig) if type(f.default) is float]
+        assert floats == ["lam", "lr", "temperature"]
+        for name in floats:
+            as_int, as_float = RunConfig(**{name: 1}), RunConfig(**{name: 1.0})
+            assert type(getattr(as_int, name)) is float
+            assert as_int.to_dict() == as_float.to_dict()
+            assert as_int.config_hash() == as_float.config_hash()
+        assert RunConfig(lam=0).config_hash() == RunConfig(lam=0.0).config_hash()
+
+    def test_from_dict_raises_config_error(self):
+        # the one validator of outside input: a bad key, retired value or field rule
+        for obj, needle in (({"lamda": 0.1}, "unknown config keys"),
+                            ({"beta1": 0.8}, "beta1 is retired"),
+                            ({"lambda": -1.0}, "lambda must be >= 0"),
+                            ({"block_size": 5}, "block_size"),
+                            ({"out_dir": ""}, "out_dir must be a nonempty path, got ''")):
+            with pytest.raises(harness.ConfigError, match=needle):
+                RunConfig.from_dict(obj)
+
     def test_seed_range(self):
         for seed in (-1, 2**64, -(2**70)):
             with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
@@ -195,7 +216,7 @@ class TestAdam:
         want = theta - lr * (m_new / (1 - b1**step)) / (
             np.sqrt(v_new / (1 - b2**step)) + eps
         )
-        got, gm, gv = adam_update(theta, grad, m, v, step, lr, b1, b2, eps)
+        got, gm, gv = adam_update(theta, grad, m, v, step, lr)
         np.testing.assert_allclose(got, want, rtol=1e-14)
         np.testing.assert_allclose(gm, m_new)
         np.testing.assert_allclose(gv, v_new)
