@@ -6,16 +6,14 @@ reward tasks, and a reproducible training harness.
 
 from .sequences import MASKED_TOKEN, Sequence
 from .denoiser import DenoiserParams, init_params
-from .mdm import DecodeConfig, decode, sample_completion_groups
+from .mdm import DecodeConfig, decode
 from .score import (
     MaskBatch,
     RelativeScoreBatch,
-    batch_mean_offset,
     center_scores,
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
-    var_delta,
 )
 from .objectives import (
     fixed_point_residual,
@@ -39,7 +37,6 @@ __all__ = [
     "Sequence",
     "StepMetrics",
     "adam_update",
-    "batch_mean_offset",
     "center_scores",
     "coupled_deltas_and_grads",
     "decode",
@@ -51,9 +48,7 @@ __all__ = [
     "rspo_loss",
     "rspo_weights",
     "run_experiment",
-    "sample_completion_groups",
     "sample_mask_sets",
     "train_step",
-    "var_delta",
     "weighted_gradient",
 ]

@@ -84,7 +84,11 @@ class RunConfig:
             if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
                 raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
             if kind is float:
-                if not math.isfinite(value):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int past the float range
+                    finite = False
+                if not finite:
                     raise ValueError(f"{key} must be finite, got {value!r}")
                 # an int stored as given would write another config.json and hash
                 setattr(self, f.name, float(value))
@@ -182,8 +186,8 @@ class StepMetrics:
     mean_reward: float
     loss: float
     grad_norm: float
-    var_delta: float
-    batch_mean_offset: float
+    var_delta: float  # population variance of the raw deltas, the stability diagnostic
+    batch_mean_offset: float  # mean centered score: ~0 with centering, the mean delta without
     zero_std_group_ratio: float
     wall_time: float
     phase_times: dict[str, float] = dataclasses.field(default_factory=dict)
@@ -257,21 +261,22 @@ def _step_rngs(cfg: RunConfig, step: int):
 
 def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
     """The micro-batch's prompt instances, drawn from ``prompt_rng``, and the
-    stack of a group of completions per prompt, decoded from ``rollout_rng``."""
+    stack of their completions: prompt ``g``'s group in rows ``g·group_size``
+    onward, row ``b`` decoded from the ``b``-th child of ``rollout_rng``."""
     task = tasks.TASKS[cfg.task]
     insts = [task.generate(prompt_rng, cfg.modulus) for _ in range(cfg.groups_per_batch)]
-    stack = mdm.sample_completion_groups(
-        params, [tasks.encode_text(inst.prompt_text) for inst in insts],
-        cfg.group_size, cfg.decode_config(), rollout_rng,
-    )
+    prompts = [tasks.encode_text(inst.prompt_text) for inst in insts]
+    rows = [p for p in prompts for _ in range(cfg.group_size)]
+    stack = mdm.decode(params, rows, cfg.decode_config(), rollout_rng.spawn(len(rows)))
     return insts, stack
 
 
-def _grade(insts, stack) -> list[list[float]]:
-    """Each group's rewards, one per completion row, from its prompt's verifier."""
+def _grade(insts, stack) -> np.ndarray:
+    """The (groups, group_size) rewards: row ``g`` grades prompt ``g``'s
+    group with its verifier."""
     groups = stack.completion.reshape(len(insts), -1, stack.completion_len)
-    return [[tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
-            for inst, group in zip(insts, groups)]
+    return np.array([[tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
+                     for inst, group in zip(insts, groups)])
 
 
 def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetrics]:
@@ -286,8 +291,8 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
     marks.append(time.perf_counter())
 
     rewards = _grade(insts, stack)
-    zero_std = sum(1 for r in rewards if np.std(r) == 0.0)
-    adv = np.concatenate([objectives.group_advantages(r, cfg.normalize_adv) for r in rewards])
+    zero_std = int((rewards.std(axis=1) == 0.0).sum())
+    adv = objectives.group_advantages(rewards, cfg.normalize_adv).ravel()
     marks.append(time.perf_counter())
 
     masks = score.sample_mask_sets(cfg.gen_len, cfg.k_masks, mask_rng, len(stack.completion))
@@ -317,8 +322,8 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         mean_reward=float(np.mean(rewards)),
         loss=loss,
         grad_norm=float(np.linalg.norm(grad)),
-        var_delta=score.var_delta(batch),
-        batch_mean_offset=score.batch_mean_offset(batch),
+        var_delta=float(np.var(batch.deltas)),
+        batch_mean_offset=float(batch.centered.mean()),
         zero_std_group_ratio=zero_std / cfg.groups_per_batch,
         wall_time=time.perf_counter() - t0,
         phase_times=dict(zip(PHASES, np.diff(marks).tolist())),
@@ -453,13 +458,14 @@ def load_checkpoint(path, cfg: RunConfig | None = None) -> TrainState:
 
 def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
     """Run the configured number of steps, streaming metrics as JSON Lines
-    and writing periodic checkpoints plus a final summary."""
+    and writing periodic checkpoints plus a final summary.  An ``out_dir``
+    that cannot be created or written raises ``ConfigError`` before any step."""
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "config.json", cfg.to_dict())
-    except OSError as exc:
-        raise OSError(f"cannot prepare output directory {out}: {exc}") from exc
+    except OSError as exc:  # a bad out_dir, reported before any step runs
+        raise ConfigError(f"out_dir {str(out)!r} cannot be prepared: {exc}") from exc
 
     state = init_state(cfg)
     ref_hash_start = hashlib.sha256(state.ref_params.theta.tobytes()).hexdigest()

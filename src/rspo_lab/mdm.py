@@ -1,7 +1,8 @@
 """Masked diffusion decoding: ``DecodeConfig``, the temperature-adjusted
-categorical draw ``_sample_categorical``, the semi-autoregressive confidence
-decoder ``decode``, and ``sample_completion_groups``, which decodes a group
-of completions per prompt in one lockstep stack, one ``Sequence``.
+categorical draw ``_sample_categorical``, and the semi-autoregressive
+confidence decoder ``decode``, which decodes one completion per prompt row,
+each from its own stream, in one lockstep stack, one ``Sequence``.  Which
+rows repeat a prompt and which streams they draw from is the caller's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ class DecodeConfig:
             raise ValueError("block_size must divide gen_len")
         if not isinstance(self.temperature, numbers.Real) or isinstance(self.temperature, bool):
             raise ValueError(f"temperature must be a real number, got {self.temperature!r}")
-        if not math.isfinite(self.temperature):
+        try:
+            finite = math.isfinite(self.temperature)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError("temperature must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
@@ -117,21 +122,3 @@ def decode(
             commit = active[rows, best]
             completion[rows, commit] = tok[rows, best]
     return Sequence(seq.prompt, completion.copy())
-
-
-def sample_completion_groups(
-    params: DenoiserParams,
-    prompts: list[np.ndarray],
-    group_size: int,
-    cfg: DecodeConfig,
-    rng: np.random.Generator,
-) -> Sequence:
-    """``decode``'s stack of ``group_size`` completions per prompt, prompt
-    ``g``'s in rows ``g·group_size`` onward.  Each prompt's completions draw
-    from the next ``group_size`` children of ``rng``, in prompt order, so
-    each group equals this call on that prompt alone."""
-    # a relative signal needs two; bool is an Integral, so it is rejected by name
-    if isinstance(group_size, bool) or not isinstance(group_size, numbers.Integral) or group_size < 2:
-        raise ValueError(f"group_size must be an integer >= 2, got {group_size!r}")
-    rngs = rng.spawn(len(prompts) * group_size)
-    return decode(params, [p for p in prompts for _ in range(group_size)], cfg, rngs)

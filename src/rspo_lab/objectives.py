@@ -18,15 +18,16 @@ ADV_EPSILON = 1e-4  # added to the group's reward std when normalizing
 
 
 def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
-    """Zero-sum advantages for one prompt group: rewards minus the group
-    mean, optionally divided by the population reward std plus the
-    stabilizer.  Zero-variance groups are retained (all advantages zero)."""
+    """Zero-sum advantages for prompt groups along the last axis of
+    ``rewards``: rewards minus their group's mean, optionally divided by the
+    group's population reward std plus the stabilizer.  Zero-variance groups
+    are retained (all advantages zero)."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.size < 2:
+    if rewards.ndim < 1 or rewards.shape[-1] < 2:
         raise ValueError("group size must be >= 2")
-    adv = rewards - rewards.mean()
+    adv = rewards - rewards.mean(axis=-1, keepdims=True)
     if normalize:
-        adv = adv / (rewards.std() + ADV_EPSILON)
+        adv = adv / (rewards.std(axis=-1, keepdims=True) + ADV_EPSILON)
     return adv
 
 

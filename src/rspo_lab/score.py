@@ -4,7 +4,9 @@ Scores are likelihood-oriented throughout: a larger value means the model
 assigns higher estimated likelihood to the completion.  Centering subtracts
 the micro-batch mean as a constant; gradients of centered scores equal
 gradients of raw scores by construction.  Scoring takes the stacked
-``Sequence`` that ``mdm.decode`` returns as it is.
+``Sequence`` that ``mdm.decode`` returns as it is.  The step's diagnostics
+of a centered batch, the deltas' variance and the mean centered score, are
+``harness.StepMetrics`` fields computed where the step records them.
 """
 
 from __future__ import annotations
@@ -235,16 +237,3 @@ def center_scores(deltas, centering: bool = True) -> RelativeScoreBatch:
         raise ValueError("centering needs a batch of at least 2 scores")
     center = float(deltas.mean()) if centering else 0.0
     return RelativeScoreBatch(deltas=deltas, center=center, centered=deltas - center)
-
-
-def var_delta(batch: RelativeScoreBatch) -> float:
-    """Population variance of the raw deltas; the stability diagnostic."""
-    if batch.deltas.size < 2:
-        raise ValueError("variance needs at least 2 scores")
-    return float(np.var(batch.deltas))
-
-
-def batch_mean_offset(batch: RelativeScoreBatch) -> float:
-    """Mean of the values the loss actually sees.  Near zero with centering
-    on; the mean raw delta with centering off."""
-    return float(batch.centered.mean())

@@ -20,10 +20,24 @@ import numpy as np
 MASKED_TOKEN = -1
 
 
+def _token_ids(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a value that is not an integer, such as
+    2.5 or NaN, raises ``ValueError`` naming ``name`` instead of truncating."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":  # already integers: no check, no copy at int64
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN, inf and overflow cast to a mismatch
+        ids = values.astype(np.int64)
+    if not np.array_equal(ids, values):
+        bad = values[ids != values].tolist()[0]
+        raise ValueError(f"{name} token ids must be integers, got {bad!r}")
+    return ids
+
+
 def left_pad(prompts) -> np.ndarray:
     """One row per prompt, each left-padded with -1 to the widest prompt:
     the per-completion prompt layout of a stack."""
-    prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
+    prompts = [_token_ids(p, "prompt") for p in prompts]
     width = max((p.size for p in prompts), default=0)
     padded = np.full((len(prompts), width), -1, dtype=np.int64)
     for row, p in zip(padded, prompts):
@@ -39,8 +53,8 @@ class Sequence:
     completion: np.ndarray
 
     def __post_init__(self):
-        self.prompt = np.asarray(self.prompt, dtype=np.int64)
-        self.completion = np.asarray(self.completion, dtype=np.int64)
+        self.prompt = _token_ids(self.prompt, "prompt")
+        self.completion = _token_ids(self.completion, "completion")
         if self.completion.ndim < 1 or self.completion.shape[-1] < 1:
             raise ValueError("completion must have at least one token")
         if self.prompt.ndim < 1:

@@ -114,6 +114,9 @@ class TestTrain:
         assert_usage_error(capsys, "centering", ["train", "--config", str(cfg_path)])
         cfg_path.write_text(json.dumps(smoke_config_obj(tmp_path, stpes=2)))
         assert_usage_error(capsys, "stpes", ["train", "--config", str(cfg_path)])
+        # a 400-digit int overflowed math.isfinite into a traceback
+        cfg_path = write_config(tmp_path, **{"lambda": 10**400})
+        assert_usage_error(capsys, "lambda must be finite", ["train", "--config", str(cfg_path)])
         cfg_path.write_text("{not json")
         assert_usage_error(capsys, "cannot load", ["train", "--config", str(cfg_path)])
         missing = tmp_path / "missing.json"
@@ -235,6 +238,16 @@ class TestTrain:
         cfg_path.write_text(json.dumps(smoke_config_obj("")))
         assert_usage_error(capsys, msg, ["train", "--config", str(cfg_path)])
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_out_dir_that_cannot_be_created_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = write_config(tmp_path)
+        for out in (blocker / "run", blocker):
+            assert_usage_error(capsys, f"out_dir {str(out)!r} cannot be prepared",
+                               ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+        assert blocker.read_text() == ""
 
     def test_ablation_toggles(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -474,6 +487,17 @@ class TestAblate:
         assert_usage_error(capsys, "out_dir must be a nonempty path, got ''",
                            ["ablate", "--matrix", str(path)])
         assert [p.name for p in tmp_path.iterdir()] == ["matrix.json"]
+
+    def test_base_dir_that_cannot_be_created_fails_before_any_run(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        matrix = {**smoke_config_obj(blocker / "grid", steps=1), "grid": {"seed": [1, 2]}}
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert_usage_error(capsys, f"out_dir {str(blocker / 'grid' / 'seed=1')!r} cannot be prepared",
+                           ["ablate", "--matrix", str(path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "matrix.json"]
+        assert "done" not in capsys.readouterr().out
 
     def test_grid_over_out_dir_fails_before_any_run(self, tmp_path, capsys):
         # the grid's out_dir values were silently replaced by subdirectories

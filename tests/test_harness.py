@@ -78,7 +78,7 @@ class TestRunConfig:
                dict(temperature=-1.0), dict(unmask_per_step=0),
                dict(centering="false"), dict(group_size=2.5), dict(seed="1"),
                dict(steps="5"), dict(steps=True), dict(lam=True), dict(lr="0.1"),
-               dict(reference=1), dict(task=3)]
+               dict(reference=1), dict(task=3), dict(lam=10**400)]
         for kw in bad:
             with pytest.raises(ValueError):
                 RunConfig(**kw)
@@ -92,7 +92,9 @@ class TestRunConfig:
         named = [("block_size", 0), ("gen_len", 0), ("groups_per_batch", 0), ("hidden", 0),
                  ("embed_dim", 0), ("window", -1), ("modulus", 1), ("modulus", 101),
                  ("checkpoint_every", -1), ("lambda", float("nan")), ("lambda", float("inf")),
-                 ("temperature", float("nan")), ("lr", float("inf"))]
+                 ("temperature", float("nan")), ("lr", float("inf")),
+                 # ints past the float range, which math.isfinite cannot take
+                 ("lambda", 10**400), ("lr", 10**400), ("temperature", -10**400)]
         for key, value in named:
             with pytest.raises(ValueError, match=key):
                 RunConfig.from_dict({key: value})
@@ -281,16 +283,16 @@ class TestTrainStep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        sample = mdm.sample_completion_groups
+        real_decode = mdm.decode
 
         def decode(*args, **kwargs):
             phase[0] = "decode"
             try:
-                return sample(*args, **kwargs)
+                return real_decode(*args, **kwargs)
             finally:
                 phase[0] = "score"
 
-        monkeypatch.setattr(mdm, "sample_completion_groups", decode)
+        monkeypatch.setattr(mdm, "decode", decode)
         monkeypatch.setattr(denoiser, "forward", counted("forward", denoiser.forward))
         monkeypatch.setattr(denoiser, "backward", counted("backward", denoiser.backward))
         cfg = RunConfig(reference=reference, out_dir=str(tmp_path))
@@ -320,8 +322,8 @@ class TestMovingPolicyStep:
         advantages, deltas, grads = [], [], []
         for inst in insts:
             prompt = tasks.encode_text(inst.prompt_text)
-            group = mdm.sample_completion_groups(
-                params, [prompt], cfg.group_size, cfg.decode_config(), rollout_rng).completion
+            group = mdm.decode(params, [prompt] * cfg.group_size, cfg.decode_config(),
+                               rollout_rng.spawn(cfg.group_size)).completion
             rewards = [tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:
@@ -335,6 +337,8 @@ class TestMovingPolicyStep:
             objectives.rspo_weights(advantages, batch.centered, cfg.lam), grads)
         theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1, cfg.lr)
         assert metrics.grad_norm == float(np.linalg.norm(grad)) > 0
+        assert metrics.var_delta == float(np.var(deltas))
+        assert metrics.batch_mean_offset == float(batch.centered.mean())
         assert np.array_equal(new_state.params.theta, theta)
         assert not np.array_equal(theta, params.theta)
 

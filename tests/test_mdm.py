@@ -10,8 +10,16 @@ from conftest import default_model, forward_on, task_prompts, tiny_params
 from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.harness import RunConfig
-from rspo_lab.mdm import DecodeConfig, _sample_categorical, decode, sample_completion_groups
+from rspo_lab.mdm import DecodeConfig, _sample_categorical, decode
 from rspo_lab.sequences import MASKED_TOKEN, Sequence, left_pad
+
+
+def decode_groups(params, prompts, group_size, cfg, rng):
+    """The training step's rollout layout: ``group_size`` rows per prompt,
+    prompt ``g``'s in rows ``g·group_size`` onward, row ``b`` decoded from
+    the ``b``-th child of ``rng``."""
+    rows = [p for p in prompts for _ in range(group_size)]
+    return decode(params, rows, cfg, rng.spawn(len(rows)))
 
 
 def wide_params(scale: float = 0.05):
@@ -43,6 +51,8 @@ class TestDecode:
         ("unmask_per_step", 0), ("temperature", float("nan")),
         ("temperature", float("inf")), ("temperature", -0.5),
         ("gen_len", 16.0), ("block_size", True), ("temperature", "0.5"),
+        pytest.param("temperature", 10**400, id="temperature-int-past-the-float-range"),
+        pytest.param("temperature", -10**400, id="temperature-negative-int-past-the-float-range"),
     ])
     def test_invalid_config_names_field(self, field, value):
         # block_size 0 is rejected before gen_len % block_size can divide by it
@@ -154,7 +164,7 @@ class TestDecode:
         monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         cfg = RunConfig(task="countdown").decode_config()
-        sample_completion_groups(params, prompts, 6, cfg, rng)
+        decode_groups(params, prompts, 6, cfg, rng)
         assert steps == [24 * left for left in (8, 6, 4, 2)] * 2
 
 
@@ -178,42 +188,17 @@ class TestTinyTemperature:
 
 
 class TestCompletionGroups:
-    def test_group_of_one_rejected(self, rng):
-        params = tiny_params(seed=5)
-        with pytest.raises(ValueError, match="^group_size must be an integer >= 2, got 1$"):
-            sample_completion_groups(params, [np.array([1])], 1,
-                                     DecodeConfig(gen_len=4, block_size=4), rng)
-
-    @pytest.mark.parametrize("group_size", [2.5, 4.0, True, "4", None])
-    def test_non_integer_group_size_names_field(self, rng, group_size):
-        # rejected by name before anything is drawn from rng, as DecodeConfig
-        # rejects its integer fields
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"^group_size must be an integer >= 2, got "
-                                             f"{re.escape(repr(group_size))}$"):
-            sample_completion_groups(tiny_params(seed=5), [np.array([1])], group_size,
-                                     DecodeConfig(gen_len=4, block_size=4), rng)
-        assert rng.bit_generator.state == state
-
-    def test_numpy_integer_group_size_accepted(self):
-        params, cfg = tiny_params(seed=5), DecodeConfig(gen_len=4, block_size=4)
-        got, want = (sample_completion_groups(params, [np.array([1])], size, cfg,
-                                              np.random.default_rng(0))
-                     for size in (np.int64(4), 4))
-        assert np.array_equal(got.completion, want.completion)
-
     def test_no_prompts_rejected(self, rng):
         # rejected before anything is drawn from rng
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="^need at least one prompt$"):
-            sample_completion_groups(tiny_params(seed=5), [], 4,
-                                     DecodeConfig(gen_len=4, block_size=4), rng)
+            decode_groups(tiny_params(seed=5), [], 4, DecodeConfig(gen_len=4, block_size=4), rng)
         assert rng.bit_generator.state == state
 
     def test_temperature_zero_collapses(self, rng):
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.0)
-        group = sample_completion_groups(params, [np.array([1])], 4, cfg, rng).completion
+        group = decode_groups(params, [np.array([1])], 4, cfg, rng).completion
         for comp in group[1:]:
             assert np.array_equal(comp, group[0])
 
@@ -221,10 +206,8 @@ class TestCompletionGroups:
         # the first completions agree regardless of how many siblings follow
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.9)
-        a = sample_completion_groups(params, [np.array([1])], 2, cfg,
-                                     np.random.default_rng(3))
-        b = sample_completion_groups(params, [np.array([1])], 4, cfg,
-                                     np.random.default_rng(3))
+        a = decode_groups(params, [np.array([1])], 2, cfg, np.random.default_rng(3))
+        b = decode_groups(params, [np.array([1])], 4, cfg, np.random.default_rng(3))
         assert np.array_equal(a.completion, b.completion[:2])
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
@@ -234,8 +217,7 @@ class TestCompletionGroups:
         cfg = DecodeConfig(gen_len=8, block_size=block_size, unmask_per_step=unmask,
                            temperature=temperature)
         for seed in range(5):
-            group = sample_completion_groups(params, [np.array([1, 3])], 5, cfg,
-                                             np.random.default_rng(seed))
+            group = decode_groups(params, [np.array([1, 3])], 5, cfg, np.random.default_rng(seed))
             assert group.is_clean()
             children = np.random.default_rng(seed).spawn(5)
             for comp, child in zip(group.completion, children, strict=True):
@@ -254,14 +236,13 @@ class TestCompletionGroups:
         prompts = [np.array([1, 3, 0]), np.array([2]), np.array([], dtype=np.int64),
                    np.array([3, 3])]
         for seed in range(5):
-            stack = sample_completion_groups(params, prompts, 3, cfg,
-                                             np.random.default_rng(seed))
+            stack = decode_groups(params, prompts, 3, cfg, np.random.default_rng(seed))
             # prompt g's group is rows 3g, 3g+1, 3g+2, each row its prompt left-padded
             assert np.array_equal(stack.prompt, np.repeat(left_pad(prompts), 3, axis=0))
             assert stack.is_clean()
             rng = np.random.default_rng(seed)
             for g, prompt in enumerate(prompts):
-                alone = sample_completion_groups(params, [prompt], 3, cfg, rng)
+                alone = decode_groups(params, [prompt], 3, cfg, rng)
                 assert np.array_equal(alone.prompt, np.tile(prompt, (3, 1)))
                 assert np.array_equal(stack.completion[3 * g:3 * g + 3], alone.completion)
 
@@ -276,11 +257,10 @@ class TestProductionSize:
             cfg = RunConfig(task=task).decode_config()
             for seed in range(3):
                 prompts = task_prompts(task, 4, rng)
-                stack = sample_completion_groups(params, prompts, 6, cfg,
-                                                 np.random.default_rng(seed))
+                stack = decode_groups(params, prompts, 6, cfg, np.random.default_rng(seed))
                 alone_rng = np.random.default_rng(seed)
                 for g, prompt in enumerate(prompts):
-                    alone = sample_completion_groups(params, [prompt], 6, cfg, alone_rng)
+                    alone = decode_groups(params, [prompt], 6, cfg, alone_rng)
                     assert np.array_equal(stack.completion[6 * g:6 * g + 6], alone.completion)
 
     def test_decode_reads_only_the_active_masked_positions(self, monkeypatch):
@@ -304,7 +284,7 @@ class TestProductionSize:
 
         monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
-        sample_completion_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
+        decode_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
         assert len(calls) == cfg.gen_len // cfg.unmask_per_step
         for masked, where in calls:
             start = np.flatnonzero(masked.any(axis=0))[0] // cfg.block_size * cfg.block_size
@@ -322,14 +302,16 @@ class TestProductionSize:
 ])
 def test_sample_completion_groups_match_recorded_digest(block_size, unmask, temperature,
                                                         digest):
-    # four groups of six on countdown's ragged prompts (widths 8 and 9); the
-    # digests pin every child stream's uniform draws and the tokens they pick
+    # four groups of six on countdown's ragged prompts (widths 8 and 9), laid
+    # out as a training step lays them out: each prompt repeated six times,
+    # row b decoded from rng's b-th child. The digests pin every child
+    # stream's uniform draws and the tokens they pick
     rng = np.random.default_rng(21)
     params, _ = default_model("countdown", rng)
     prompts = task_prompts("countdown", 4, rng)
     cfg = DecodeConfig(gen_len=16, block_size=block_size, unmask_per_step=unmask,
                        temperature=temperature)
-    stack = sample_completion_groups(params, prompts, 6, cfg, rng)
+    stack = decode(params, [p for p in prompts for _ in range(6)], cfg, rng.spawn(24))
     assert {p.size for p in prompts} == {8, 9}
     # the (24, 16) int64 stack, group by group, holds the recorded bytes
     assert stack.completion.shape == (24, 16) and stack.completion.dtype == np.int64
@@ -354,7 +336,7 @@ class TestTies:
         monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
-        sample_completion_groups(params, [np.array([1])], 3, cfg, rng)
+        decode_groups(params, [np.array([1])], 3, cfg, rng)
         before = [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1],
                   [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
         assert len(snapshots) == len(before)

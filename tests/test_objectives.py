@@ -41,6 +41,25 @@ class TestAdvantages:
         with pytest.raises(ValueError):
             group_advantages([1.0])
 
+    @pytest.mark.parametrize("shape", [(), (0,), (4, 1), (3, 0)])
+    def test_last_axis_shorter_than_two_rejected(self, shape):
+        with pytest.raises(ValueError, match="group size must be >= 2"):
+            group_advantages(np.zeros(shape))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_groups_along_last_axis_equal_each_group_alone(self, rng, normalize):
+        # a (groups, group_size) array gives, bit for bit, each row's own 1-D
+        # call: the step grades and advantages the whole micro-batch at once
+        for _ in range(200):
+            g, size = int(rng.integers(1, 9)), int(rng.integers(2, 41))
+            rewards = rng.normal(size=(g, size)) * (rng.random((g, 1)) < 0.8)  # zero-std rows too
+            if rng.random() < 0.5:
+                rewards = (rewards > 0).astype(np.float64)  # 0/1 verifier rewards
+            got = group_advantages(rewards, normalize)
+            want = np.array([group_advantages(row, normalize) for row in rewards])
+            assert got.shape == rewards.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFeedbackLoss:
     def test_forward_value_closed_form(self, rng):

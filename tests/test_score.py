@@ -15,12 +15,10 @@ from rspo_lab.tasks import MASK_ID
 from rspo_lab.score import (
     MaskBatch,
     _MaskStack,
-    batch_mean_offset,
     center_scores,
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
-    var_delta,
 )
 
 
@@ -528,13 +526,3 @@ class TestCentering:
         assert batch.center == 0.0
         np.testing.assert_array_equal(batch.centered, batch.deltas)
 
-    def test_var_delta_is_population_variance(self):
-        vals = [0.2, -1.0, 3.0, 0.5]
-        assert var_delta(center_scores(vals)) == pytest.approx(np.var(vals))
-        # centering does not change the diagnostic
-        assert var_delta(center_scores(vals, centering=False)) == pytest.approx(np.var(vals))
-
-    def test_batch_mean_offset(self):
-        vals = [1.0, 3.0]
-        assert batch_mean_offset(center_scores(vals)) == pytest.approx(0.0, abs=1e-15)
-        assert batch_mean_offset(center_scores(vals, centering=False)) == pytest.approx(2.0)

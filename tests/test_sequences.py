@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,33 @@ class TestValidation:
     def test_ids_below_the_mask_rejected(self, prompt, completion):
         with pytest.raises(ValueError, match="token ids"):
             Sequence(prompt, completion)
+
+    @pytest.mark.parametrize("prompt,completion,field,bad", [
+        ([0.0, 1.9], [2, 3], "prompt", "1.9"),
+        ([0, 1], [2.5, -0.5], "completion", "2.5"),
+        ([1], [3.0, -0.5], "completion", "-0.5"),
+        ([np.nan], [1], "prompt", "nan"),
+        ([1], [[1.0], [np.inf]], "completion", "inf"),
+        ([1e30], [1], "prompt", "1e+30"),
+    ])
+    def test_non_integer_ids_rejected(self, prompt, completion, field, bad):
+        # casting to int64 truncated them: -0.5 became token 0
+        with pytest.raises(ValueError, match=f"^{field} token ids must be integers, got {re.escape(bad)}$"):
+            Sequence(np.array(prompt), np.array(completion))
+
+    def test_integer_valued_floats_and_empty_prompts_load(self):
+        seq = Sequence(np.array([0.0, 3.0]), np.array([2.0, -1.0]))
+        assert seq.prompt.dtype == seq.completion.dtype == np.int64
+        assert seq.prompt.tolist() == [0, 3] and seq.completion.tolist() == [2, -1]
+        assert Sequence([], [1]).prompt.shape == (0,)
+        assert left_pad([[], [1.0, 2.0]]).tolist() == [[-1, -1], [1, 2]]
+        with pytest.raises(ValueError, match="^prompt token ids must be integers"):
+            left_pad([[1.5]])
+
+    def test_int64_ids_are_held_without_a_copy(self):
+        prompt, completion = np.array([1, 2]), np.array([[3], [-1]])
+        seq = Sequence(prompt, completion)
+        assert seq.prompt is prompt and seq.completion is completion
 
     def test_no_mask_flag_argument(self):
         with pytest.raises(TypeError):
