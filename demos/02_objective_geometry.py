@@ -5,28 +5,21 @@ Three things to see on a tiny synthetic batch:
 1. the feedback loss and the matched quadratic have identical gradients but
    different forward values (full lambda vs lambda/2 on the penalty);
 2. the fixed point sits at centered score = advantage / lambda, where the
-   weights, the residual, and the gradient all vanish;
+   coefficients, the residual, and the gradient all vanish;
 3. centering costs nothing in the forward value when advantages are
    zero-sum, but changes the gradient once scores drift off-center.
 """
 
 import numpy as np
 
-from rspo_lab.objectives import (
-    fixed_point_residual,
-    quad_gradient,
-    quad_loss,
-    rspo_loss,
-    rspo_weights,
-    weighted_gradient,
-)
+from rspo_lab.objectives import quad_gradient, quad_loss, rspo_loss, weighted_gradient
 from rspo_lab.score import center_scores
 
 
-def feedback_gradient(batch, adv, lam, grads):
+def feedback_gradient(centered, adv, lam, grads):
     """Each completion's detached coefficient A - lam * centered times its
     score gradient, averaged with a minus sign."""
-    return weighted_gradient(rspo_weights(adv, batch.centered, lam), grads)
+    return weighted_gradient(rspo_loss(centered, adv, lam)[1], grads)
 
 
 def main():
@@ -41,24 +34,25 @@ def main():
     print(f"fixed-point target for the centered scores: {target}")
     print(f"{'alpha':>6} {'loss':>10} {'quad':>10} {'|grad|':>10} {'residual':>10}")
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        batch = center_scores(alpha * target + (1 - alpha) * rng.normal(size=4) * 0.1)
-        loss, _ = rspo_loss(batch, adv, lam)
-        quad = quad_loss(batch, adv, lam)
-        g = feedback_gradient(batch, adv, lam, grads)
-        res = fixed_point_residual(batch, adv, lam)
+        deltas = alpha * target + (1 - alpha) * rng.normal(size=4) * 0.1
+        centered = center_scores(deltas)
+        loss, coeffs = rspo_loss(centered, adv, lam)
+        quad = quad_loss(deltas, centered, adv, lam)
+        g = weighted_gradient(coeffs, grads)
+        res = np.abs(coeffs).max()  # the fixed-point residual
         print(f"{alpha:6.2f} {loss:10.4f} {quad:10.4f} {np.linalg.norm(g):10.2e} {res:10.2e}")
-    batch = center_scores(target)
-    g = feedback_gradient(batch, adv, lam, grads)
+    g = feedback_gradient(center_scores(target), adv, lam, grads)
     print(f"  at the fixed point exactly: |grad| = {np.linalg.norm(g):.1e}")
     print()
 
     print("=== gradient agreement, forward disagreement ===")
-    batch = center_scores(rng.normal(size=4))
-    g_feedback = feedback_gradient(batch, adv, lam, grads)
-    g_quad = quad_gradient(batch, adv, lam, grads)
+    deltas = rng.normal(size=4)
+    centered = center_scores(deltas)
+    g_feedback = feedback_gradient(centered, adv, lam, grads)
+    g_quad = quad_gradient(centered, adv, lam, grads)
     print(f"max |feedback grad - quad grad| = {np.max(np.abs(g_feedback - g_quad)):.2e}")
-    pen_feedback, _ = rspo_loss(batch, np.zeros(4), lam)
-    pen_quad = quad_loss(batch, np.zeros(4), lam)
+    pen_feedback, _ = rspo_loss(centered, np.zeros(4), lam)
+    pen_quad = quad_loss(deltas, centered, np.zeros(4), lam)
     print(f"pure penalty terms: feedback {pen_feedback:.6f} vs quad {pen_quad:.6f} "
           f"(ratio {pen_feedback / pen_quad:.1f})")
     print()

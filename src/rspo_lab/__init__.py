@@ -9,18 +9,15 @@ from .denoiser import DenoiserParams, init_params
 from .mdm import DecodeConfig, decode
 from .score import (
     MaskBatch,
-    RelativeScoreBatch,
     center_scores,
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
 )
 from .objectives import (
-    fixed_point_residual,
     group_advantages,
     quad_loss,
     rspo_loss,
-    rspo_weights,
     weighted_gradient,
 )
 from .harness import RunConfig, StepMetrics, adam_update, run_experiment, train_step
@@ -32,7 +29,6 @@ __all__ = [
     "DenoiserParams",
     "MASKED_TOKEN",
     "MaskBatch",
-    "RelativeScoreBatch",
     "RunConfig",
     "Sequence",
     "StepMetrics",
@@ -41,12 +37,10 @@ __all__ = [
     "coupled_deltas_and_grads",
     "decode",
     "elbo_terms",
-    "fixed_point_residual",
     "group_advantages",
     "init_params",
     "quad_loss",
     "rspo_loss",
-    "rspo_weights",
     "run_experiment",
     "sample_mask_sets",
     "train_step",

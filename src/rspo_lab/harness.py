@@ -300,8 +300,8 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         state.params, state.ref_params if cfg.reference else None, stack, masks)
     marks.append(time.perf_counter())
 
-    batch = score.center_scores(deltas, cfg.centering)
-    loss, coeffs = objectives.rspo_loss(batch, adv, cfg.lam)
+    centered = score.center_scores(deltas, cfg.centering)
+    loss, coeffs = objectives.rspo_loss(centered, adv, cfg.lam)
     grad = objectives.weighted_gradient(coeffs, grads)
 
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
@@ -322,8 +322,8 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         mean_reward=float(np.mean(rewards)),
         loss=loss,
         grad_norm=float(np.linalg.norm(grad)),
-        var_delta=float(np.var(batch.deltas)),
-        batch_mean_offset=float(batch.centered.mean()),
+        var_delta=float(np.var(deltas)),
+        batch_mean_offset=float(centered.mean()),
         zero_std_group_ratio=zero_std / cfg.groups_per_batch,
         wall_time=time.perf_counter() - t0,
         phase_times=dict(zip(PHASES, np.diff(marks).tolist())),

@@ -1,17 +1,17 @@
-"""Objective layer: group-relative advantages, relative-score feedback
-weights and loss (at lam = 0, the advantage-weighted ablation), the matched
-quadratic comparison objective, and analytic gradient assembly.
+"""Objective layer: group-relative advantages, the relative-score feedback
+loss and its coefficients (at lam = 0, the advantage-weighted ablation), the
+matched quadratic comparison objective, and analytic gradient assembly.
 
 Convention: every objective is a detached per-completion coefficient times
 the gradient of that completion's score, so one ``weighted_gradient``
-assembles the update from externally supplied score gradients.
+assembles the update from externally supplied score gradients.  Scores,
+advantages and coefficients are plain float64 arrays, one entry per
+completion.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .score import RelativeScoreBatch
 
 
 ADV_EPSILON = 1e-4  # added to the group's reward std when normalizing
@@ -31,80 +31,69 @@ def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
     return adv
 
 
-def rspo_weights(advantages, centered, lam: float) -> np.ndarray:
-    """Detached feedback weights: advantage minus lam times the centered
-    score.  lam=0 reduces to plain advantage weighting."""
-    advantages = np.asarray(advantages, dtype=np.float64)
-    centered = np.asarray(centered, dtype=np.float64)
-    if advantages.shape != centered.shape:
-        raise ValueError("advantages and centered scores must align")
+def _check(lam: float, *arrays) -> list[np.ndarray]:
+    """The arrays as float64, once their shapes match over a nonempty batch
+    and lam is finite and >= 0."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("scores and advantages must align")
+    if not arrays[0].size:
+        raise ValueError("the batch is empty")
     if not 0.0 <= lam < np.inf:  # NaN fails too
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    return advantages - lam * centered
+    return arrays
 
 
-def rspo_loss(batch: RelativeScoreBatch, advantages, lam: float) -> tuple[float, np.ndarray]:
-    """Feedback loss, minus the batch mean of weight times centered score,
-    and its coefficients: the weights, forward values of the residual
-    treated as constants in any gradient computation."""
-    advantages = np.asarray(advantages, dtype=np.float64)
-    if advantages.shape != batch.centered.shape:
-        raise ValueError("advantages must align with the score batch")
-    w = rspo_weights(advantages, batch.centered, lam)
-    return -float(np.mean(w * batch.centered)), w
+def rspo_loss(centered, advantages, lam: float) -> tuple[float, np.ndarray]:
+    """Feedback loss, minus the batch mean of coefficient times centered
+    score, and its coefficients ``A - lam * centered``: forward values of the
+    residual, treated as constants in any gradient computation.  lam = 0
+    reduces them to plain advantage weighting; ``np.abs(coeffs).max()`` is the
+    fixed-point residual, zero iff every coefficient vanishes."""
+    centered, advantages = _check(lam, centered, advantages)
+    w = advantages - lam * centered
+    return -float(np.mean(w * centered)), w
 
 
-def quad_loss(batch: RelativeScoreBatch, advantages, lam: float) -> float:
+def quad_loss(deltas, centered, advantages, lam: float) -> float:
     """Matched quadratic objective: -<A, delta>_B + (lam/2)||centered||^2_B."""
-    advantages = np.asarray(advantages, dtype=np.float64)
-    if advantages.shape != batch.deltas.shape:
-        raise ValueError("advantages must align with the score batch")
-    if not 0.0 <= lam < np.inf:  # NaN fails too
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    linear = -float(np.mean(advantages * batch.deltas))
-    return linear + 0.5 * lam * float(np.mean(batch.centered**2))
+    deltas, centered, advantages = _check(lam, deltas, centered, advantages)
+    linear = -float(np.mean(advantages * deltas))
+    return linear + 0.5 * lam * float(np.mean(centered**2))
+
+
+def _grads(score_grads, n: int) -> list[np.ndarray]:
+    """The score gradients as float64, once there are ``n`` > 0 of them."""
+    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
+    if len(grads) != n:
+        raise ValueError("need one score gradient per sample")
+    if not grads:
+        raise ValueError("the batch is empty")
+    return grads
 
 
 def weighted_gradient(coeffs, score_grads) -> np.ndarray:
     """Analytic gradient of a detached-coefficient objective:
     -(1/N) sum_i c_i grad_delta_i, accumulated in sample-index order for
-    bit-reproducibility.  RSPO's coefficients are ``rspo_weights``."""
+    bit-reproducibility.  RSPO's coefficients are ``rspo_loss``'s second
+    value."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
-    if len(grads) != coeffs.size:
-        raise ValueError("need one score gradient per sample")
+    grads = _grads(score_grads, coeffs.size)
     total = np.zeros_like(grads[0])
     for c, g in zip(coeffs, grads):
         total += c * g
     return -total / coeffs.size
 
 
-def quad_gradient(
-    batch: RelativeScoreBatch,
-    advantages,
-    lam: float,
-    score_grads,
-) -> np.ndarray:
+def quad_gradient(centered, advantages, lam: float, score_grads) -> np.ndarray:
     """Gradient of the matched quadratic objective, assembled term by term
     (linear part plus penalty part) from the same score gradients."""
-    if not 0.0 <= lam < np.inf:  # NaN fails too
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    advantages = np.asarray(advantages, dtype=np.float64)
-    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
+    centered, advantages = _check(lam, centered, advantages)
     n = advantages.size
-    if len(grads) != n:
-        raise ValueError("need one score gradient per sample")
+    grads = _grads(score_grads, n)
     linear = np.zeros_like(grads[0])
     penalty = np.zeros_like(grads[0])
-    for a, c, g in zip(advantages, batch.centered, grads):
+    for a, c, g in zip(advantages, centered, grads):
         linear += a * g
         penalty += c * g
     return -linear / n + lam * penalty / n
-
-
-def fixed_point_residual(batch: RelativeScoreBatch, advantages, lam: float) -> float:
-    """max_i |A_i - lam * centered_i|; zero iff the feedback weights vanish."""
-    if not 0.0 < lam < np.inf:  # NaN fails too
-        raise ValueError(f"fixed-point residual requires finite lam > 0, got {lam!r}")
-    advantages = np.asarray(advantages, dtype=np.float64)
-    return float(np.max(np.abs(advantages - lam * batch.centered)))

@@ -12,6 +12,7 @@ of a centered batch, the deltas' variance and the mean centered score, are
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,6 @@ class MaskBatch:
         return len(self.hits)
 
 
-@dataclass
-class RelativeScoreBatch:
-    deltas: np.ndarray
-    center: float
-    centered: np.ndarray
-
-
 def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> MaskBatch:
     """Draw ``k`` masks for each of ``n`` completions in turn, as one batch
     of n*k rows.  Each mask takes t ~ U(0,1] and an independent Bernoulli(t)
@@ -58,7 +52,12 @@ def sample_mask_sets(l_c: int, k: int, rng: np.random.Generator, n: int = 1) -> 
     left in equal ``n`` calls of one completion each: the stream is read only
     as far as the rounds known to be due, the remaining first rounds and the
     retry of a round with an empty set.  One nonempty test per parse of
-    that stream gives both where the retried round ends and the kept rows."""
+    that stream gives both where the retried round ends and the kept rows.
+    ``l_c``, ``k`` and ``n`` are integers, numpy's too, but not bools."""
+    for name, value in (("l_c", l_c), ("k", k), ("n", n)):
+        # bool is an Integral, so it is rejected by name
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if l_c < 1:
         raise ValueError("completion length must be >= 1")
     if k < 1:
@@ -136,7 +135,9 @@ class _MaskStack:
         self.row_offsets = np.concatenate([[0], np.cumsum(n_rows)])  # completion -> stack rows
         self.sizes = masked.sum(axis=1)
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
-        prompts = np.repeat(np.broadcast_to(seqs.prompt, (n, seqs.prompt_len)), n_rows, axis=0)
+        # a shared prompt, or one per completion under any leading axes, as Layout reads it
+        prompt = np.broadcast_to(seqs.prompt, seqs.completion.shape[:-1] + (seqs.prompt_len,))
+        prompts = np.repeat(prompt.reshape(n, seqs.prompt_len), n_rows, axis=0)
         self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows))
         self.tokens = clean_rows[masked]  # the clean token at each forward row
         self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
@@ -191,8 +192,9 @@ class _MaskStack:
 
 def elbo_terms(params: DenoiserParams, seqs: Sequence, masks: MaskBatch) -> np.ndarray:
     """The (n, k) Monte Carlo sequence score terms of ``seqs``, one
-    ``Sequence`` whose completion is ``(n, l_c)``, or 1-D for one, under a
-    shared 1-D prompt or ``(n, P)`` left-padded ones, and of one
+    ``Sequence`` of ``n`` completions ``l_c`` long in C order under any
+    leading axes, or 1-D for one, under a shared 1-D prompt or left-padded
+    ones with the completion's leading axes, and of one
     ``MaskBatch`` of ``n·k`` rows, ``l_c`` wide, row ``c·k + j`` being
     completion ``c``'s mask ``j``: the mask-size reweighted sum of denoising
     log-probabilities at the masked positions.  A row's mean is its
@@ -227,13 +229,12 @@ def coupled_deltas_and_grads(
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 
 
-def center_scores(deltas, centering: bool = True) -> RelativeScoreBatch:
-    """Subtract the detached micro-batch mean.  The center is a constant in
-    any gradient computation; centered values sum to zero in the forward
-    pass.  ``centering=False`` is the ablation: the center is fixed at zero
-    and the raw deltas pass through."""
+def center_scores(deltas, centering: bool = True) -> np.ndarray:
+    """The deltas minus their detached micro-batch mean, as float64.  The
+    center is a constant in any gradient computation; centered values sum to
+    zero in the forward pass.  ``centering=False`` is the ablation: the raw
+    deltas pass through."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if centering and deltas.size < 2:
         raise ValueError("centering needs a batch of at least 2 scores")
-    center = float(deltas.mean()) if centering else 0.0
-    return RelativeScoreBatch(deltas=deltas, center=center, centered=deltas - center)
+    return deltas - float(deltas.mean()) if centering else deltas

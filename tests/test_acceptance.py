@@ -34,9 +34,9 @@ def run_steps(cfg, n_steps, collect_sums=False):
     metrics, sums = [], []
     real = objectives.rspo_loss
 
-    def spy(batch, adv, lam):
-        loss, coeffs = real(batch, adv, lam)
-        sums.append((abs(float(batch.centered.sum())),
+    def spy(centered, adv, lam):
+        loss, coeffs = real(centered, adv, lam)
+        sums.append((abs(float(centered.sum())),
                      abs(float(coeffs.sum()))))
         return loss, coeffs
 
@@ -62,9 +62,15 @@ def trace_centering_off():
     return run_steps(smoke_cfg(centering=False), 500)
 
 
-def feedback_gradient(batch, adv, lam, grads):
+def feedback_gradient(centered, adv, lam, grads):
     """The feedback gradient as train_step assembles it."""
-    return objectives.weighted_gradient(objectives.rspo_weights(adv, batch.centered, lam), grads)
+    return objectives.weighted_gradient(objectives.rspo_loss(centered, adv, lam)[1], grads)
+
+
+def residual_of(centered, adv, lam):
+    """The fixed-point residual max_i |A_i - lam * centered_i|, the largest
+    feedback coefficient in magnitude."""
+    return float(np.abs(objectives.rspo_loss(centered, adv, lam)[1]).max())
 
 
 def zero_sum_adv(rng, n):
@@ -98,12 +104,13 @@ def test_criterion_01_gradient_identity(rng):
                 for a, b in zip(cur_terms, ref_terms)
             ])
 
-        batch = score.center_scores(deltas_at(params.theta))
+        d0 = deltas_at(params.theta)
+        centered = score.center_scores(d0)
         _, grads = score.coupled_deltas_and_grads(params, ref, seqs, mask_sets)
-        grad = feedback_gradient(batch, adv, lam, grads)
+        grad = feedback_gradient(centered, adv, lam, grads)
 
-        w0 = objectives.rspo_weights(adv, batch.centered, lam)
-        c0 = batch.center
+        _, w0 = objectives.rspo_loss(centered, adv, lam)
+        c0 = float(d0.mean())
 
         def loss_frozen(theta):
             return -float(np.mean(w0 * (deltas_at(theta) - c0)))
@@ -124,12 +131,12 @@ def test_criterion_02_first_order_equivalence(rng):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 10))
-        batch = score.center_scores(rng.normal(size=n))
+        centered = score.center_scores(rng.normal(size=n))
         adv = zero_sum_adv(rng, n)
         lam = float(rng.uniform(0, 1))
         grads = [rng.normal(size=7) for _ in range(n)]
-        a = feedback_gradient(batch, adv, lam, grads)
-        b = objectives.quad_gradient(batch, adv, lam, grads)
+        a = feedback_gradient(centered, adv, lam, grads)
+        b = objectives.quad_gradient(centered, adv, lam, grads)
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-12
     print(f"PASS criterion-02 first-order-equivalence (max abs diff {worst:.2e})")
@@ -145,10 +152,10 @@ def test_criterion_03_reference_point_equality(rng):
     mask_sets = score.sample_mask_sets(seqs.completion_len, 2, rng, len(seqs.completion))
     deltas, grads = score.coupled_deltas_and_grads(params, params.copy(), seqs, mask_sets)
     assert all(d == 0.0 for d in deltas)
-    batch = score.center_scores(deltas)
+    centered = score.center_scores(deltas)
     adv = objectives.group_advantages([1.0, 0.0, 0.0, 1.0])
-    g_feedback = feedback_gradient(batch, adv, 0.01, grads)
-    g_aw = feedback_gradient(batch, adv, 0.0, grads)
+    g_feedback = feedback_gradient(centered, adv, 0.01, grads)
+    g_aw = feedback_gradient(centered, adv, 0.0, grads)
     assert np.array_equal(g_feedback, g_aw)
 
     # centering is a no-op in the advantage-weighted forward value when
@@ -170,11 +177,11 @@ def test_criterion_03_reference_point_equality(rng):
 def test_criterion_04_fixed_point(rng):
     lam = 0.25
     adv = np.array([0.5, -0.5, 0.25, -0.25])  # dyadic, exactly zero-sum
-    batch = score.center_scores(adv / lam)
+    centered = score.center_scores(adv / lam)
     grads = [rng.normal(size=8) for _ in range(4)]
-    grad = feedback_gradient(batch, adv, lam, grads)
+    grad = feedback_gradient(centered, adv, lam, grads)
     assert float(np.linalg.norm(grad)) <= 1e-12
-    assert objectives.fixed_point_residual(batch, adv, lam) <= 1e-12
+    assert residual_of(centered, adv, lam) <= 1e-12
 
     # converse on a full-rank synthetic linear score model delta = G theta:
     # the gradient is -(1/N) G^T c, so sigma_min(G) converts a gradient
@@ -187,9 +194,9 @@ def test_criterion_04_fixed_point(rng):
     row_grads = list(g_mat)
 
     def state_at(theta):
-        batch = score.center_scores(g_mat @ theta)
-        grad = feedback_gradient(batch, adv, lam, row_grads)
-        residual = objectives.fixed_point_residual(batch, adv, lam)
+        centered = score.center_scores(g_mat @ theta)
+        grad = feedback_gradient(centered, adv, lam, row_grads)
+        residual = residual_of(centered, adv, lam)
         return float(np.linalg.norm(grad)), residual
 
     gnorm, residual = state_at(theta_star)

@@ -332,13 +332,13 @@ class TestMovingPolicyStep:
                     params, ref, Sequence(prompt, c), masks)
                 deltas.append(delta)
                 grads.append(grad)
-        batch = score.center_scores(deltas)
+        centered = score.center_scores(deltas)
         grad = objectives.weighted_gradient(
-            objectives.rspo_weights(advantages, batch.centered, cfg.lam), grads)
+            objectives.rspo_loss(centered, advantages, cfg.lam)[1], grads)
         theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1, cfg.lr)
         assert metrics.grad_norm == float(np.linalg.norm(grad)) > 0
         assert metrics.var_delta == float(np.var(deltas))
-        assert metrics.batch_mean_offset == float(batch.centered.mean())
+        assert metrics.batch_mean_offset == float(centered.mean())
         assert np.array_equal(new_state.params.theta, theta)
         assert not np.array_equal(theta, params.theta)
 

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from rspo_lab.objectives import (
-    fixed_point_residual,
     group_advantages,
     quad_gradient,
     quad_loss,
     rspo_loss,
-    rspo_weights,
     weighted_gradient,
 )
 from rspo_lab.score import center_scores
 
 
 def random_batch(rng, n=6):
+    """Centered scores and zero-sum advantages."""
     deltas = rng.normal(size=n)
     adv = rng.normal(size=n)
     adv -= adv.mean()  # group advantages are zero-sum by construction
@@ -64,51 +63,57 @@ class TestAdvantages:
 class TestFeedbackLoss:
     def test_forward_value_closed_form(self, rng):
         # loss = -<A, d> + lam * ||d||^2 in the batch mean inner product
-        batch, adv = random_batch(rng)
+        d, adv = random_batch(rng)
         lam = 0.3
-        loss, _ = rspo_loss(batch, adv, lam)
-        d = batch.centered
+        loss, _ = rspo_loss(d, adv, lam)
         expected = -np.mean(adv * d) + lam * np.mean(d**2)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_weights_definition(self, rng):
-        batch, adv = random_batch(rng)
-        w = rspo_weights(adv, batch.centered, 0.7)
-        np.testing.assert_allclose(w, adv - 0.7 * batch.centered)
+        centered, adv = random_batch(rng)
+        _, w = rspo_loss(centered, adv, 0.7)
+        np.testing.assert_allclose(w, adv - 0.7 * centered)
 
     def test_negative_lam_rejected(self, rng):
-        batch, adv = random_batch(rng)
+        centered, adv = random_batch(rng)
         with pytest.raises(ValueError):
-            rspo_loss(batch, adv, -0.1)
+            rspo_loss(centered, adv, -0.1)
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_bad_lam_rejected_everywhere(self, rng, lam):
-        batch, adv = random_batch(rng)
+        centered, adv = random_batch(rng)
         grads = [np.ones(3)] * adv.size
-        calls = (lambda: rspo_weights(adv, batch.centered, lam),
-                 lambda: rspo_loss(batch, adv, lam),
-                 lambda: quad_loss(batch, adv, lam),
-                 lambda: quad_gradient(batch, adv, lam, grads),
-                 lambda: fixed_point_residual(batch, adv, lam))
+        calls = (lambda: rspo_loss(centered, adv, lam),
+                 lambda: quad_loss(centered, centered, adv, lam),
+                 lambda: quad_gradient(centered, adv, lam, grads))
         for call in calls:
             with pytest.raises(ValueError, match="lam"):
                 call()
 
     def test_fixed_point(self):
-        # scores pinned at A/lam zero both the weights and the residual
+        # scores pinned at A/lam zero both the coefficients and the residual
         lam = 0.25
         adv = np.array([0.5, -0.5, 0.25, -0.25])
-        batch = center_scores(adv / lam)
-        assert fixed_point_residual(batch, adv, lam) < 1e-12
-        _, coeffs = rspo_loss(batch, adv, lam)
+        _, coeffs = rspo_loss(center_scores(adv / lam), adv, lam)
+        assert np.abs(coeffs).max() < 1e-12
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
 
     def test_loss_at_fixed_point(self):
         # forward value there is -||A||^2/lam + lam*||A/lam||^2 = 0
         lam = 0.25
         adv = np.array([0.5, -0.5, 0.25, -0.25])
-        batch = center_scores(adv / lam)
-        assert abs(rspo_loss(batch, adv, lam)[0]) < 1e-12
+        assert abs(rspo_loss(center_scores(adv / lam), adv, lam)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rspo_loss(np.zeros(0), np.zeros(0), 0.1),
+    lambda: quad_loss(np.zeros(0), np.zeros(0), np.zeros(0), 0.1),
+    lambda: weighted_gradient([], []),
+    lambda: quad_gradient(np.zeros(0), np.zeros(0), 0.1, []),
+], ids=["rspo_loss", "quad_loss", "weighted_gradient", "quad_gradient"])
+def test_empty_batch_rejected(call):
+    with pytest.raises(ValueError, match="the batch is empty"):
+        call()
 
 
 class TestQuadLoss:
@@ -119,25 +124,32 @@ class TestQuadLoss:
         for lam in (0.4, 0.05, 3.0):
             deltas = rng.normal(size=6) + rng.normal()
             adv = rng.normal(size=6)
-            for batch in (center_scores(deltas), center_scores(deltas, centering=False)):
-                value = quad_loss(batch, adv, lam)
-                d = batch.centered
-                expected = -np.mean(adv * batch.deltas) + 0.5 * lam * np.mean(d**2)
+            for centering in (True, False):
+                d = center_scores(deltas, centering)
+                center = float(deltas.mean()) if centering else 0.0
+                value = quad_loss(deltas, d, adv, lam)
+                expected = -np.mean(adv * deltas) + 0.5 * lam * np.mean(d**2)
                 assert value == pytest.approx(expected, rel=1e-12)
                 square = 0.5 * lam * np.mean((d - adv / lam) ** 2)
                 const = -np.mean(adv**2) / (2.0 * lam)
-                center_cross = -batch.center * np.mean(adv)
+                center_cross = -center * np.mean(adv)
                 assert square + const + center_cross == pytest.approx(value, rel=1e-12)
 
     def test_penalty_uses_half_lam(self, rng):
         # the quadratic penalty carries lam/2 where the feedback forward
         # value carries the full lam
-        batch, adv = random_batch(rng)
-        zero = np.zeros_like(adv)
+        deltas = rng.normal(size=6)
+        centered = center_scores(deltas)
+        zero = np.zeros_like(deltas)
         lam = 0.8
-        quad_pen = quad_loss(batch, zero, lam)
-        rspo_pen, _ = rspo_loss(batch, zero, lam)
+        quad_pen = quad_loss(deltas, centered, zero, lam)
+        rspo_pen, _ = rspo_loss(centered, zero, lam)
         assert quad_pen == pytest.approx(0.5 * rspo_pen, rel=1e-12)
+
+    def test_misaligned_deltas_rejected(self, rng):
+        centered, adv = random_batch(rng)
+        with pytest.raises(ValueError, match="align"):
+            quad_loss(centered[:1], centered, adv, 0.1)
 
 
 class TestGradients:
@@ -145,22 +157,22 @@ class TestGradients:
         return [rng.normal(size=dim) for _ in range(n)]
 
     def test_rspo_gradient_formula(self, rng):
-        batch, adv = random_batch(rng)
+        centered, adv = random_batch(rng)
         lam = 0.3
         gs = self.grads(rng, adv.size)
-        out = weighted_gradient(rspo_weights(adv, batch.centered, lam), gs)
+        out = weighted_gradient(rspo_loss(centered, adv, lam)[1], gs)
         expected = -np.mean(
-            [(a - lam * c) * g for a, c, g in zip(adv, batch.centered, gs)], axis=0
+            [(a - lam * c) * g for a, c, g in zip(adv, centered, gs)], axis=0
         )
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_quad_gradient_matches_rspo_to_first_order(self, rng):
         # identical analytic gradients when both use the same score grads
-        batch, adv = random_batch(rng)
+        centered, adv = random_batch(rng)
         lam = 0.45
         gs = self.grads(rng, adv.size)
-        a = weighted_gradient(rspo_weights(adv, batch.centered, lam), gs)
-        b = quad_gradient(batch, adv, lam, gs)
+        a = weighted_gradient(rspo_loss(centered, adv, lam)[1], gs)
+        b = quad_gradient(centered, adv, lam, gs)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_lam_zero_gradient_bitwise_identical_to_aw(self, rng):
@@ -168,8 +180,8 @@ class TestGradients:
         # is A bit for bit for finite c and nonzero A), so the feedback
         # gradient is the advantage-weighted one bit for bit
         for scale in (1.0, 1e-300, 1e300):
-            batch, adv = random_batch(rng)
-            coeffs = rspo_weights(adv, batch.centered * scale, 0.0)
+            centered, adv = random_batch(rng)
+            _, coeffs = rspo_loss(centered * scale, adv, 0.0)
             assert coeffs.tobytes() == adv.tobytes()
             gs = self.grads(rng, adv.size)
             a = weighted_gradient(coeffs, gs)
@@ -182,17 +194,12 @@ class TestGradients:
         adv -= adv.mean()
         gs = self.grads(rng, 4)
         on, off = center_scores(deltas), center_scores(deltas, centering=False)
-        a = weighted_gradient(rspo_weights(adv, on.centered, 0.5), gs)
-        b = weighted_gradient(rspo_weights(adv, off.centered, 0.5), gs)
+        a = weighted_gradient(rspo_loss(on, adv, 0.5)[1], gs)
+        b = weighted_gradient(rspo_loss(off, adv, 0.5)[1], gs)
         assert not np.allclose(a, b)
 
     def test_gradient_count_mismatch_rejected(self, rng):
-        batch, adv = random_batch(rng)
+        centered, adv = random_batch(rng)
         with pytest.raises(ValueError):
-            weighted_gradient(rspo_weights(adv, batch.centered, 0.1),
+            weighted_gradient(rspo_loss(centered, adv, 0.1)[1],
                               self.grads(rng, adv.size - 1))
-
-    def test_fixed_point_requires_positive_lam(self, rng):
-        batch, adv = random_batch(rng)
-        with pytest.raises(ValueError):
-            fixed_point_residual(batch, adv, 0.0)

@@ -87,6 +87,21 @@ class TestMaskLaw:
         with pytest.raises(ValueError):
             sample_mask_sets(l_c, k, rng, n)
 
+    @pytest.mark.parametrize("l_c,k,n,name", [
+        (True, 2, 1, "l_c"), (3.0, 2, 1, "l_c"), (3, True, 1, "k"), (3, np.bool_(True), 1, "k"),
+        (3, 2, True, "n"), (3, 2, 2.0, "n"),
+    ])
+    def test_non_integer_sizes_rejected(self, rng, l_c, k, n, name):
+        # bool is an Integral, so a bool size is rejected by name too
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_mask_sets(l_c, k, rng, n)
+
+    def test_numpy_integer_sizes_accepted(self):
+        one, other = np.random.default_rng(3), np.random.default_rng(3)
+        masks = sample_mask_sets(np.int64(3), np.int32(2), one, np.uint8(4))
+        assert np.array_equal(masks.hits, sample_mask_sets(3, 2, other, 4).hits)
+        assert one.bit_generator.state == other.bit_generator.state
+
     @pytest.mark.parametrize("l_c", [2, 3])
     def test_set_frequencies_match_closed_form(self, l_c):
         # empirical frequency of every nonempty subset of {0,..,l_c-1}
@@ -182,6 +197,24 @@ class TestOneInputForm:
             assert deltas == row_deltas
             for grad, row_grad in zip(grads, row_grads, strict=True):
                 assert np.array_equal(grad, row_grad)
+
+    def test_two_leading_axes_equal_their_flattening(self, rng):
+        # a (2, 2) stack of completions under left-padded prompts of the same
+        # leading axes scores as its C-order (4, L) flattening, bit for bit
+        cur, ref = tiny_params(seed=6), tiny_params(seed=7)
+        prompts = rng.integers(0, 4, size=(2, 2, 2))
+        prompts[0, 1, 0] = prompts[1, 0, 0] = -1  # two one-token prompts
+        completions = rng.integers(0, 4, size=(2, 2, 3))
+        stacked = Sequence(prompts, completions)
+        flat = Sequence(prompts.reshape(4, 2), completions.reshape(4, 3))
+        masks = sample_mask_sets(3, 4, rng, 4)
+        assert np.array_equal(elbo_terms(cur, stacked, masks), elbo_terms(cur, flat, masks))
+        for params_ref in (ref, None):
+            deltas, grads = coupled_deltas_and_grads(cur, params_ref, stacked, masks)
+            flat_deltas, flat_grads = coupled_deltas_and_grads(cur, params_ref, flat, masks)
+            assert deltas == flat_deltas
+            for grad, flat_grad in zip(grads, flat_grads, strict=True):
+                assert np.array_equal(grad, flat_grad)
 
 
 class TestElboScore:
@@ -513,16 +546,16 @@ class TestMaskStack:
 
 class TestCentering:
     def test_centered_values_sum_to_zero(self):
-        batch = center_scores([1.0, 2.5, -0.5, 7.0])
-        assert abs(batch.centered.sum()) < 1e-12
-        assert batch.center == pytest.approx(2.5)
+        centered = center_scores([1.0, 2.5, -0.5, 7.0])
+        assert abs(centered.sum()) < 1e-12
+        np.testing.assert_allclose(centered, [-1.5, 0.0, -3.0, 4.5])
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             center_scores([1.0])
 
     def test_uncentered_passthrough(self):
-        batch = center_scores([1.0, 2.0], centering=False)
-        assert batch.center == 0.0
-        np.testing.assert_array_equal(batch.centered, batch.deltas)
+        raw = center_scores([1.0, 2.0], centering=False)
+        assert raw.dtype == np.float64
+        np.testing.assert_array_equal(raw, [1.0, 2.0])
 
