@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, oracle, score, tasks
+from . import harness, objectives, oracle, score, tasks
 from .denoiser import init_params
 from .harness import ConfigError
 from .sequences import Sequence
@@ -104,12 +104,21 @@ def cmd_audit(args) -> int:
                 raise AssertionError(f"weighted terms {value} vs exact {exact}")
 
     def centered_target():
-        for _ in range(20):
+        # the first trial also checks the paper's fixed point on the code that
+        # trains: at the optimum's log-ratios, rspo_loss's coefficients
+        # A - beta * centered vanish
+        for trial in range(20):
             n = int(rng.integers(2, 8))
             pi_ref = rng.dirichlet(np.ones(n))
             rewards = rng.normal(size=n)
             beta = float(rng.uniform(0.1, 10.0))
-            oracle.kl_regularized_optimum(pi_ref, rewards, beta)
+            _, delta_star = oracle.kl_regularized_optimum(pi_ref, rewards, beta)
+            if trial == 0:
+                adv = rewards - rewards.mean()
+                coeffs = objectives.rspo_loss(score.center_scores(delta_star), adv, beta)[1]
+                residual = np.abs(coeffs).max()
+                if not (residual <= 1e-12 * max(1.0, np.abs(adv).max())):  # NaN fails too
+                    raise AssertionError(f"rspo_loss coefficient {residual} at the fixed point")
 
     def proxy_gap():
         p = np.asarray([0.5, 0.5])

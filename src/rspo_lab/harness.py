@@ -194,10 +194,8 @@ class StepMetrics:
 
     def to_json_line(self) -> str:
         # wall times are serialized separately to keep the stream reproducible
-        obj = dataclasses.asdict(self)
-        obj.pop("wall_time")
-        obj.pop("phase_times")
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps({f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                           if f.name not in ("wall_time", "phase_times")}, sort_keys=True)
 
 
 @dataclass

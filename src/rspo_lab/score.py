@@ -11,7 +11,6 @@ of a centered batch, the deltas' variance and the mean centered score, are
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -114,25 +113,18 @@ class _MaskStack:
         if hits.shape[1] != l_c:
             raise ValueError(f"the mask batch is {hits.shape[1]} positions wide, "
                              f"the completions {l_c}")
-        self.k = len(masks) // n
-        # a stable sort by (completion, hits row) heads each run of equal
-        # masks with its first occurrence; numbering the runs by that mask
-        # gives each completion's distinct sets in first-occurrence order.
-        # Unlike np.unique this imports no numpy.ma
-        owner = np.repeat(np.arange(n), self.k)
-        order = np.lexsort((*hits.T, owner))
-        runs = hits[order]
-        head = np.ones(order.size, dtype=bool)
-        head[1:] = (np.diff(owner[order]) != 0) | (runs[1:] != runs[:-1]).any(axis=1)
-        firsts = order[head]
-        number = np.empty(firsts.size, dtype=np.intp)
-        number[np.argsort(firsts)] = np.arange(firsts.size)
-        self.mask_row = np.empty(order.size, dtype=np.intp)  # the stack row of each mask
-        self.mask_row[order] = number[np.cumsum(head) - 1]
-        firsts.sort()
-        masked = hits[firsts]
-        n_rows = np.bincount(owner[firsts], minlength=n)  # stack rows per completion
-        self.row_offsets = np.concatenate([[0], np.cumsum(n_rows)])  # completion -> stack rows
+        k = self.k = len(masks) // n
+        # one dict numbers each completion's distinct sets in first-occurrence
+        # order, a new key taking the dict's size; unlike np.unique this
+        # imports no numpy.ma (+1.7 MiB)
+        keys = zip(np.repeat(np.arange(n), k).tolist(),
+                   np.ascontiguousarray(hits).view(f"V{l_c}").ravel().tolist())
+        row_of = {}  # (completion, set bytes) -> stack row
+        self.mask_row = np.array([row_of.setdefault(key, len(row_of)) for key in keys])
+        # completion -> stack rows: a completion's rows end after its last, largest one
+        self.row_offsets = np.concatenate([[0], self.mask_row.reshape(n, k).max(axis=1) + 1])
+        n_rows = np.diff(self.row_offsets)
+        masked = np.frombuffer(b"".join([s for _, s in row_of]), dtype=bool).reshape(-1, l_c)
         self.sizes = masked.sum(axis=1)
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
         # a shared prompt, or one per completion under any leading axes, as Layout reads it
@@ -140,16 +132,13 @@ class _MaskStack:
         prompts = np.repeat(prompt.reshape(n, seqs.prompt_len), n_rows, axis=0)
         self.stack = Sequence(prompts, np.where(masked, MASKED_TOKEN, clean_rows))
         self.tokens = clean_rows[masked]  # the clean token at each forward row
-        self.starts = np.array([0, *itertools.accumulate(self.sizes.tolist())])  # stack row -> forward rows
-        # per set size s: its stack rows and their (rows, s) forward rows, from
-        # one stable sort by size (np.unique would import numpy.ma, +1.7 MiB)
-        by_size = np.argsort(self.sizes, kind="stable")
-        per_size = np.bincount(self.sizes)
-        ends = np.cumsum(per_size).tolist()
-        self.by_size = []
-        for s in np.flatnonzero(per_size).tolist():
-            rows = by_size[ends[s - 1]:ends[s]]
-            self.by_size.append((rows, self.starts[rows, None] + np.arange(s)))
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)])  # stack row -> forward rows
+        # per set size s, ascending: its stack rows, ascending, and their (rows, s) forward rows
+        by_size = {}
+        for row, size in enumerate(self.sizes.tolist()):
+            by_size.setdefault(size, []).append(row)
+        self.by_size = [(np.array(rows), np.add.outer(self.starts[rows], np.arange(s)))
+                        for s, rows in sorted(by_size.items())]
 
     def rows(self, params: DenoiserParams) -> denoiser.Rows:
         """The feature rows at the stack's masked positions, which the

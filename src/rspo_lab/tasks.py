@@ -193,32 +193,35 @@ def _sudoku4_candidates(grid: list[int], cell: int) -> list[int]:
     return [d for d in (1, 2, 3, 4) if d not in used]
 
 
-def _fill_sudoku4(grid: list[int], rng: np.random.Generator) -> bool:
-    """Fill the empty (0) cells of the 16 row-major cells in place, trying
-    each cell's candidates in a shuffled order."""
-    if 0 not in grid:
+def _fill_sudoku4(grid: list[int], rng: np.random.Generator, cell: int = 0) -> bool:
+    """Fill the empty (0) cells of the 16 row-major cells from ``cell`` on
+    in place, trying each cell's candidates in a shuffled order."""
+    while cell < 16 and grid[cell]:
+        cell += 1
+    if cell == 16:
         return True
-    cell = grid.index(0)
     cands = _sudoku4_candidates(grid, cell)
     rng.shuffle(cands)
     for d in cands:
         grid[cell] = d
-        if _fill_sudoku4(grid, rng):
+        if _fill_sudoku4(grid, rng, cell + 1):
             return True
     grid[cell] = 0
     return False
 
 
-def _count_sudoku4(grid: list[int], limit: int) -> int:
-    """Solutions of the 16 row-major cells, counted up to ``limit``; the
-    grid is restored before returning."""
-    if 0 not in grid:
+def _count_sudoku4(grid: list[int], limit: int, cell: int = 0) -> int:
+    """Solutions of the 16 row-major cells whose empty (0) cells lie from
+    ``cell`` on, counted up to ``limit``; the grid is restored before
+    returning."""
+    while cell < 16 and grid[cell]:
+        cell += 1
+    if cell == 16:
         return 1
-    cell = grid.index(0)
     total = 0
     for d in _sudoku4_candidates(grid, cell):
         grid[cell] = d
-        total += _count_sudoku4(grid, limit)
+        total += _count_sudoku4(grid, limit, cell + 1)
         if total >= limit:
             break
     grid[cell] = 0
@@ -291,10 +294,10 @@ def reward_sudoku4(instance: TaskInstance, completion_text: str,
     """Binary: 1 iff the parsed grid is complete, valid, and keeps the
     givens.  Partial: fraction of originally empty cells that match the
     unique solution."""
-    puzzle = np.asarray(instance.payload["puzzle"], dtype=np.int64).reshape(4, 4)
     grid = _parse_sudoku4_grid(completion_text)
     if grid is None:
         return 0.0
+    puzzle = np.asarray(instance.payload["puzzle"], dtype=np.int64).reshape(4, 4)
     if spec.mode == "binary":
         given = puzzle != 0
         if not valid_sudoku4(grid):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import RETIRED_KEYS
 import rspo_lab
-from rspo_lab import cli, denoiser, oracle, score, tasks
+from rspo_lab import cli, denoiser, objectives, oracle, score, tasks
 from rspo_lab.cli import build_parser, main
 
 
@@ -304,6 +304,37 @@ class TestAudit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
         assert all(ln.startswith("PASS ") for ln in lines[1:])
+
+    @staticmethod
+    def _only_centered_target_fails(capsys):
+        assert main(["audit", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[1].startswith("FAIL centered-kl-target-identity: ")
+        assert all(ln.startswith("PASS ") for ln in lines[:1] + lines[2:])
+
+    def test_flipped_feedback_sign_fails(self, capsys, monkeypatch):
+        # the oracle's own identity holds either way; only the production
+        # objective's coefficients can show the fault
+        def flipped(centered, advantages, lam):
+            w = np.asarray(advantages) + lam * np.asarray(centered)
+            return -float(np.mean(w * centered)), w
+
+        monkeypatch.setattr(objectives, "rspo_loss", flipped)
+        self._only_centered_target_fails(capsys)
+
+    def test_dropped_lam_fails(self, capsys, monkeypatch):
+        def plain(centered, advantages, lam):
+            w = np.asarray(advantages, dtype=np.float64)
+            return -float(np.mean(w * centered)), w
+
+        monkeypatch.setattr(objectives, "rspo_loss", plain)
+        self._only_centered_target_fails(capsys)
+
+    def test_uncentered_scores_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(score, "center_scores",
+                            lambda deltas, centering=True: np.asarray(deltas, dtype=np.float64))
+        self._only_centered_target_fails(capsys)
 
     def test_unsolvable_countdown_instance_fails(self, capsys, monkeypatch):
         def unreachable(rng):

@@ -543,6 +543,28 @@ class TestMaskStack:
             clean = np.array([seq.completion for seq in group])[owners]
             assert np.array_equal(stack.stack.completion, np.where(want_masked, MASKED_TOKEN, clean))
 
+    def test_non_contiguous_hits_match_a_contiguous_copy(self, rng):
+        # the stack keys each set by its bytes, so a Fortran-ordered or
+        # strided hits view must give the stack its contiguous copy gives
+        l_c, n = 6, 4
+        group = [Sequence(rng.integers(0, 4, size=2), rng.integers(0, 4, size=l_c)) for _ in range(n)]
+        hits = sample_mask_sets(l_c, 5, rng, n).hits
+        hits[1::5] = hits[::5]  # a repeated set in every completion
+        wide = np.zeros((2 * len(hits), 2 * l_c), dtype=bool)
+        wide[::2, ::2] = hits
+        views = [np.asfortranarray(hits), wide[::2, ::2]]
+        assert not any(v.flags.c_contiguous for v in views)
+        want = _MaskStack(stack_of(group), MaskBatch(hits.copy()))
+        for view in views:
+            got = _MaskStack(stack_of(group), MaskBatch(view))
+            for name in ("mask_row", "row_offsets", "sizes", "tokens", "starts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(got.stack.prompt, want.stack.prompt)
+            assert np.array_equal(got.stack.completion, want.stack.completion)
+            assert len(got.by_size) == len(want.by_size)
+            for (rows, cells), (want_rows, want_cells) in zip(got.by_size, want.by_size):
+                assert np.array_equal(rows, want_rows) and np.array_equal(cells, want_cells)
+
 
 class TestCentering:
     def test_centered_values_sum_to_zero(self):
