@@ -121,6 +121,8 @@ def cmd_audit(args) -> int:
                     raise AssertionError(f"rspo_loss coefficient {residual} at the fixed point")
 
     def proxy_gap():
+        """The oracle's self-check on one constant nearby pair: it draws
+        nothing, so it is seed-independent."""
         p = np.asarray([0.5, 0.5])
         q = np.asarray([0.51, 0.49])
         kl_pq, _, half_var = oracle.kl_proxy(p, q)
@@ -143,6 +145,15 @@ def cmd_audit(args) -> int:
         a, r = ar[:, 0], ar[:, 1]
         a -= a.mean(axis=1, keepdims=True)
         oracle.perturbation_bound_check(a, r, xi, 0.01)
+        # on the first 3 trials the loss that trains must equal the oracle's
+        # feedback loss at the perturbed centered scores, at lam and at 0
+        a, r, xi = a[:3], r[:3], xi[:3]
+        x = r - r.mean(axis=1, keepdims=True) + xi - xi.mean(axis=1, keepdims=True)
+        for lam in (0.01, 0.0):
+            for a_t, x_t, want in zip(a, x, oracle.feedback_loss(a, x, lam)):
+                got = objectives.rspo_loss(x_t, a_t, lam)[0]
+                if not (abs(got - want) <= 1e-12 * max(1.0, abs(want))):  # NaN fails too
+                    raise AssertionError(f"rspo_loss {got} vs feedback loss {want} at lam {lam}")
 
     def countdown_agreement():
         for _ in range(50):

@@ -196,6 +196,12 @@ def kl_proxy(p, q):
     return kl_pq, kl_qp, half_var
 
 
+def feedback_loss(a, x, lam: float):
+    """The feedback loss -mean((A - lam*x) * x) over the last axis: the
+    oracle's own expression of ``objectives.rspo_loss``'s first value."""
+    return -np.mean((a - lam * x) * x, axis=-1)
+
+
 @dataclass(frozen=True)
 class PerturbationBound:
     """Both sides of the two bounds: Python floats for one trial, arrays
@@ -234,14 +240,11 @@ def perturbation_bound_check(a_tilde, r_hat, xi, lam: float) -> PerturbationBoun
     def aw(x):
         return -np.mean(a * x, axis=-1)
 
-    def rspo_forward(x):
-        return -np.mean((a - lam * x) * x, axis=-1)
-
     def bnorm(x):
         return np.sqrt(np.mean(x**2, axis=-1))
 
     lhs_aw = np.abs(aw(d_hat) - aw(r))
-    lhs_rspo = np.abs(rspo_forward(d_hat) - rspo_forward(r))
+    lhs_rspo = np.abs(feedback_loss(a, d_hat, lam) - feedback_loss(a, r, lam))
     rhs_aw = 2.0 * eps * bnorm(a)
     # np.square, not **: a float64 scalar's ** 2 goes through libm pow, which can
     # round eps^2 one ulp away from the array path
@@ -316,24 +319,12 @@ def countdown_solvable(numbers, target: int) -> bool:
 def all_sudoku4_grids() -> np.ndarray:
     """Every complete 4x4 grid satisfying row/column/box constraints, as one
     read-only (288, 4, 4) array; the brute-force scan runs once."""
-    grids = []
+    def valid(rows):
+        return all(len(set(col)) == 4 for col in zip(*rows)) and all(
+            len(set(rows[r][c:c + 2] + rows[r + 1][c:c + 2])) == 4 for r in (0, 2) for c in (0, 2))
+
     perms = list(itertools.permutations((1, 2, 3, 4)))
-    for rows in itertools.product(perms, repeat=4):
-        g = np.asarray(rows, dtype=np.int64)
-        ok = True
-        for c in range(4):
-            if len(set(g[:, c])) != 4:
-                ok = False
-                break
-        if not ok:
-            continue
-        for br in (0, 2):
-            for bc in (0, 2):
-                if len(set(g[br:br + 2, bc:bc + 2].ravel())) != 4:
-                    ok = False
-        if ok:
-            grids.append(g)
-    catalogue = np.array(grids)
+    catalogue = np.array(list(filter(valid, itertools.product(perms, repeat=4))), dtype=np.int64)
     catalogue.flags.writeable = False
     return catalogue
 

@@ -17,6 +17,7 @@ score zero rather than raising.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -76,6 +77,19 @@ class TaskInstance:
 # ---------------------------------------------------------------------------
 
 
+def _exact_div(a: int, b: int) -> int | None:
+    """a / b when it is an integer; None for a zero divisor or a remainder."""
+    if b == 0 or a % b != 0:
+        return None
+    return a // b
+
+
+#: + - * and exact / in the generator's draw order; the grader looks each one
+#: up by the type of its AST operator node
+_OPERATORS = (operator.add, operator.sub, operator.mul, _exact_div)
+_AST_OPERATORS = dict(zip((ast.Add, ast.Sub, ast.Mult, ast.Div), _OPERATORS))
+
+
 def gen_countdown(rng: np.random.Generator) -> TaskInstance:
     """Sample three numbers from 1..9 and an achievable target by evaluating
     a random expression over all of them."""
@@ -96,23 +110,11 @@ def _random_expression_value(values: list[int], rng: np.random.Generator) -> int
     vals = [int(v) for v in values]
     while len(vals) > 1:
         i, j = rng.choice(len(vals), size=2, replace=False)
-        a, b = vals[int(i)], vals[int(j)]
-        op = int(rng.integers(4))
-        if op == 0:
-            c = a + b
-        elif op == 1:
-            c = a - b
-        elif op == 2:
-            c = a * b
-        else:
-            if b == 0 or a % b != 0:
-                return None
-            c = a // b
+        c = _OPERATORS[int(rng.integers(len(_OPERATORS)))](vals[int(i)], vals[int(j)])
+        if c is None:
+            return None
         vals = [v for k, v in enumerate(vals) if k not in (int(i), int(j))] + [c]
     return vals[0]
-
-
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 
 def _eval_countdown_expr(text: str) -> tuple[int, list[int]] | None:
@@ -132,20 +134,12 @@ def _eval_countdown_expr(text: str) -> tuple[int, list[int]] | None:
                 and not isinstance(node.value, bool):
             leaves.append(node.value)
             return node.value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+        if isinstance(node, ast.BinOp) and type(node.op) in _AST_OPERATORS:
             a = walk(node.left)
             b = walk(node.right)
             if a is None or b is None:
                 return None
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if b == 0 or a % b != 0:
-                return None  # only exact division counts
-            return a // b
+            return _AST_OPERATORS[type(node.op)](a, b)
         return None
 
     try:

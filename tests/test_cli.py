@@ -305,23 +305,38 @@ class TestAudit:
         assert lines[0].startswith("FAIL elbo-estimator-exactness: ")
         assert all(ln.startswith("PASS ") for ln in lines[1:])
 
-    @staticmethod
-    def _only_centered_target_fails(capsys):
+    CHECKS = ("elbo-estimator-exactness", "centered-kl-target-identity", "kl-variance-proxy",
+              "surrogate-error-bound", "countdown-generator-solvable")
+
+    @classmethod
+    def _only_these_fail(cls, capsys, *failing):
         assert main(["audit", "--seed", "1"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
-        assert lines[1].startswith("FAIL centered-kl-target-identity: ")
-        assert all(ln.startswith("PASS ") for ln in lines[:1] + lines[2:])
+        want = [("FAIL " if name in failing else "PASS ") + name for name in cls.CHECKS]
+        assert [ln.split(":")[0] for ln in lines] == want
 
     def test_flipped_feedback_sign_fails(self, capsys, monkeypatch):
         # the oracle's own identity holds either way; only the production
-        # objective's coefficients can show the fault
+        # objective can show the fault: its coefficients on the centered
+        # line, and its loss at lam > 0 on the surrogate line
         def flipped(centered, advantages, lam):
             w = np.asarray(advantages) + lam * np.asarray(centered)
             return -float(np.mean(w * centered)), w
 
         monkeypatch.setattr(objectives, "rspo_loss", flipped)
-        self._only_centered_target_fails(capsys)
+        self._only_these_fail(capsys, "centered-kl-target-identity", "surrogate-error-bound")
+
+    def test_flipped_loss_sign_fails(self, capsys, monkeypatch):
+        # right coefficients with a wrong loss: only the surrogate line
+        # compares rspo_loss's loss with the oracle's
+        rspo_loss = objectives.rspo_loss
+
+        def flipped(centered, advantages, lam):
+            loss, coeffs = rspo_loss(centered, advantages, lam)
+            return -loss, coeffs
+
+        monkeypatch.setattr(objectives, "rspo_loss", flipped)
+        self._only_these_fail(capsys, "surrogate-error-bound")
 
     def test_dropped_lam_fails(self, capsys, monkeypatch):
         def plain(centered, advantages, lam):
@@ -329,12 +344,12 @@ class TestAudit:
             return -float(np.mean(w * centered)), w
 
         monkeypatch.setattr(objectives, "rspo_loss", plain)
-        self._only_centered_target_fails(capsys)
+        self._only_these_fail(capsys, "centered-kl-target-identity", "surrogate-error-bound")
 
     def test_uncentered_scores_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(score, "center_scores",
                             lambda deltas, centering=True: np.asarray(deltas, dtype=np.float64))
-        self._only_centered_target_fails(capsys)
+        self._only_these_fail(capsys, "centered-kl-target-identity")
 
     def test_unsolvable_countdown_instance_fails(self, capsys, monkeypatch):
         def unreachable(rng):

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from rspo_lab.tasks import (
     RewardSpec,
     TaskInstance,
     _count_sudoku4,
+    _eval_countdown_expr,
     decode_tokens,
     encode_text,
     gen_arith,
@@ -64,6 +67,22 @@ class TestCountdown:
             digest.update(f"{inst.prompt_text}{numbers}{target}\n".encode())
         assert digest.hexdigest() == (
             "c53a7ec2827c322c3afac4472a1a3f467d27ed72575d6bff1157fe7cadba1f2f")
+
+    def test_grader_values_match_recorded_digest(self):
+        # (value, leaves) or None for every a p b q c over 0..5 and + - * /,
+        # in its three bracketings, and for (0-a) operands: division by zero,
+        # inexact division and negative floor division all take part
+        ops = "+-*/"
+        texts = []
+        for a, b, c in itertools.product(range(6), repeat=3):
+            for p, q in itertools.product(ops, repeat=2):
+                texts += [f"{a}{p}{b}{q}{c}", f"({a}{p}{b}){q}{c}", f"{a}{p}({b}{q}{c})"]
+        for a, b in itertools.product(range(6), repeat=2):
+            for p in ops:
+                texts += [f"(0-{a}){p}{b}", f"{a}{p}(0-{b})", f"(0-{a}){p}(0-{b})"]
+        blob = json.dumps([_eval_countdown_expr(text) for text in texts]).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d3ad28fb97dea18abe87e96120556fba33f11f526f92371a86f027d001bc82a2")
 
     def test_generated_targets_are_solvable(self):
         rng = np.random.default_rng(0)
