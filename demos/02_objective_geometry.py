@@ -12,7 +12,8 @@ Three things to see on a tiny synthetic batch:
 
 import numpy as np
 
-from rspo_lab.objectives import quad_gradient, quad_loss, rspo_loss, weighted_gradient
+from rspo_lab.objectives import rspo_loss, weighted_gradient
+from rspo_lab.oracle import quad_gradient, quad_loss
 from rspo_lab.score import center_scores
 
 

@@ -16,7 +16,6 @@ from .score import (
 )
 from .objectives import (
     group_advantages,
-    quad_loss,
     rspo_loss,
     weighted_gradient,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "elbo_terms",
     "group_advantages",
     "init_params",
-    "quad_loss",
     "rspo_loss",
     "run_experiment",
     "sample_mask_sets",

@@ -1,6 +1,7 @@
 """Objective layer: group-relative advantages, the relative-score feedback
-loss and its coefficients (at lam = 0, the advantage-weighted ablation), the
-matched quadratic comparison objective, and analytic gradient assembly.
+loss and its coefficients (at lam = 0, the advantage-weighted ablation), and
+analytic gradient assembly.  The matched quadratic objective whose gradient
+the feedback gradient equals is a reference, ``oracle.quad_loss``.
 
 Convention: every objective is a detached per-completion coefficient times
 the gradient of that completion's score, so one ``weighted_gradient``
@@ -31,45 +32,22 @@ def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
     return adv
 
 
-def _check(lam: float, *arrays) -> list[np.ndarray]:
-    """The arrays as float64, once their shapes match over a nonempty batch
-    and lam is finite and >= 0."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise ValueError("scores and advantages must align")
-    if not arrays[0].size:
-        raise ValueError("the batch is empty")
-    if not 0.0 <= lam < np.inf:  # NaN fails too
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    return arrays
-
-
 def rspo_loss(centered, advantages, lam: float) -> tuple[float, np.ndarray]:
     """Feedback loss, minus the batch mean of coefficient times centered
     score, and its coefficients ``A - lam * centered``: forward values of the
     residual, treated as constants in any gradient computation.  lam = 0
     reduces them to plain advantage weighting; ``np.abs(coeffs).max()`` is the
     fixed-point residual, zero iff every coefficient vanishes."""
-    centered, advantages = _check(lam, centered, advantages)
+    centered = np.asarray(centered, dtype=np.float64)
+    advantages = np.asarray(advantages, dtype=np.float64)
+    if centered.shape != advantages.shape:
+        raise ValueError("scores and advantages must align")
+    if not centered.size:
+        raise ValueError("the batch is empty")
+    if not 0.0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     w = advantages - lam * centered
     return -float(np.mean(w * centered)), w
-
-
-def quad_loss(deltas, centered, advantages, lam: float) -> float:
-    """Matched quadratic objective: -<A, delta>_B + (lam/2)||centered||^2_B."""
-    deltas, centered, advantages = _check(lam, deltas, centered, advantages)
-    linear = -float(np.mean(advantages * deltas))
-    return linear + 0.5 * lam * float(np.mean(centered**2))
-
-
-def _grads(score_grads, n: int) -> list[np.ndarray]:
-    """The score gradients as float64, once there are ``n`` > 0 of them."""
-    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
-    if len(grads) != n:
-        raise ValueError("need one score gradient per sample")
-    if not grads:
-        raise ValueError("the batch is empty")
-    return grads
 
 
 def weighted_gradient(coeffs, score_grads) -> np.ndarray:
@@ -78,22 +56,12 @@ def weighted_gradient(coeffs, score_grads) -> np.ndarray:
     bit-reproducibility.  RSPO's coefficients are ``rspo_loss``'s second
     value."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    grads = _grads(score_grads, coeffs.size)
+    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
+    if len(grads) != coeffs.size:
+        raise ValueError("need one score gradient per sample")
+    if not grads:
+        raise ValueError("the batch is empty")
     total = np.zeros_like(grads[0])
     for c, g in zip(coeffs, grads):
         total += c * g
     return -total / coeffs.size
-
-
-def quad_gradient(centered, advantages, lam: float, score_grads) -> np.ndarray:
-    """Gradient of the matched quadratic objective, assembled term by term
-    (linear part plus penalty part) from the same score gradients."""
-    centered, advantages = _check(lam, centered, advantages)
-    n = advantages.size
-    grads = _grads(score_grads, n)
-    linear = np.zeros_like(grads[0])
-    penalty = np.zeros_like(grads[0])
-    for a, c, g in zip(advantages, centered, grads):
-        linear += a * g
-        penalty += c * g
-    return -linear / n + lam * penalty / n

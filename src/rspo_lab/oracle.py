@@ -4,8 +4,9 @@ Everything here is a separate code path from the estimators it checks: a
 per-position loop for the denoiser features and a one-sequence forward on
 top of it, exhaustive mask enumeration for the sequence score, dynamic
 programming for the exact reverse-chain likelihood, softmax optima for
-KL-regularized improvement, exact KL computations, and the
-surrogate-error bound, checked over a stack of trials in one call.  Both
+KL-regularized improvement, exact KL computations, the feedback loss and
+the matched quadratic objective with its gradient, and the surrogate-error
+bound, checked over a stack of trials in one call.  Both
 likelihood oracles take their log-probabilities from that loop forward and
 read only the parameter arrays of the model, so no oracle runs the
 production denoiser code it checks.  Oracles run inside the test suite and
@@ -200,6 +201,35 @@ def feedback_loss(a, x, lam: float):
     """The feedback loss -mean((A - lam*x) * x) over the last axis: the
     oracle's own expression of ``objectives.rspo_loss``'s first value."""
     return -np.mean((a - lam * x) * x, axis=-1)
+
+
+def quad_loss(deltas, centered, advantages, lam: float) -> float:
+    """Matched quadratic objective -<A, delta>_B + (lam/2)||centered||^2_B,
+    the regression of the centered scores onto A/lam whose gradient is the
+    feedback gradient."""
+    deltas, centered, advantages = (np.asarray(v, dtype=np.float64)
+                                    for v in (deltas, centered, advantages))
+    if not deltas.shape == centered.shape == advantages.shape:
+        raise ValueError("scores and advantages must align")
+    linear = -float(np.mean(advantages * deltas))
+    return linear + 0.5 * lam * float(np.mean(centered**2))
+
+
+def quad_gradient(centered, advantages, lam: float, score_grads) -> np.ndarray:
+    """Gradient of the matched quadratic objective, assembled term by term
+    (linear part plus penalty part) from the same score gradients."""
+    centered = np.asarray(centered, dtype=np.float64)
+    advantages = np.asarray(advantages, dtype=np.float64)
+    grads = [np.asarray(g, dtype=np.float64) for g in score_grads]
+    if not centered.shape == advantages.shape == (len(grads),):
+        raise ValueError("scores, advantages and score gradients must align")
+    n = advantages.size
+    linear = np.zeros_like(grads[0])
+    penalty = np.zeros_like(grads[0])
+    for a, c, g in zip(advantages, centered, grads):
+        linear += a * g
+        penalty += c * g
+    return -linear / n + lam * penalty / n
 
 
 @dataclass(frozen=True)

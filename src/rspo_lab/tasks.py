@@ -55,15 +55,6 @@ def decode_tokens(tokens) -> str:
     return "".join([_ID_CHARS.get(t, MASK_CHAR) for t in np.asarray(tokens, dtype=np.int64).tolist()])
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    mode: str = "binary"  # "binary" | "partial"
-
-    def __post_init__(self):
-        if self.mode not in ("binary", "partial"):
-            raise ValueError(f"unknown reward mode {self.mode!r}")
-
-
 @dataclass
 class TaskInstance:
     kind: str
@@ -283,22 +274,27 @@ def _parse_sudoku4_grid(completion_text: str) -> np.ndarray | None:
     return np.asarray(digits[:16], dtype=np.int64).reshape(4, 4)
 
 
-def reward_sudoku4(instance: TaskInstance, completion_text: str,
-                   spec: RewardSpec = RewardSpec()) -> float:
-    """Binary: 1 iff the parsed grid is complete, valid, and keeps the
-    givens.  Partial: fraction of originally empty cells that match the
-    unique solution."""
+def reward_sudoku4(instance: TaskInstance, completion_text: str) -> float:
+    """1 iff the parsed grid is complete, valid, and keeps the givens."""
     grid = _parse_sudoku4_grid(completion_text)
     if grid is None:
         return 0.0
     puzzle = np.asarray(instance.payload["puzzle"], dtype=np.int64).reshape(4, 4)
-    if spec.mode == "binary":
-        given = puzzle != 0
-        if not valid_sudoku4(grid):
-            return 0.0
-        if not np.array_equal(grid[given], puzzle[given]):
-            return 0.0
-        return 1.0
+    given = puzzle != 0
+    if not valid_sudoku4(grid):
+        return 0.0
+    if not np.array_equal(grid[given], puzzle[given]):
+        return 0.0
+    return 1.0
+
+
+def sudoku4_partial_credit(instance: TaskInstance, completion_text: str) -> float:
+    """Fraction of the originally empty cells that match the unique
+    solution; 0 when the completion holds fewer than 16 digits."""
+    grid = _parse_sudoku4_grid(completion_text)
+    if grid is None:
+        return 0.0
+    puzzle = np.asarray(instance.payload["puzzle"], dtype=np.int64).reshape(4, 4)
     solution = np.asarray(instance.payload["solution"], dtype=np.int64).reshape(4, 4)
     holes = puzzle == 0
     return float(np.sum(grid[holes] == solution[holes])) / float(np.sum(holes))
@@ -346,27 +342,24 @@ class Task:
     modulus.  The generators are looked up in this module per call, so a
     wrapper set on ``tasks.gen_arith`` sees every draw."""
     generate: Callable[[np.random.Generator, int], TaskInstance]
-    grade: Callable[[TaskInstance, str, RewardSpec], float]
+    grade: Callable[[TaskInstance, str], float]
     prompt_width: Callable[[int], int]
     reads_modulus: bool = False
 
 
 TASKS = {
-    "arith": Task(lambda rng, modulus: gen_arith(rng, modulus),
-                  lambda inst, text, spec: reward_arith(inst, text),
+    "arith": Task(lambda rng, modulus: gen_arith(rng, modulus), reward_arith,
                   lambda modulus: 2 * len(str(modulus - 1)) + 3, reads_modulus=True),
     # four 1-digit numbers and a 2-digit target, though prompts have three
     # numbers: kept, as it sets n_positions and so theta's size
-    "countdown": Task(lambda rng, modulus: gen_countdown(rng),
-                      lambda inst, text, spec: reward_countdown(inst, text),
+    "countdown": Task(lambda rng, modulus: gen_countdown(rng), reward_countdown,
                       lambda modulus: 4 * 2 + 3 + 3),
     "sudoku4": Task(lambda rng, modulus: gen_sudoku4(rng), reward_sudoku4,
                     lambda modulus: 17),  # 16 givens + '='
 }
 
 
-def reward(instance: TaskInstance, completion_text: str,
-           spec: RewardSpec = RewardSpec()) -> float:
+def reward(instance: TaskInstance, completion_text: str) -> float:
     if instance.kind not in TASKS:
         raise ValueError(f"unknown task kind {instance.kind!r}")
-    return TASKS[instance.kind].grade(instance, completion_text, spec)
+    return TASKS[instance.kind].grade(instance, completion_text)

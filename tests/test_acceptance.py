@@ -136,7 +136,7 @@ def test_criterion_02_first_order_equivalence(rng):
         lam = float(rng.uniform(0, 1))
         grads = [rng.normal(size=7) for _ in range(n)]
         a = feedback_gradient(centered, adv, lam, grads)
-        b = objectives.quad_gradient(centered, adv, lam, grads)
+        b = oracle.quad_gradient(centered, adv, lam, grads)
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-12
     print(f"PASS criterion-02 first-order-equivalence (max abs diff {worst:.2e})")

@@ -492,6 +492,58 @@ class TestImports:
         assert done.stdout.strip() == "False"
 
 
+class TestProcess:
+    def test_cli_as_a_process(self, tmp_path):
+        # the CLI in fresh interpreters, warnings as errors wherever a run is
+        # due: a retired key loads at its one value from a variable, and at
+        # any other value is a usage error, exit status 2 before any run. Each
+        # of the ten config flags lands on the config.json key it names. A
+        # 400-digit lambda and an out_dir below a regular file are usage
+        # errors too, and leave no run directory. ablate runs a 1-step
+        # lambda x centering grid and lists its 4 runs
+        src = str(Path(rspo_lab.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("RSPO_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def cli(*argv, status=0, strict=True, **variables):
+            done = subprocess.run(
+                [sys.executable, *(["-W", "error"] if strict else []), "-m", "rspo_lab.cli",
+                 *map(str, argv)],
+                cwd=tmp_path, env={**env, **variables}, capture_output=True, text=True, timeout=300)
+            assert done.returncode == status, (argv, done.stderr)
+
+        cli("audit", "--seed", "0")
+        cli("train", "--steps", "2", "--out", tmp_path / "a")
+        cli("train", "--lambda", "0.5", "--group-size", "4", "--k-masks", "3", "--steps", "1",
+            "--seed", "5", "--no-centering", "--no-reference", "--normalize-adv",
+            "--task", "sudoku4", "--out", tmp_path / "d")
+        cfg = json.loads((tmp_path / "d" / "config.json").read_text())
+        want = {"lambda": 0.5, "group_size": 4, "k_masks": 3, "steps": 1, "seed": 5,
+                "centering": False, "reference": False, "normalize_adv": True,
+                "task": "sudoku4", "out_dir": str(tmp_path / "d")}
+        assert {k: cfg[k] for k in want} == want
+        cli("train", "--config", tmp_path / "a" / "config.json", "--steps", "2",
+            "--out", tmp_path / "b", RSPO_BETA1="0.9")
+
+        cli("train", "--out", tmp_path / "c", status=2, strict=False, RSPO_WEIGHT_DECAY="0.1")
+        assert not (tmp_path / "c").exists()
+        (tmp_path / "huge.json").write_text('{"lambda": 1' + "0" * 400 + "}")
+        cli("train", "--config", tmp_path / "huge.json", "--out", tmp_path / "e", status=2, strict=False)
+        assert not (tmp_path / "e").exists()
+        (tmp_path / "file").touch()
+        cli("train", "--steps", "1", "--out", tmp_path / "file" / "f", status=2, strict=False)
+        assert (tmp_path / "file").is_file() and (tmp_path / "file").stat().st_size == 0
+
+        grid = {"steps": 1, "out_dir": str(tmp_path / "g"),
+                "grid": {"lambda": [0.0, 0.5], "centering": [True, False]}}
+        (tmp_path / "g.json").write_text(json.dumps(grid))
+        cli("ablate", "--matrix", tmp_path / "g.json")
+        summaries = json.loads((tmp_path / "g" / "ablation_summaries.json").read_text())
+        assert sorted(s["run"] for s in summaries) == [
+            "centering=False_lambda=0.0", "centering=False_lambda=0.5",
+            "centering=True_lambda=0.0", "centering=True_lambda=0.5"]
+
+
 class TestAblate:
     def test_grid_runs_every_combination(self, tmp_path, capsys):
         matrix = smoke_config_obj(tmp_path / "grid", steps=1)

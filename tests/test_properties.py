@@ -18,15 +18,20 @@ from rspo_lab.tasks import (
     gen_countdown,
     gen_sudoku4,
     reward,
+    sudoku4_partial_credit,
 )
 
 INSTANCES = [gen(np.random.default_rng(0)) for gen in (gen_arith, gen_countdown, gen_sudoku4)]
+#: every grader with an instance it grades: ``reward`` per task, then partial credit
+GRADERS = [(reward, inst) for inst in INSTANCES] + [(sudoku4_partial_credit, INSTANCES[2])]
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(), which=st.sampled_from(range(len(INSTANCES))))
+@given(text=st.one_of(st.text(), st.text(alphabet="0123456789 ", min_size=16)),
+       which=st.sampled_from(range(len(GRADERS))))
 def test_reward_is_total(text, which):
-    r = reward(INSTANCES[which], text)
+    grade, inst = GRADERS[which]
+    r = grade(inst, text)
     assert math.isfinite(r) and 0.0 <= r <= 1.0
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,7 +13,6 @@ from rspo_lab.tasks import (
     MASK_ID,
     TASKS,
     VOCAB_SIZE,
-    RewardSpec,
     TaskInstance,
     _count_sudoku4,
     _eval_countdown_expr,
@@ -28,6 +26,7 @@ from rspo_lab.tasks import (
     reward_countdown,
     reward_sudoku4,
     split_by_solution,
+    sudoku4_partial_credit,
     valid_sudoku4,
 )
 
@@ -187,16 +186,15 @@ class TestSudoku4:
         inst = gen_sudoku4(rng, holes=4)
         solution = np.asarray(inst.payload["solution"]).reshape(4, 4)
         puzzle = np.asarray(inst.payload["puzzle"]).reshape(4, 4)
-        spec = RewardSpec(mode="partial")
         sol_text = "".join(str(d) for d in solution.ravel())
-        assert reward_sudoku4(inst, sol_text, spec) == 1.0
+        assert sudoku4_partial_credit(inst, sol_text) == 1.0
         # corrupt exactly one hole cell
         holes = np.argwhere(puzzle == 0)
         r, c = holes[0]
         wrong = solution.copy()
         wrong[r, c] = wrong[r, c] % 4 + 1
         text = "".join(str(d) for d in wrong.ravel())
-        assert reward_sudoku4(inst, text, spec) == pytest.approx(3 / 4)
+        assert sudoku4_partial_credit(inst, text) == pytest.approx(3 / 4)
 
     def test_split_keeps_solutions_apart(self):
         rng = np.random.default_rng(7)
@@ -239,21 +237,13 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             reward(TaskInstance("mystery", "", {}), "x")
 
-    def test_reward_passes_the_spec_to_the_grader(self):
+    def test_reward_grades_sudoku4_binary(self):
         inst = gen_sudoku4(np.random.default_rng(6), holes=4)
         grid = list(inst.payload["solution"])
         hole = inst.payload["puzzle"].index(0)
         grid[hole] = grid[hole] % 4 + 1  # one of the four holes wrong
         text = "".join(map(str, grid))
         assert reward(inst, text) == 0.0
-        assert reward(inst, text, RewardSpec(mode="partial")) == 0.75
-
-    def test_reward_spec_is_frozen(self):
-        # reward's default spec is shared by every call that omits one
-        spec = RewardSpec()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.mode = "partial"
-        assert spec.mode == "binary"
 
 
 class TestTaskRecords:
