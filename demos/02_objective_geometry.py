@@ -12,9 +12,8 @@ Three things to see on a tiny synthetic batch:
 
 import numpy as np
 
-from rspo_lab.objectives import rspo_loss, weighted_gradient
+from rspo_lab.objectives import center, rspo_loss, weighted_gradient
 from rspo_lab.oracle import quad_gradient, quad_loss
-from rspo_lab.score import center_scores
 
 
 def feedback_gradient(centered, adv, lam, grads):
@@ -36,19 +35,19 @@ def main():
     print(f"{'alpha':>6} {'loss':>10} {'quad':>10} {'|grad|':>10} {'residual':>10}")
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         deltas = alpha * target + (1 - alpha) * rng.normal(size=4) * 0.1
-        centered = center_scores(deltas)
+        centered = center(deltas)
         loss, coeffs = rspo_loss(centered, adv, lam)
         quad = quad_loss(deltas, centered, adv, lam)
         g = weighted_gradient(coeffs, grads)
         res = np.abs(coeffs).max()  # the fixed-point residual
         print(f"{alpha:6.2f} {loss:10.4f} {quad:10.4f} {np.linalg.norm(g):10.2e} {res:10.2e}")
-    g = feedback_gradient(center_scores(target), adv, lam, grads)
+    g = feedback_gradient(center(target), adv, lam, grads)
     print(f"  at the fixed point exactly: |grad| = {np.linalg.norm(g):.1e}")
     print()
 
     print("=== gradient agreement, forward disagreement ===")
     deltas = rng.normal(size=4)
-    centered = center_scores(deltas)
+    centered = center(deltas)
     g_feedback = feedback_gradient(centered, adv, lam, grads)
     g_quad = quad_gradient(centered, adv, lam, grads)
     print(f"max |feedback grad - quad grad| = {np.max(np.abs(g_feedback - g_quad)):.2e}")
@@ -60,7 +59,7 @@ def main():
 
     print("=== what centering does ===")
     shifted = rng.normal(size=4) + 3.0  # scores with a large common offset
-    centered, raw = center_scores(shifted), center_scores(shifted, centering=False)
+    centered, raw = center(shifted), shifted
     on, _ = rspo_loss(centered, adv, 0.0)
     off, _ = rspo_loss(raw, adv, 0.0)
     print(f"advantage-weighted forward value, centered:   {on:.10f}")

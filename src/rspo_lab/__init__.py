@@ -9,12 +9,12 @@ from .denoiser import DenoiserParams, init_params
 from .mdm import DecodeConfig, decode
 from .score import (
     MaskBatch,
-    center_scores,
     coupled_deltas_and_grads,
     elbo_terms,
     sample_mask_sets,
 )
 from .objectives import (
+    center,
     group_advantages,
     rspo_loss,
     weighted_gradient,
@@ -32,7 +32,7 @@ __all__ = [
     "Sequence",
     "StepMetrics",
     "adam_update",
-    "center_scores",
+    "center",
     "coupled_deltas_and_grads",
     "decode",
     "elbo_terms",

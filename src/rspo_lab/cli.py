@@ -114,8 +114,8 @@ def cmd_audit(args) -> int:
             beta = float(rng.uniform(0.1, 10.0))
             _, delta_star = oracle.kl_regularized_optimum(pi_ref, rewards, beta)
             if trial == 0:
-                adv = rewards - rewards.mean()
-                coeffs = objectives.rspo_loss(score.center_scores(delta_star), adv, beta)[1]
+                adv = objectives.group_advantages(rewards)
+                coeffs = objectives.rspo_loss(objectives.center(delta_star), adv, beta)[1]
                 residual = np.abs(coeffs).max()
                 if not (residual <= 1e-12 * max(1.0, np.abs(adv).max())):  # NaN fails too
                     raise AssertionError(f"rspo_loss coefficient {residual} at the fixed point")

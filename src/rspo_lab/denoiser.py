@@ -31,7 +31,13 @@ ARCHITECTURE = ("vocab_size", "window", "hidden", "embed_dim", "n_positions")
 
 def _section_shapes(vocab_size, window, hidden, embed_dim, n_positions) -> list[tuple[int, ...]]:
     """Shapes of the embed, w1, b1, w2, b2 sections of the flat parameter
-    vector, in storage order; w1 is (hidden, feature dimension)."""
+    vector, in storage order; w1 is (hidden, feature dimension).  A
+    degenerate architecture, a ``window`` below 0 or another field below 1,
+    raises ``ValueError`` naming the field."""
+    for name, value in zip(ARCHITECTURE, (vocab_size, window, hidden, embed_dim, n_positions)):
+        least = 0 if name == "window" else 1
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
     f = n_positions + 2 * window * embed_dim + 1
     return [(vocab_size, embed_dim), (hidden, f), (hidden,), (vocab_size, hidden), (vocab_size,)]
 

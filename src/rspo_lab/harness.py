@@ -298,7 +298,7 @@ def train_step(state: TrainState, cfg: RunConfig) -> tuple[TrainState, StepMetri
         state.params, state.ref_params if cfg.reference else None, stack, masks)
     marks.append(time.perf_counter())
 
-    centered = score.center_scores(deltas, cfg.centering)
+    centered = objectives.center(deltas) if cfg.centering else deltas
     loss, coeffs = objectives.rspo_loss(centered, adv, cfg.lam)
     grad = objectives.weighted_gradient(coeffs, grads)
 
@@ -498,10 +498,9 @@ def run_experiment(cfg: RunConfig) -> tuple[TrainState, dict]:
         var_tail = float(np.mean([r["var_delta"] for r in rows[-10:]]))
         offset_tail = float(np.mean([abs(r["batch_mean_offset"]) for r in rows]))
     else:
-        # the untouched initialization; one generator for prompts and rollouts,
-        # as recorded steps=0 summaries were drawn
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
-        final_reward = float(np.mean(_grade(*_rollout(state.params, cfg, rng, rng))))
+        # the untouched initialization, graded on step 0's prompts and rollouts
+        prompt_rng, rollout_rng, _ = _step_rngs(cfg, 0)
+        final_reward = float(np.mean(_grade(*_rollout(state.params, cfg, prompt_rng, rollout_rng))))
         var_tail = 0.0
         offset_tail = 0.0
 

@@ -1,7 +1,9 @@
-"""Objective layer: group-relative advantages, the relative-score feedback
-loss and its coefficients (at lam = 0, the advantage-weighted ablation), and
-analytic gradient assembly.  The matched quadratic objective whose gradient
-the feedback gradient equals is a reference, ``oracle.quad_loss``.
+"""Objective layer: the one centering rule, which forms both the
+group-relative advantages and the centered scores, the relative-score
+feedback loss and its coefficients (at lam = 0, the advantage-weighted
+ablation), and analytic gradient assembly.  The matched quadratic objective
+whose gradient the feedback gradient equals is a reference,
+``oracle.quad_loss``.
 
 Convention: every objective is a detached per-completion coefficient times
 the gradient of that completion's score, so one ``weighted_gradient``
@@ -18,15 +20,24 @@ import numpy as np
 ADV_EPSILON = 1e-4  # added to the group's reward std when normalizing
 
 
+def center(values) -> np.ndarray:
+    """The values minus their mean along the last axis, as float64.  The
+    mean is a detached constant in any gradient computation, so a centered
+    score's gradient is the raw score's; centered values sum to zero along
+    that axis in the forward pass."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim < 1 or values.shape[-1] < 2:
+        raise ValueError("centering needs at least 2 values along the last axis")
+    return values - values.mean(axis=-1, keepdims=True)
+
+
 def group_advantages(rewards, normalize: bool = False) -> np.ndarray:
     """Zero-sum advantages for prompt groups along the last axis of
-    ``rewards``: rewards minus their group's mean, optionally divided by the
-    group's population reward std plus the stabilizer.  Zero-variance groups
-    are retained (all advantages zero)."""
+    ``rewards``: ``center(rewards)``, optionally divided by the group's
+    population reward std plus the stabilizer.  Zero-variance groups are
+    retained (all advantages zero)."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim < 1 or rewards.shape[-1] < 2:
-        raise ValueError("group size must be >= 2")
-    adv = rewards - rewards.mean(axis=-1, keepdims=True)
+    adv = center(rewards)
     if normalize:
         adv = adv / (rewards.std(axis=-1, keepdims=True) + ADV_EPSILON)
     return adv

@@ -1,12 +1,8 @@
-"""ELBO-based sequence scoring with coupled masks and detached centering.
+"""ELBO-based sequence scoring with coupled masks.
 
 Scores are likelihood-oriented throughout: a larger value means the model
-assigns higher estimated likelihood to the completion.  Centering subtracts
-the micro-batch mean as a constant; gradients of centered scores equal
-gradients of raw scores by construction.  Scoring takes the stacked
-``Sequence`` that ``mdm.decode`` returns as it is.  The step's diagnostics
-of a centered batch, the deltas' variance and the mean centered score, are
-``harness.StepMetrics`` fields computed where the step records them.
+assigns higher estimated likelihood to the completion.  Scoring takes the
+stacked ``Sequence`` that ``mdm.decode`` returns as it is.
 """
 
 from __future__ import annotations
@@ -176,7 +172,7 @@ class _MaskStack:
         rows = self.rows(params_cur)
         ref = 0.0 if params_ref is None else self.terms(denoiser.forward(params_ref, rows)[0]).mean(axis=1)
         fwd = denoiser.forward(params_cur, rows)
-        return ((self.terms(fwd[0]).mean(axis=1) - ref) / self.clean.shape[1]).tolist(), fwd
+        return (self.terms(fwd[0]).mean(axis=1) - ref) / self.clean.shape[1], fwd
 
 
 def elbo_terms(params: DenoiserParams, seqs: Sequence, masks: MaskBatch) -> np.ndarray:
@@ -197,11 +193,12 @@ def coupled_deltas_and_grads(
     params_ref: DenoiserParams | None,
     seqs: Sequence,
     masks: MaskBatch,
-) -> tuple[list[float], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per completion of ``seqs`` under its masks, both read as
     ``elbo_terms`` reads them: the per-token current-reference score difference
     (the difference of the mean ``elbo_terms`` of the two models, divided by
-    the completion length) and its gradient w.r.t. the current theta.
+    the completion length), as one float64 ``(n,)`` array, and its gradient
+    w.r.t. the current theta.
 
     The same masks evaluate both models, so identical parameters give
     exactly zero.  Without a reference (``params_ref`` None) the delta is
@@ -217,13 +214,3 @@ def coupled_deltas_and_grads(
     deltas, fwd = stack.deltas(params_cur, params_ref)
     return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
 
-
-def center_scores(deltas, centering: bool = True) -> np.ndarray:
-    """The deltas minus their detached micro-batch mean, as float64.  The
-    center is a constant in any gradient computation; centered values sum to
-    zero in the forward pass.  ``centering=False`` is the ablation: the raw
-    deltas pass through."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if centering and deltas.size < 2:
-        raise ValueError("centering needs a batch of at least 2 scores")
-    return deltas - float(deltas.mean()) if centering else deltas

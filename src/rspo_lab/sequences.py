@@ -22,9 +22,12 @@ MASKED_TOKEN = -1
 
 def _token_ids(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; a value that is not an integer, such as
-    2.5 or NaN, raises ``ValueError`` naming ``name`` instead of truncating."""
+    2.5 or NaN, or a bool array, raises ``ValueError`` naming ``name``
+    instead of truncating or reading the bools as 0 and 1."""
     values = np.asarray(values)
-    if values.dtype.kind in "biu":  # already integers: no check, no copy at int64
+    if values.dtype == bool:
+        raise ValueError(f"{name} token ids must be integers, got a bool array")
+    if values.dtype.kind in "iu":  # already integers: no check, no copy at int64
         return values.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # NaN, inf and overflow cast to a mismatch
         ids = values.astype(np.int64)

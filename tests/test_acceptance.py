@@ -105,7 +105,7 @@ def test_criterion_01_gradient_identity(rng):
             ])
 
         d0 = deltas_at(params.theta)
-        centered = score.center_scores(d0)
+        centered = objectives.center(d0)
         _, grads = score.coupled_deltas_and_grads(params, ref, seqs, mask_sets)
         grad = feedback_gradient(centered, adv, lam, grads)
 
@@ -131,7 +131,7 @@ def test_criterion_02_first_order_equivalence(rng):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 10))
-        centered = score.center_scores(rng.normal(size=n))
+        centered = objectives.center(rng.normal(size=n))
         adv = zero_sum_adv(rng, n)
         lam = float(rng.uniform(0, 1))
         grads = [rng.normal(size=7) for _ in range(n)]
@@ -152,7 +152,7 @@ def test_criterion_03_reference_point_equality(rng):
     mask_sets = score.sample_mask_sets(seqs.completion_len, 2, rng, len(seqs.completion))
     deltas, grads = score.coupled_deltas_and_grads(params, params.copy(), seqs, mask_sets)
     assert all(d == 0.0 for d in deltas)
-    centered = score.center_scores(deltas)
+    centered = objectives.center(deltas)
     adv = objectives.group_advantages([1.0, 0.0, 0.0, 1.0])
     g_feedback = feedback_gradient(centered, adv, 0.01, grads)
     g_aw = feedback_gradient(centered, adv, 0.0, grads)
@@ -164,8 +164,8 @@ def test_criterion_03_reference_point_equality(rng):
     for _ in range(50):
         d = rng.normal(size=6) + rng.normal()
         adv = zero_sum_adv(rng, 6)
-        on, _ = objectives.rspo_loss(score.center_scores(d), adv, 0.0)
-        off, _ = objectives.rspo_loss(score.center_scores(d, centering=False), adv, 0.0)
+        on, _ = objectives.rspo_loss(objectives.center(d), adv, 0.0)
+        off, _ = objectives.rspo_loss(d, adv, 0.0)
         worst = max(worst, abs(on - off))
     assert worst <= 1e-12
     print(f"PASS criterion-03 reference-point-equality (forward gap {worst:.2e})")
@@ -177,7 +177,7 @@ def test_criterion_03_reference_point_equality(rng):
 def test_criterion_04_fixed_point(rng):
     lam = 0.25
     adv = np.array([0.5, -0.5, 0.25, -0.25])  # dyadic, exactly zero-sum
-    centered = score.center_scores(adv / lam)
+    centered = objectives.center(adv / lam)
     grads = [rng.normal(size=8) for _ in range(4)]
     grad = feedback_gradient(centered, adv, lam, grads)
     assert float(np.linalg.norm(grad)) <= 1e-12
@@ -194,7 +194,7 @@ def test_criterion_04_fixed_point(rng):
     row_grads = list(g_mat)
 
     def state_at(theta):
-        centered = score.center_scores(g_mat @ theta)
+        centered = objectives.center(g_mat @ theta)
         grad = feedback_gradient(centered, adv, lam, row_grads)
         residual = residual_of(centered, adv, lam)
         return float(np.linalg.norm(grad)), residual

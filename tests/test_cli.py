@@ -347,8 +347,15 @@ class TestAudit:
         self._only_these_fail(capsys, "centered-kl-target-identity", "surrogate-error-bound")
 
     def test_uncentered_scores_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(score, "center_scores",
-                            lambda deltas, centering=True: np.asarray(deltas, dtype=np.float64))
+        monkeypatch.setattr(objectives, "center",
+                            lambda values: np.asarray(values, dtype=np.float64))
+        self._only_these_fail(capsys, "centered-kl-target-identity")
+
+    def test_flipped_advantage_sign_fails(self, capsys, monkeypatch):
+        # the fixed-point line takes its advantages from the code that trains
+        group_advantages = objectives.group_advantages
+        monkeypatch.setattr(objectives, "group_advantages",
+                            lambda rewards, normalize=False: -group_advantages(rewards, normalize))
         self._only_these_fail(capsys, "centered-kl-target-identity")
 
     def test_unsolvable_countdown_instance_fails(self, capsys, monkeypatch):

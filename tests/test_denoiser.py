@@ -5,7 +5,8 @@ import pytest
 
 from conftest import central_diff, forward_on, logprob_table, tiny_params, tiny_sequence
 from rspo_lab.denoiser import Layout, Rows, backward, forward, init_params, row_max
-from rspo_lab.harness import params_from_bytes, params_to_bytes
+from rspo_lab.harness import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              load_checkpoint, params_from_bytes, params_to_bytes)
 from rspo_lab.oracle import loop_features, loop_logprobs
 from rspo_lab.sequences import Sequence
 
@@ -417,6 +418,21 @@ class TestCheckpoints:
                          (len(blob) - 1, "truncated params theta")):
             with pytest.raises(ValueError, match=msg):
                 params_from_bytes(blob[:cut])
+
+    def test_all_zero_architecture_rejected(self, tmp_path):
+        # right magic and version, every field zero: a 0-parameter model
+        blob = CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *[0] * 7)
+        with pytest.raises(ValueError, match="^vocab_size must be >= 1, got 0$"):
+            params_from_bytes(blob)
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="^current params: vocab_size must be >= 1, got 0$"):
+            load_checkpoint(path)
+
+    def test_negative_window_rejected(self):
+        # window -1 would shrink the feature width below the position one-hot's
+        with pytest.raises(ValueError, match="^window must be >= 0, got -1$"):
+            init_params(21, window=-1)
 
     def test_theta_metadata_consistency_enforced(self):
         params = tiny_params(seed=0)

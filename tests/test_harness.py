@@ -332,7 +332,7 @@ class TestMovingPolicyStep:
                     params, ref, Sequence(prompt, c), masks)
                 deltas.append(delta)
                 grads.append(grad)
-        centered = score.center_scores(deltas)
+        centered = objectives.center(deltas)
         grad = objectives.weighted_gradient(
             objectives.rspo_loss(centered, advantages, cfg.lam)[1], grads)
         theta, _, _ = adam_update(params.theta, grad, state.m, state.v, state.step + 1, cfg.lr)
@@ -509,6 +509,15 @@ class TestRunExperiment:
             _, summary = run_experiment(smoke_config(tmp_path, steps=0, seed=seed))
             assert summary["final_reward"] == reward
             assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_zero_steps_reward_is_the_first_steps_reward(self, tmp_path):
+        # a steps=0 summary grades the untouched model on step 0's prompts
+        # and rollouts, so its reward is the first step's recorded one
+        for seed in range(6):
+            _, summary = run_experiment(smoke_config(tmp_path / "zero", steps=0, seed=seed))
+            run_experiment(smoke_config(tmp_path / "one", steps=1, seed=seed))
+            (row,) = read_metrics(tmp_path / "one" / "run" / "metrics.jsonl")
+            assert summary["final_reward"] == row["mean_reward"], seed
 
     def test_timings_written_every_step(self, tmp_path, monkeypatch):
         # a reader during the run sees one timings line per finished step,

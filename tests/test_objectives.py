@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rspo_lab.objectives import group_advantages, rspo_loss, weighted_gradient
+from rspo_lab.objectives import center, group_advantages, rspo_loss, weighted_gradient
 from rspo_lab.oracle import quad_gradient, quad_loss
-from rspo_lab.score import center_scores
 
 
 def random_batch(rng, n=6):
@@ -11,7 +10,7 @@ def random_batch(rng, n=6):
     deltas = rng.normal(size=n)
     adv = rng.normal(size=n)
     adv -= adv.mean()  # group advantages are zero-sum by construction
-    return center_scores(deltas), adv
+    return center(deltas), adv
 
 
 class TestAdvantages:
@@ -37,7 +36,7 @@ class TestAdvantages:
 
     @pytest.mark.parametrize("shape", [(), (0,), (4, 1), (3, 0)])
     def test_last_axis_shorter_than_two_rejected(self, shape):
-        with pytest.raises(ValueError, match="group size must be >= 2"):
+        with pytest.raises(ValueError, match="at least 2 values along the last axis"):
             group_advantages(np.zeros(shape))
 
     @pytest.mark.parametrize("normalize", [False, True])
@@ -84,7 +83,7 @@ class TestFeedbackLoss:
         # scores pinned at A/lam zero both the coefficients and the residual
         lam = 0.25
         adv = np.array([0.5, -0.5, 0.25, -0.25])
-        _, coeffs = rspo_loss(center_scores(adv / lam), adv, lam)
+        _, coeffs = rspo_loss(center(adv / lam), adv, lam)
         assert np.abs(coeffs).max() < 1e-12
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
 
@@ -92,7 +91,7 @@ class TestFeedbackLoss:
         # forward value there is -||A||^2/lam + lam*||A/lam||^2 = 0
         lam = 0.25
         adv = np.array([0.5, -0.5, 0.25, -0.25])
-        assert abs(rspo_loss(center_scores(adv / lam), adv, lam)[0]) < 1e-12
+        assert abs(rspo_loss(center(adv / lam), adv, lam)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("call", [
@@ -113,21 +112,21 @@ class TestQuadLoss:
             deltas = rng.normal(size=6) + rng.normal()
             adv = rng.normal(size=6)
             for centering in (True, False):
-                d = center_scores(deltas, centering)
-                center = float(deltas.mean()) if centering else 0.0
+                d = center(deltas) if centering else deltas
+                offset = float(deltas.mean()) if centering else 0.0
                 value = quad_loss(deltas, d, adv, lam)
                 expected = -np.mean(adv * deltas) + 0.5 * lam * np.mean(d**2)
                 assert value == pytest.approx(expected, rel=1e-12)
                 square = 0.5 * lam * np.mean((d - adv / lam) ** 2)
                 const = -np.mean(adv**2) / (2.0 * lam)
-                center_cross = -center * np.mean(adv)
+                center_cross = -offset * np.mean(adv)
                 assert square + const + center_cross == pytest.approx(value, rel=1e-12)
 
     def test_penalty_uses_half_lam(self, rng):
         # the quadratic penalty carries lam/2 where the feedback forward
         # value carries the full lam
         deltas = rng.normal(size=6)
-        centered = center_scores(deltas)
+        centered = center(deltas)
         zero = np.zeros_like(deltas)
         lam = 0.8
         quad_pen = quad_loss(deltas, centered, zero, lam)
@@ -190,7 +189,7 @@ class TestGradients:
         adv = rng.normal(size=4)
         adv -= adv.mean()
         gs = self.grads(rng, 4)
-        on, off = center_scores(deltas), center_scores(deltas, centering=False)
+        on, off = center(deltas), deltas
         a = weighted_gradient(rspo_loss(on, adv, 0.5)[1], gs)
         b = weighted_gradient(rspo_loss(off, adv, 0.5)[1], gs)
         assert not np.allclose(a, b)

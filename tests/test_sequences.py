@@ -37,9 +37,12 @@ class TestValidation:
         ([np.nan], [1], "prompt", "nan"),
         ([1], [[1.0], [np.inf]], "completion", "inf"),
         ([1e30], [1], "prompt", "1e+30"),
+        ([1, 2], [True, True, True], "completion", "a bool array"),
+        ([True, False], [[1], [2]], "prompt", "a bool array"),
     ])
     def test_non_integer_ids_rejected(self, prompt, completion, field, bad):
-        # casting to int64 truncated them: -0.5 became token 0
+        # casting to int64 truncated them: -0.5 became token 0, and a mask
+        # row of bools became tokens 1 and 0
         with pytest.raises(ValueError, match=f"^{field} token ids must be integers, got {re.escape(bad)}$"):
             Sequence(np.array(prompt), np.array(completion))
 
