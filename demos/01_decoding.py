@@ -2,14 +2,16 @@
 
 A freshly initialized denoiser produces near-uniform babble, but the
 mechanics are visible: the completion starts fully masked, and each step
-commits the highest-confidence positions inside the active block.
+commits the highest-confidence positions inside the active block.  The
+decoder returns the step at which each position committed, so the state
+before every step is replayed from its result.
 """
 
 import numpy as np
 
-from rspo_lab import denoiser
 from rspo_lab.denoiser import init_params
 from rspo_lab.mdm import DecodeConfig, decode
+from rspo_lab.sequences import MASKED_TOKEN
 from rspo_lab.tasks import VOCAB_SIZE, decode_tokens, encode_text, gen_arith
 
 
@@ -24,22 +26,12 @@ def main():
     print(f"prompt: {inst.prompt_text!r}  (answer: {inst.payload['answer']})")
     print()
 
-    # instrument the feature rows to show the mask pattern before every
-    # denoiser call; the decoder builds each forward's rows from one layout
-    # of a stack holding the one completion
-    rows = denoiser.Rows
-
-    def narrated(layout, where):
-        print("  state:", decode_tokens(layout.completion[0]))
-        return rows(layout, where)
-
     cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=2, temperature=0.9)
     print("decoding trace (~ marks a masked slot, blocks fill left to right):")
-    denoiser.Rows = narrated
-    try:
-        out = decode(params, [prompt], cfg, [rng]).completion[0]
-    finally:
-        denoiser.Rows = rows
+    stack, steps = decode(params, [prompt], cfg, [rng])
+    out = stack.completion[0]
+    for s in range(steps.max() + 1):
+        print("  state:", decode_tokens(np.where(steps[0] < s, out, MASKED_TOKEN)))
     print("  final:", decode_tokens(out))
 
 

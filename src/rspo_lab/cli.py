@@ -142,13 +142,12 @@ def cmd_audit(args) -> int:
             rng.random(out=xi_i)
         xi *= 0.2
         xi += -0.1
-        a, r = ar[:, 0], ar[:, 1]
-        a -= a.mean(axis=1, keepdims=True)
+        a, r = objectives.center(ar[:, 0]), ar[:, 1]
         oracle.perturbation_bound_check(a, r, xi, 0.01)
         # on the first 3 trials the loss that trains must equal the oracle's
         # feedback loss at the perturbed centered scores, at lam and at 0
         a, r, xi = a[:3], r[:3], xi[:3]
-        x = r - r.mean(axis=1, keepdims=True) + xi - xi.mean(axis=1, keepdims=True)
+        x = objectives.center(r) + objectives.center(xi)
         for lam in (0.01, 0.0):
             for a_t, x_t, want in zip(a, x, oracle.feedback_loss(a, x, lam)):
                 got = objectives.rspo_loss(x_t, a_t, lam)[0]

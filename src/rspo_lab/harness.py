@@ -265,7 +265,7 @@ def _rollout(params: DenoiserParams, cfg: RunConfig, prompt_rng, rollout_rng):
     insts = [task.generate(prompt_rng, cfg.modulus) for _ in range(cfg.groups_per_batch)]
     prompts = [tasks.encode_text(inst.prompt_text) for inst in insts]
     rows = [p for p in prompts for _ in range(cfg.group_size)]
-    stack = mdm.decode(params, rows, cfg.decode_config(), rollout_rng.spawn(len(rows)))
+    stack, _ = mdm.decode(params, rows, cfg.decode_config(), rollout_rng.spawn(len(rows)))
     return insts, stack
 
 

@@ -1,8 +1,8 @@
 """Masked diffusion decoding: ``DecodeConfig``, the temperature-adjusted
 categorical draw ``_sample_categorical``, and the semi-autoregressive
 confidence decoder ``decode``, which decodes one completion per prompt row,
-each from its own stream, in one lockstep stack, one ``Sequence``.  Which
-rows repeat a prompt and which streams they draw from is the caller's.
+each from its own stream, in one lockstep stack, with each position's commit
+step.  Which rows repeat a prompt and which streams they draw is the caller's.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def decode(
     prompts: list[np.ndarray],
     cfg: DecodeConfig,
     rngs,
-) -> Sequence:
+) -> tuple[Sequence, np.ndarray]:
     """Block-wise confidence decoding of one completion per prompt.
 
     The prompts are left-padded to one width and their completions decoded
@@ -87,7 +87,9 @@ def decode(
     the active block in every completion, so all completions keep the same
     number of masked positions and share one stacked forward per step, which
     evaluates only those still-masked positions of the block.  The steps
-    share one ``denoiser.Layout`` of the stack and commit into it.
+    share one ``denoiser.Layout`` of the stack and commit into it.  Returns
+    ``(stack, steps)``: ``steps`` is the int64 ``(n, gen_len)`` 0-based step,
+    one per forward, counted across blocks, at which each position committed.
     """
     if not prompts:
         raise ValueError("need at least one prompt")
@@ -105,20 +107,21 @@ def decode(
     # whole decode, sliced per step, draws what one call per step would
     uniforms = np.array([rng.random(cfg.gen_len // cfg.block_size * sum(lefts))
                          for rng in rngs])
-    drawn = 0
+    steps = np.full(completion.shape, -1)
+    drawn = step = 0
     for start in range(0, cfg.gen_len, cfg.block_size):
         for left in lefts:
             # the still-masked positions of the block, ascending, per completion
-            where = np.zeros(completion.shape, dtype=bool)
-            where[:, start:start + cfg.block_size] = (
-                completion[:, start:start + cfg.block_size] == MASKED_TOKEN)
+            where = completion == MASKED_TOKEN
+            where[:, start + cfg.block_size:] = False
             cand = denoiser.forward(params, denoiser.Rows(layout, where))[0].reshape(len(rngs), left, -1)
             active = np.nonzero(where)[1].reshape(len(rngs), left)
             tok = _sample_categorical(cand, cfg.temperature, uniforms[:, drawn:drawn + left])
-            drawn += left
             conf = np.exp(cand[rows, np.arange(left), tok])
             # highest confidence first; ties broken by lowest index
             best = np.lexsort((active, -conf))[:, :cfg.unmask_per_step]
             commit = active[rows, best]
             completion[rows, commit] = tok[rows, best]
-    return Sequence(seq.prompt, completion.copy())
+            steps[rows, commit] = step
+            drawn, step = drawn + left, step + 1
+    return Sequence(seq.prompt, completion.copy()), steps

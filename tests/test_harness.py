@@ -323,7 +323,7 @@ class TestMovingPolicyStep:
         for inst in insts:
             prompt = tasks.encode_text(inst.prompt_text)
             group = mdm.decode(params, [prompt] * cfg.group_size, cfg.decode_config(),
-                               rollout_rng.spawn(cfg.group_size)).completion
+                               rollout_rng.spawn(cfg.group_size))[0].completion
             rewards = [tasks.reward(inst, tasks.decode_tokens(c)) for c in group]
             advantages.extend(objectives.group_advantages(rewards))
             for c in group:

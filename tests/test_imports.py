@@ -2,8 +2,9 @@
 defines at module level, is read somewhere in that module; every public
 module-level name is exported or read by the library, the demos or the
 benchmark, and so is every public method or property of a module-level
-class; README's Public API section names exactly the package's exports; and
-no module but ``tasks`` compares a value with a task's name.
+class; README's Public API section names exactly the package's exports; no
+module but ``tasks`` compares a value with a task's name; and no demo assigns
+to an attribute of what it imports from the package.
 
 No linter ships with the lab, so the check walks each module's syntax tree:
 an import binds names, and so does a module-level def, class or assignment;
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rspo_lab"
+DEMOS = SRC.parents[1] / "demos"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -135,6 +137,54 @@ def test_oracle_imports_only_sequences():
     # of it: a quad_gradient built on objectives.weighted_gradient fails here
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"sequences"}
+
+
+def _root_name(node: ast.expr) -> str | None:
+    """``a`` for ``a.b.c``; None when the chain does not start at a name."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def package_attribute_assignments(source: str) -> list[int]:
+    """Lines of ``source`` that assign to an attribute of a name bound by
+    importing from ``rspo_lab``, at any depth (``denoiser.Rows = spy``,
+    ``rspo_lab.mdm.decode = spy``, ``decode.calls += 1``)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rspo_lab":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or "rspo_lab" for alias in node.names
+                      if alias.name.split(".")[0] == "rspo_lab"}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(leaf, ast.Attribute) and _root_name(leaf) in bound
+               for target in targets for leaf in ast.walk(target)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_a_package_attribute_assignment():
+    source = ("import numpy as np\nimport rspo_lab.mdm\nfrom rspo_lab import denoiser\n"
+              "from rspo_lab.mdm import decode as dec\nnp.x = 1\n"
+              "def patch():\n    denoiser.Rows = None\nrspo_lab.mdm.decode = None\n"
+              "dec.calls += 1\nrows = denoiser.Rows\nrows.x, a = 2, 3\n")
+    assert package_attribute_assignments(source) == [7, 8, 9]
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demos_patch_nothing(path):
+    # a demo watches the package through what its calls return, not by
+    # replacing the package's parts
+    assert package_attribute_assignments(path.read_text(encoding="utf-8")) == []
 
 
 def public_api_section() -> str:

@@ -17,7 +17,7 @@ from rspo_lab.sequences import MASKED_TOKEN, Sequence, left_pad
 def decode_groups(params, prompts, group_size, cfg, rng):
     """The training step's rollout layout: ``group_size`` rows per prompt,
     prompt ``g``'s in rows ``g·group_size`` onward, row ``b`` decoded from
-    the ``b``-th child of ``rng``."""
+    the ``b``-th child of ``rng``; returns ``decode``'s ``(stack, steps)``."""
     rows = [p for p in prompts for _ in range(group_size)]
     return decode(params, rows, cfg, rng.spawn(len(rows)))
 
@@ -61,28 +61,16 @@ class TestDecode:
 
     def test_fully_unmasked_output(self, rng):
         params = tiny_params(seed=5)
-        out = decode(params, [np.array([1])], self.cfg(gen_len=4, block_size=4), [rng])
+        out, _ = decode(params, [np.array([1])], self.cfg(gen_len=4, block_size=4), [rng])
         assert not out.masked.any()
         assert (out.completion[0] >= 0).all()
 
-    def test_blocks_fill_in_order(self, rng, monkeypatch):
-        # instrument the denoiser to watch the mask pattern at each call
-        params = wide_params()
-        snapshots = []
-        real = denoiser.forward
-
-        def spy(params, rows):
-            snapshots.append(rows.layout.completion == MASKED_TOKEN)
-            return real(params, rows)
-
-        monkeypatch.setattr(denoiser, "Rows", SpyRows)
-        monkeypatch.setattr(denoiser, "forward", spy)
-        decode(params, [np.array([1])], self.cfg(), [rng])
-        assert snapshots
-        for masked in snapshots:
-            # later blocks must stay fully masked until earlier ones finish
-            if masked[..., :4].any():
-                assert masked[..., 4:].all()
+    def test_blocks_fill_in_order(self, rng):
+        # two steps of two commits per block; the second block stays fully
+        # masked until the first is full
+        _, steps = decode(wide_params(), [np.array([1])], self.cfg(), [rng])
+        assert np.sort(steps[0]).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert steps[0, :4].max() < steps[0, 4:].min()
 
     def test_step_count(self, rng, monkeypatch):
         params = wide_params()
@@ -102,14 +90,14 @@ class TestDecode:
     def test_seeded_determinism(self):
         params = wide_params()
         cfg = self.cfg()
-        a = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
-        b = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
+        a, _ = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
+        b, _ = decode(params, [np.array([1])], cfg, [np.random.default_rng(9)])
         assert np.array_equal(a.completion[0], b.completion[0])
 
     def test_prompt_not_touched(self, rng):
         params = tiny_params(seed=5)
         prompt = np.array([1, 2])
-        out = decode(params, [prompt], self.cfg(gen_len=4, block_size=4), [rng])
+        out, _ = decode(params, [prompt], self.cfg(gen_len=4, block_size=4), [rng])
         assert np.array_equal(out.prompt[0], prompt)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
@@ -125,10 +113,10 @@ class TestDecode:
         for seed in range(5):
             rngs = np.random.default_rng(seed).spawn(len(prompts))
             copies = copy.deepcopy(rngs)
-            stack = decode(params, prompts, cfg, rngs)
+            stack, _ = decode(params, prompts, cfg, rngs)
             assert not stack.masked.any()
             for b, (prompt, rng) in enumerate(zip(prompts, copies)):
-                alone = decode(params, [prompt], cfg, [rng])
+                alone, _ = decode(params, [prompt], cfg, [rng])
                 assert np.array_equal(stack.completion[b], alone.completion[0])
 
     def test_no_prompts_rejected(self):
@@ -182,7 +170,7 @@ class TestTinyTemperature:
         params = wide_params(scale=1.0)
         prompts = [np.array([1, 3]), np.array([2])]
         got, want = (decode(params, prompts, DecodeConfig(gen_len=8, block_size=4, temperature=t),
-                            np.random.default_rng(0).spawn(2))
+                            np.random.default_rng(0).spawn(2))[0]
                      for t in (temperature, 0.0))
         assert np.array_equal(got.completion, want.completion)
 
@@ -198,7 +186,7 @@ class TestCompletionGroups:
     def test_temperature_zero_collapses(self, rng):
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.0)
-        group = decode_groups(params, [np.array([1])], 4, cfg, rng).completion
+        group = decode_groups(params, [np.array([1])], 4, cfg, rng)[0].completion
         for comp in group[1:]:
             assert np.array_equal(comp, group[0])
 
@@ -206,8 +194,8 @@ class TestCompletionGroups:
         # the first completions agree regardless of how many siblings follow
         params = tiny_params(seed=5)
         cfg = DecodeConfig(gen_len=4, block_size=4, temperature=0.9)
-        a = decode_groups(params, [np.array([1])], 2, cfg, np.random.default_rng(3))
-        b = decode_groups(params, [np.array([1])], 4, cfg, np.random.default_rng(3))
+        a, _ = decode_groups(params, [np.array([1])], 2, cfg, np.random.default_rng(3))
+        b, _ = decode_groups(params, [np.array([1])], 4, cfg, np.random.default_rng(3))
         assert np.array_equal(a.completion, b.completion[:2])
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
@@ -217,11 +205,11 @@ class TestCompletionGroups:
         cfg = DecodeConfig(gen_len=8, block_size=block_size, unmask_per_step=unmask,
                            temperature=temperature)
         for seed in range(5):
-            group = decode_groups(params, [np.array([1, 3])], 5, cfg, np.random.default_rng(seed))
+            group, _ = decode_groups(params, [np.array([1, 3])], 5, cfg, np.random.default_rng(seed))
             assert group.is_clean()
             children = np.random.default_rng(seed).spawn(5)
             for comp, child in zip(group.completion, children, strict=True):
-                alone = decode(params, [np.array([1, 3])], cfg, [child])
+                alone, _ = decode(params, [np.array([1, 3])], cfg, [child])
                 assert np.array_equal(comp, alone.completion[0])
 
 
@@ -236,13 +224,13 @@ class TestCompletionGroups:
         prompts = [np.array([1, 3, 0]), np.array([2]), np.array([], dtype=np.int64),
                    np.array([3, 3])]
         for seed in range(5):
-            stack = decode_groups(params, prompts, 3, cfg, np.random.default_rng(seed))
+            stack, _ = decode_groups(params, prompts, 3, cfg, np.random.default_rng(seed))
             # prompt g's group is rows 3g, 3g+1, 3g+2, each row its prompt left-padded
             assert np.array_equal(stack.prompt, np.repeat(left_pad(prompts), 3, axis=0))
             assert stack.is_clean()
             rng = np.random.default_rng(seed)
             for g, prompt in enumerate(prompts):
-                alone = decode_groups(params, [prompt], 3, cfg, rng)
+                alone, _ = decode_groups(params, [prompt], 3, cfg, rng)
                 assert np.array_equal(alone.prompt, np.tile(prompt, (3, 1)))
                 assert np.array_equal(stack.completion[3 * g:3 * g + 3], alone.completion)
 
@@ -257,16 +245,17 @@ class TestProductionSize:
             cfg = RunConfig(task=task).decode_config()
             for seed in range(3):
                 prompts = task_prompts(task, 4, rng)
-                stack = decode_groups(params, prompts, 6, cfg, np.random.default_rng(seed))
+                stack, _ = decode_groups(params, prompts, 6, cfg, np.random.default_rng(seed))
                 alone_rng = np.random.default_rng(seed)
                 for g, prompt in enumerate(prompts):
-                    alone = decode_groups(params, [prompt], 6, cfg, alone_rng)
+                    alone, _ = decode_groups(params, [prompt], 6, cfg, alone_rng)
                     assert np.array_equal(stack.completion[6 * g:6 * g + 6], alone.completion)
 
     def test_decode_reads_only_the_active_masked_positions(self, monkeypatch):
         # each step asks for the still-masked positions of the active block,
         # 8 + 6 + 4 + 2 per block and completion at the defaults, and gets
-        # exactly those rows of the full tables
+        # exactly those rows of the full tables; the returned steps match the
+        # states read, bit for bit: masked before step s exactly where steps >= s
         rng = np.random.default_rng(12)
         params, _ = default_model("arith", rng)
         cfg = RunConfig().decode_config()
@@ -284,9 +273,11 @@ class TestProductionSize:
 
         monkeypatch.setattr(denoiser, "Rows", SpyRows)
         monkeypatch.setattr(denoiser, "forward", spy)
-        decode_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
+        _, steps = decode_groups(params, task_prompts("arith", 4, rng), 6, cfg, rng)
         assert len(calls) == cfg.gen_len // cfg.unmask_per_step
-        for masked, where in calls:
+        assert np.array_equal(np.unique(steps), np.arange(len(calls)))
+        for s, (masked, where) in enumerate(calls):
+            assert np.array_equal(masked, steps >= s)
             start = np.flatnonzero(masked.any(axis=0))[0] // cfg.block_size * cfg.block_size
             want = np.zeros_like(masked)
             want[:, start:start + cfg.block_size] = masked[:, start:start + cfg.block_size]
@@ -294,51 +285,52 @@ class TestProductionSize:
         assert sum(int(where.sum()) for _, where in calls) == 24 * 2 * (8 + 6 + 4 + 2)
 
 
-@pytest.mark.parametrize("block_size,unmask,temperature,digest", [
-    (8, 2, 0.9, "5fbafea3d32d28e6db59dd8e229660e825b589b77daae143366d50d30b9f9c10"),
-    (8, 3, 0.9, "ab217bcca592bea269bfe6d14c4b0faf8a05099d9a702039df4f5dd60a3274f0"),
-    (16, 16, 0.9, "89638e15395011c2b73df3482e39099a998520721142067c1ff186099fc24b18"),
-    (8, 2, 0.0, "37a381366e58a958ef7ef8a9b45ae5384321cb29b46a0483128bb909f8f86781"),
+@pytest.mark.parametrize("block_size,unmask,temperature,digest,steps_digest", [
+    (8, 2, 0.9, "5fbafea3d32d28e6db59dd8e229660e825b589b77daae143366d50d30b9f9c10",
+     "248494ffb692807fe8c0a52e095a3bc111cb1e196d8d9d0e6d49a7ca21438a12"),
+    (8, 3, 0.9, "ab217bcca592bea269bfe6d14c4b0faf8a05099d9a702039df4f5dd60a3274f0",
+     "f5a755075216fe8dd58025f9f84f9e02fefc13b0964778693ece3967cb1bb6c5"),
+    (16, 16, 0.9, "89638e15395011c2b73df3482e39099a998520721142067c1ff186099fc24b18",
+     "e80232b4d18d0bb7e794be263ba937626f383f9917d4b8a737ba893a8f752293"),
+    (8, 2, 0.0, "37a381366e58a958ef7ef8a9b45ae5384321cb29b46a0483128bb909f8f86781",
+     "edea57b52357a870cab9a79bf57d2d0515e6ad22da586e9b3a0b1558af1a5d62"),
 ])
 def test_sample_completion_groups_match_recorded_digest(block_size, unmask, temperature,
-                                                        digest):
+                                                        digest, steps_digest):
     # four groups of six on countdown's ragged prompts (widths 8 and 9), laid
     # out as a training step lays them out: each prompt repeated six times,
     # row b decoded from rng's b-th child. The digests pin every child
-    # stream's uniform draws and the tokens they pick
+    # stream's uniform draws, the tokens they pick and the steps that commit them
     rng = np.random.default_rng(21)
     params, _ = default_model("countdown", rng)
     prompts = task_prompts("countdown", 4, rng)
     cfg = DecodeConfig(gen_len=16, block_size=block_size, unmask_per_step=unmask,
                        temperature=temperature)
-    stack = decode(params, [p for p in prompts for _ in range(6)], cfg, rng.spawn(24))
+    stack, steps = decode(params, [p for p in prompts for _ in range(6)], cfg, rng.spawn(24))
     assert {p.size for p in prompts} == {8, 9}
     # the (24, 16) int64 stack, group by group, holds the recorded bytes
     assert stack.completion.shape == (24, 16) and stack.completion.dtype == np.int64
     blob = stack.completion.tobytes()
     assert hashlib.sha256(blob).hexdigest() == digest
+    assert steps.shape == (24, 16) and steps.dtype == np.int64
+    assert hashlib.sha256(steps.tobytes()).hexdigest() == steps_digest
+    # every step commits min(unmask, still masked) positions of the active
+    # block in every completion, and the blocks complete in order
+    per_block = [min(unmask, left) for left in range(block_size, 0, -unmask)]
+    commits = (steps[:, :, None] == np.arange(steps.max() + 1)).sum(axis=1)
+    assert (commits == np.tile(per_block, 16 // block_size)).all()
+    block = np.arange(16) // block_size
+    assert (steps // len(per_block) == block).all()
 
 
 class TestTies:
-    def test_equal_confidences_commit_lowest_positions_first(self, rng, monkeypatch):
-        # a zero-theta model is uniform: every candidate the same confidence
+    def test_equal_confidences_commit_lowest_positions_first(self, rng):
+        # a zero-theta model is uniform whatever it reads: every candidate the
+        # same confidence
         params = wide_params()
         params = params.replace_theta(np.zeros_like(params.theta))
-        snapshots = []
-        real = denoiser.forward
-
-        def spy(params, rows):
-            snapshots.append(rows.layout.completion == MASKED_TOKEN)
-            fwd = real(params, rows)
-            assert (fwd[0] == -math.log(4)).all()
-            return fwd
-
-        monkeypatch.setattr(denoiser, "Rows", SpyRows)
-        monkeypatch.setattr(denoiser, "forward", spy)
+        seq = Sequence(np.array([1]), np.full(8, MASKED_TOKEN))
+        assert (forward_on(params, seq)[0] == -math.log(4)).all()
         cfg = DecodeConfig(gen_len=8, block_size=4, unmask_per_step=3)
-        decode_groups(params, [np.array([1])], 3, cfg, rng)
-        before = [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1],
-                  [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
-        assert len(snapshots) == len(before)
-        for masked, want in zip(snapshots, before):
-            assert np.array_equal(masked, np.tile(np.array(want, dtype=bool), (3, 1)))
+        _, steps = decode_groups(params, [np.array([1])], 3, cfg, rng)
+        assert np.array_equal(steps, np.tile([0, 0, 0, 1, 2, 2, 2, 3], (3, 1)))
