@@ -19,6 +19,7 @@ checkpoint format lives in ``harness``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,10 +32,13 @@ ARCHITECTURE = ("vocab_size", "window", "hidden", "embed_dim", "n_positions")
 
 def _section_shapes(vocab_size, window, hidden, embed_dim, n_positions) -> list[tuple[int, ...]]:
     """Shapes of the embed, w1, b1, w2, b2 sections of the flat parameter
-    vector, in storage order; w1 is (hidden, feature dimension).  A
-    degenerate architecture, a ``window`` below 0 or another field below 1,
-    raises ``ValueError`` naming the field."""
+    vector, in storage order; w1 is (hidden, feature dimension).  A field
+    that is not an integer (numpy's pass, bools do not), a ``window`` below 0
+    or another field below 1 raises ``ValueError`` naming the field."""
     for name, value in zip(ARCHITECTURE, (vocab_size, window, hidden, embed_dim, n_positions)):
+        # bool is an Integral, so it is rejected by name
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         least = 0 if name == "window" else 1
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value!r}")

@@ -233,10 +233,16 @@ def adam_update(theta, grad, m, v, step, lr):
     """Bias-corrected first/second moment update at the fixed ``ADAM_*``
     constants; returns new (theta, m, v).
 
-    ``step`` is the 1-based update count.
+    ``step`` is the 1-based update count; ``lr`` is finite and > 0, as in
+    ``RunConfig``, and ``m`` and ``v`` have theta's shape.
     """
     if step < 1:  # bias correction divides by 1 - ADAM_BETA1**step
         raise ValueError(f"step must be >= 1, got {step!r}")
+    if not (math.isfinite(lr) and lr > 0):  # a NaN lr poisons theta, a negative one ascends
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+    for name, moment in (("m", m), ("v", v)):  # a smaller moment would broadcast
+        if np.shape(moment) != np.shape(theta):
+            raise ValueError(f"{name} has shape {np.shape(moment)}, theta {np.shape(theta)}")
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")

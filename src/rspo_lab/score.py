@@ -85,10 +85,10 @@ class _MaskStack:
     """Clean completions, each corrupted at every distinct position set of
     its masks and stacked so that one denoiser forward at the stack's masked
     positions scores every (completion, distinct set) row once, under its
-    completion's prompt row.  Stack rows keep first-occurrence order,
-    completion by completion.  That forward's rows are flat in C order, so
-    each stack row's masked positions, and each completion's rows, are
-    contiguous.  ``seqs`` and ``masks`` are read as ``elbo_terms`` reads them."""
+    completion's prompt row, and each row's mask-size reweighting
+    ``row_weight``.  Stack rows keep first-occurrence order, completion by
+    completion.  That forward's rows are flat in C order, so each stack row's
+    masked positions, and each completion's rows, are contiguous."""
 
     def __init__(self, seqs: Sequence, masks: MaskBatch):
         if not isinstance(seqs, Sequence):
@@ -122,6 +122,7 @@ class _MaskStack:
         n_rows = np.diff(self.row_offsets)
         masked = np.frombuffer(b"".join([s for _, s in row_of]), dtype=bool).reshape(-1, l_c)
         self.sizes = masked.sum(axis=1)
+        self.row_weight = l_c / self.sizes
         clean_rows = np.repeat(self.clean, n_rows, axis=0)
         # a shared prompt, or one per completion under any leading axes, as Layout reads it
         prompt = np.broadcast_to(seqs.prompt, seqs.completion.shape[:-1] + (seqs.prompt_len,))
@@ -143,36 +144,15 @@ class _MaskStack:
 
     def terms(self, logprobs: np.ndarray) -> np.ndarray:
         """The (completions, k) per-mask terms, from the log-probability rows
-        at the stack's masked positions: each mask's mask-size reweighted
-        log-probability sum of the clean tokens."""
-        l_c = self.clean.shape[1]
+        at the stack's masked positions: each mask's log-probability sum of
+        the clean tokens, times its row's ``row_weight``."""
         picked = logprobs[np.arange(len(self.tokens)), self.tokens]
         by_row = np.empty(len(self.sizes))
         for rows, cells in self.by_size:
             # a sum along the contiguous last axis adds each row in the order
             # of that row's own 1-D sum; np.add.reduceat does not
-            by_row[rows] = (l_c / cells.shape[1]) * picked[cells].sum(axis=1)
-        return by_row[self.mask_row].reshape(-1, self.k)
-
-    def grads(self, params: DenoiserParams, fwd, scale: float) -> list[np.ndarray]:
-        """Per completion, the gradient of ``scale`` times its mean term, by
-        one backward through the forward ``fwd`` at the stack's masked
-        positions, segmented at each completion's rows."""
-        l_c = self.clean.shape[1]
-        counts = np.bincount(self.mask_row, minlength=len(self.sizes))
-        weights = np.repeat(scale * counts * (l_c / self.sizes) / self.k, self.sizes)
-        return denoiser.backward(params, fwd, self.tokens, weights, self.starts[self.row_offsets])
-
-    def deltas(self, params_cur: DenoiserParams, params_ref: DenoiserParams | None):
-        """Per completion, the per-token current-reference score difference,
-        and the current forward.  Both forwards run on one ``rows``: the
-        reference forward writes its embeddings into them and is reduced to
-        its mean terms, then the current forward writes its own over the same
-        block, so the two forwards' activations are never alive together."""
-        rows = self.rows(params_cur)
-        ref = 0.0 if params_ref is None else self.terms(denoiser.forward(params_ref, rows)[0]).mean(axis=1)
-        fwd = denoiser.forward(params_cur, rows)
-        return (self.terms(fwd[0]).mean(axis=1) - ref) / self.clean.shape[1], fwd
+            by_row[rows] = picked[cells].sum(axis=1)
+        return (self.row_weight * by_row)[self.mask_row].reshape(-1, self.k)
 
 
 def elbo_terms(params: DenoiserParams, seqs: Sequence, masks: MaskBatch) -> np.ndarray:
@@ -203,14 +183,23 @@ def coupled_deltas_and_grads(
     The same masks evaluate both models, so identical parameters give
     exactly zero.  Without a reference (``params_ref`` None) the delta is
     the per-token current score.  Only the current side depends on theta.
-    One reference and one current forward over the whole stack, each at its
-    masked positions only, then one backward through the current forward
-    that returns each completion's gradient from its own rows.  A reference
-    whose architecture differs from the current model's raises
-    ``ValueError`` naming the first such field."""
+    The one value-and-gradient pass: a reference and a current forward on one
+    build of the stack's rows, then one backward through the current forward,
+    each stack row weighted by its mask count and ``row_weight``, that returns
+    each completion's gradient from its own rows.  A reference whose
+    architecture differs raises ``ValueError`` naming the first such field."""
     if params_ref is not None and (diff := denoiser.architecture_mismatch(params_ref, params_cur)):
         raise ValueError(f"params_ref {diff} in params_cur")
     stack = _MaskStack(seqs, masks)
-    deltas, fwd = stack.deltas(params_cur, params_ref)
-    return deltas, stack.grads(params_cur, fwd, 1.0 / stack.clean.shape[1])
-
+    l_c, rows = stack.clean.shape[1], stack.rows(params_cur)
+    # the reference forward writes its embeddings into rows and is reduced to
+    # its mean terms before the current forward writes its own over the same
+    # block, so the two forwards' activations are never alive together
+    ref = 0.0 if params_ref is None else stack.terms(denoiser.forward(params_ref, rows)[0]).mean(axis=1)
+    fwd = denoiser.forward(params_cur, rows)
+    deltas = (stack.terms(fwd[0]).mean(axis=1) - ref) / l_c
+    # a stack row's weight in its completion's mean term, counted over its masks
+    counts = np.bincount(stack.mask_row, minlength=len(stack.sizes))
+    weights = np.repeat(1.0 / l_c * counts * stack.row_weight / stack.k, stack.sizes)
+    return deltas, denoiser.backward(params_cur, fwd, stack.tokens, weights,
+                                     stack.starts[stack.row_offsets])

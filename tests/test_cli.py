@@ -315,6 +315,18 @@ class TestAudit:
         want = [("FAIL " if name in failing else "PASS ") + name for name in cls.CHECKS]
         assert [ln.split(":")[0] for ln in lines] == want
 
+    def test_each_set_scored_once_fails(self, capsys, monkeypatch):
+        # the exactness line's plain mean equals the expectation only over the
+        # count-weighted batch, the full set 3 times; each distinct set once
+        # drops those counts
+        elbo_terms = score.elbo_terms
+
+        def once(params, seqs, masks):
+            return elbo_terms(params, seqs, score.MaskBatch(np.unique(masks.hits, axis=0)))
+
+        monkeypatch.setattr(score, "elbo_terms", once)
+        self._only_these_fail(capsys, "elbo-estimator-exactness")
+
     def test_flipped_feedback_sign_fails(self, capsys, monkeypatch):
         # the oracle's own identity holds either way; only the production
         # objective can show the fault: its coefficients on the centered

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -433,6 +434,17 @@ class TestCheckpoints:
         # window -1 would shrink the feature width below the position one-hot's
         with pytest.raises(ValueError, match="^window must be >= 0, got -1$"):
             init_params(21, window=-1)
+
+    @pytest.mark.parametrize("field,value,shown", [("hidden", 8.0, "8.0"), ("hidden", True, "True"),
+                                                   ("window", 2.5, "2.5"),
+                                                   ("vocab_size", np.float64(4), "np.float64(4.0)")])
+    def test_non_integer_field_rejected(self, field, value, shown):
+        # each would otherwise reach numpy, whose error names no field
+        kwargs = {"vocab_size": 4, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(shown)}$"):
+            init_params(**kwargs)
+        # numpy ints still pass
+        assert init_params(**{**kwargs, field: np.int64(3)}).theta.size
 
     def test_theta_metadata_consistency_enforced(self):
         params = tiny_params(seed=0)

@@ -232,6 +232,16 @@ class TestAdam:
         for step in (0, -1):  # no bias correction below step 1
             with pytest.raises(ValueError, match="step"):
                 adam_update(z, z, z, z, step, 0.1)
+        # a NaN lr would poison theta, a negative one ascend
+        for lr in (np.nan, np.inf, -0.1, 0.0):
+            with pytest.raises(ValueError, match="^lr must be finite and > 0, got "):
+                adam_update(z, z, z, z, 1, lr)
+        # a (1,) moment would broadcast against theta without an error
+        one = np.zeros(1)
+        with pytest.raises(ValueError, match=r"^m has shape \(1,\), theta \(2,\)$"):
+            adam_update(z, z, one, z, 1, 0.1)
+        with pytest.raises(ValueError, match=r"^v has shape \(1,\), theta \(2,\)$"):
+            adam_update(z, z, z, one, 1, 0.1)
 
 
 class TestTrainStep:
@@ -304,12 +314,18 @@ class TestTrainStep:
 
 
 class TestMovingPolicyStep:
-    @pytest.mark.parametrize("task,k_masks", [("countdown", 2), ("sudoku4", 8)])
-    def test_step_equals_rebuild_from_single_completions(self, tmp_path, task, k_masks):
+    @pytest.mark.parametrize("task,k_masks,digest", [
+        ("countdown", 2, "fbc8c22d51852d19470cfd4125c509d8cf66998cb2c4a2f756cb01559c1fe31a"),
+        ("sudoku4", 8, "bec5a4b3cf6da18edbf5d95df0636da5bea6f045ec739214da9edbb4a8fccd18"),
+    ], ids=["countdown-2", "sudoku4-8"])
+    def test_step_equals_rebuild_from_single_completions(self, tmp_path, task, k_masks, digest):
         # default runs of these tasks never leave the reference: reward 0 and
         # params == ref give a zero gradient.  From a policy moved off the
         # reference, the step's new theta equals, bit for bit, a rebuild that
-        # decodes one group at a time and scores each completion alone
+        # decodes one group at a time and scores each completion alone.  The
+        # digest pins those bits, so a change to both the step and the rebuild
+        # fails too.  Like test_mdm's decode digests, it holds for the BLAS it
+        # was recorded with; another BLAS's gemm bits may differ
         cfg = RunConfig(task=task, k_masks=k_masks, out_dir=str(tmp_path))
         start = init_state(cfg)
         params, ref = default_model(task, np.random.default_rng(5))
@@ -341,6 +357,7 @@ class TestMovingPolicyStep:
         assert metrics.batch_mean_offset == float(centered.mean())
         assert np.array_equal(new_state.params.theta, theta)
         assert not np.array_equal(theta, params.theta)
+        assert hashlib.sha256(new_state.params.theta.tobytes()).hexdigest() == digest
 
 
 class TestCheckpoints:
